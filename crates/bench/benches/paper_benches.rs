@@ -7,17 +7,8 @@
 //! performance regression guard for the simulator itself; the simulated
 //! cycle counts the binaries print are the paper-relevant output.
 //!
-//! The default harness is std-only (min/median over a fixed sample count)
-//! so it runs with no registry access. The off-by-default `criterion`
-//! feature is reserved for the Criterion statistical harness on machines
-//! that can fetch crates; see `crates/bench/Cargo.toml`.
-
-#[cfg(feature = "criterion")]
-compile_error!(
-    "the `criterion` feature requires re-adding `criterion = \"0.5\"` as a \
-     dev-dependency of bench-suite (network access needed); the default \
-     std-only harness covers the same workloads"
-);
+//! The harness is std-only (min/median over a fixed sample count) so it
+//! runs with no registry access.
 
 use std::time::Instant;
 

@@ -1,8 +1,8 @@
 //! Per-stage engine cost profile (see [`bench_suite::hotpath`]).
 //!
 //! Times single-core microbenches that isolate each engine stage
-//! (exec/step ceiling, decode layer, event scheduling, memory paths) with
-//! the fast-path knobs toggled, plus the fig4 reference workload, and
+//! (exec/step ceiling, memory paths) on the production engine, the ALU
+//! loop on the reference engine, and the fig4 reference workload, and
 //! prints marginal ns-per-instruction stage costs. Commit the output as
 //! `results/hotpath.txt` so future perf PRs start from a current profile:
 //!

@@ -15,12 +15,11 @@
 //! shared host swing ±20%, the median is what lands in the JSON), asserts
 //! the committed full-workload digests
 //! ([`EXPECTED_FIG4_16CORE_DIGEST`]/[`EXPECTED_VITERBI_K5_16T_DIGEST`]),
-//! and then pins the full `{decode_cache} × {event_shards} ×
-//! {fused_memory}` knob cross product (8 combinations) against those same
-//! digests at full workload size — the CI gate that the engine fast paths
-//! stay execution strategies, never model changes (it forces the full rep
-//! counts; `--quick` would change the digests). `--quick` shrinks rep
-//! counts for smoke runs (and marks the
+//! and then runs both workloads once more on the reference engine and
+//! requires the same digests at full workload size — the CI gate that the
+//! production engine's fast paths stay execution strategies, never model
+//! changes (it forces the full rep counts; `--quick` would change the
+//! digests). `--quick` shrinks rep counts for smoke runs (and marks the
 //! workloads accordingly, so quick numbers are never confused with the
 //! tracked ones); `--out` overrides the JSON path. `--trace PATH`
 //! additionally re-runs the Viterbi workload with a Chrome trace streamed
@@ -37,7 +36,7 @@ use bench_suite::throughput::{
 };
 use bench_suite::{report, SweepRunner};
 use kernels::viterbi::Viterbi;
-use kernels::{EngineKnobs, ExecSpec, RunAttachments};
+use kernels::{ExecSpec, RunAttachments};
 
 /// Wall-time repetitions per workload under `--check`. The reported wall
 /// is the median of this many serial runs.
@@ -50,9 +49,8 @@ fn median(mut walls: Vec<f64>) -> f64 {
 
 /// `--check`: re-time each tracked workload to a median-of-[`CHECK_REPS`]
 /// wall (updating the sample in place so the table and JSON report the
-/// median), assert the committed digests, then run the full
-/// `{decode_cache} × {event_shards} × {fused_memory}` cross product at
-/// full workload size and require every combination to reproduce the same
+/// median), assert the committed digests, then run both workloads at full
+/// size on the reference engine and require it to reproduce the same
 /// committed digests bit-for-bit.
 fn run_check(samples: &mut [ThroughputSample], inner: u64, outer: u64, vit_bits: usize) {
     for s in samples.iter_mut() {
@@ -85,43 +83,29 @@ fn run_check(samples: &mut [ThroughputSample], inner: u64, outer: u64, vit_bits:
         s.wall_seconds = median(walls);
         s.instr_per_sec = s.sim.instructions as f64 / s.wall_seconds.max(1e-9);
     }
-    for decode in [false, true] {
-        for shards in [false, true] {
-            for fused in [false, true] {
-                let label = format!("decode={decode} shards={shards} fused={fused}");
-                let knobs = EngineKnobs {
-                    decode_cache: Some(decode),
-                    event_shards: Some(shards),
-                    fused_memory: Some(fused),
-                    ..EngineKnobs::default()
-                };
-                let fig4 = fig4_sample_with(16, inner, outer, knobs, |_| None);
-                assert_eq!(
-                    fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST,
-                    "fig4_16core [{label}]: digest {:#018x} != committed \
-                     {EXPECTED_FIG4_16CORE_DIGEST:#018x} — a fast-path knob \
-                     changed simulated behaviour",
-                    fig4.sim.stats_digest
-                );
-                let mut exec = ExecSpec::parallel(16, BarrierMechanism::FilterD);
-                exec.knobs = knobs;
-                let vit = Viterbi::new(vit_bits)
-                    .run_with(&exec, RunAttachments::default())
-                    .expect("viterbi check workload")
-                    .outcome;
-                assert_eq!(
-                    vit.sim.stats_digest, EXPECTED_VITERBI_K5_16T_DIGEST,
-                    "viterbi_k5_16t [{label}]: digest {:#018x} != committed \
-                     {EXPECTED_VITERBI_K5_16T_DIGEST:#018x} — a fast-path knob \
-                     changed simulated behaviour",
-                    vit.sim.stats_digest
-                );
-            }
-        }
-    }
+    let fig4 = fig4_sample_with(16, inner, outer, true, |_| None);
+    assert_eq!(
+        fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST,
+        "fig4_16core [reference engine]: digest {:#018x} != committed \
+         {EXPECTED_FIG4_16CORE_DIGEST:#018x} — the engines disagree",
+        fig4.sim.stats_digest
+    );
+    let vit = Viterbi::new(vit_bits)
+        .run_with(
+            &ExecSpec::parallel(16, BarrierMechanism::FilterD),
+            RunAttachments::reference(),
+        )
+        .expect("viterbi check workload")
+        .outcome;
+    assert_eq!(
+        vit.sim.stats_digest, EXPECTED_VITERBI_K5_16T_DIGEST,
+        "viterbi_k5_16t [reference engine]: digest {:#018x} != committed \
+         {EXPECTED_VITERBI_K5_16T_DIGEST:#018x} — the engines disagree",
+        vit.sim.stats_digest
+    );
     println!(
         "check passed: median-of-{CHECK_REPS} walls recorded; both committed \
-         digests reproduced by all 8 decode/shards/fused combinations"
+         digests reproduced by the production and the reference engine"
     );
     println!();
 }

@@ -4,9 +4,9 @@
 //! the next perf PR starts from a blind profile. This module isolates the
 //! engine's per-instruction cost *stages* with differential microbenches:
 //! single-core straight-line loops whose bodies exercise exactly one
-//! engine path, timed with each fast-path knob toggled. Subtracting the
-//! pure-ALU ceiling from each variant yields the marginal cost of one
-//! stage (dispatch, scheduling, memory) in host nanoseconds per retired
+//! engine path, timed on the production engine (plus the ALU loop on the
+//! reference engine). Subtracting the pure-ALU ceiling from each variant
+//! yields the marginal cost of one stage in host nanoseconds per retired
 //! instruction — numbers directly comparable across commits because the
 //! workloads are fixed.
 //!
@@ -31,7 +31,7 @@ const ITERS: u64 = 400_000;
 /// One timed microbench point.
 #[derive(Debug, Clone)]
 pub struct HotpathPoint {
-    /// Point identifier (workload + knob setting).
+    /// Point identifier (workload, plus the engine when not production).
     pub name: String,
     /// Instructions the simulated run retired.
     pub instructions: u64,
@@ -62,29 +62,11 @@ enum Body {
     Store,
 }
 
-/// Engine-knob overrides for one point (`None` = the config default).
-#[derive(Debug, Clone, Copy, Default)]
-struct Knobs {
-    burst_budget: Option<u32>,
-    decode_cache: Option<bool>,
-    event_shards: Option<bool>,
-    fused_memory: Option<bool>,
-}
-
-fn build_loop(body: Body, knobs: Knobs) -> Machine {
-    let mut config = SimConfig::with_cores(1);
-    if let Some(b) = knobs.burst_budget {
-        config.burst_budget = b;
-    }
-    if let Some(d) = knobs.decode_cache {
-        config.decode_cache = d;
-    }
-    if let Some(s) = knobs.event_shards {
-        config.event_shards = s;
-    }
-    if let Some(f) = knobs.fused_memory {
-        config.fused_memory = f;
-    }
+fn build_loop(body: Body, reference_engine: bool) -> Machine {
+    let config = SimConfig {
+        reference_engine,
+        ..SimConfig::with_cores(1)
+    };
     let mut asm = Asm::new();
     asm.label("entry").expect("fresh assembler");
     asm.li(Reg::S2, DATA_BASE as i64);
@@ -107,8 +89,8 @@ fn build_loop(body: Body, knobs: Knobs) -> Machine {
     mb.build().expect("build")
 }
 
-fn run_point(name: &str, body: Body, knobs: Knobs) -> HotpathPoint {
-    let mut m = build_loop(body, knobs);
+fn run_point(name: &str, body: Body, reference_engine: bool) -> HotpathPoint {
+    let mut m = build_loop(body, reference_engine);
     let t0 = Instant::now();
     let summary = m.run().unwrap_or_else(|e| panic!("hotpath {name}: {e}"));
     HotpathPoint {
@@ -163,28 +145,16 @@ impl HotpathReport {
         }
         out.push_str("\nDerived stage costs (marginal ns/instr over the ALU ceiling):\n");
         out.push_str(&format!(
-            "  exec+step ceiling (alu, all fast paths) : {:>6.2}\n",
+            "  exec+step ceiling (alu)                 : {:>6.2}\n",
             self.point("alu").ns_per_instr()
         ));
         out.push_str(&format!(
-            "  decode stage (alu, decode cache off)    : {:>6.2}\n",
-            self.delta("alu", "alu_decode_off")
+            "  reference engine surcharge (alu)        : {:>6.2}\n",
+            self.delta("alu", "alu_reference")
         ));
         out.push_str(&format!(
-            "  schedule stage (alu, burst budget 0)    : {:>6.2}\n",
-            self.delta("alu", "alu_burst0")
-        ));
-        out.push_str(&format!(
-            "  sharded-queue cost at burst 0           : {:>6.2}\n",
-            self.delta("alu_burst0", "alu_burst0_shards")
-        ));
-        out.push_str(&format!(
-            "  memory stage, load hit (fused)          : {:>6.2}\n",
+            "  memory stage, load hit                  : {:>6.2}\n",
             self.delta("alu", "load_hit")
-        ));
-        out.push_str(&format!(
-            "  fused-memory saving on load hits        : {:>6.2}\n",
-            self.delta("load_hit", "load_hit_fused_off")
         ));
         out.push_str(&format!(
             "  memory stage, store                     : {:>6.2}\n",
@@ -201,44 +171,11 @@ impl HotpathReport {
 /// Panics if any microbench run fails: the workloads are fixed
 /// straight-line loops and must always complete.
 pub fn profile() -> HotpathReport {
-    let d = Knobs::default();
     let mut points = vec![
-        run_point("alu", Body::Alu, d),
-        run_point(
-            "alu_decode_off",
-            Body::Alu,
-            Knobs {
-                decode_cache: Some(false),
-                ..d
-            },
-        ),
-        run_point(
-            "alu_burst0",
-            Body::Alu,
-            Knobs {
-                burst_budget: Some(0),
-                ..d
-            },
-        ),
-        run_point(
-            "alu_burst0_shards",
-            Body::Alu,
-            Knobs {
-                burst_budget: Some(0),
-                event_shards: Some(true),
-                ..d
-            },
-        ),
-        run_point("load_hit", Body::LoadHit, d),
-        run_point(
-            "load_hit_fused_off",
-            Body::LoadHit,
-            Knobs {
-                fused_memory: Some(false),
-                ..d
-            },
-        ),
-        run_point("store", Body::Store, d),
+        run_point("alu", Body::Alu, false),
+        run_point("alu_reference", Body::Alu, true),
+        run_point("load_hit", Body::LoadHit, false),
+        run_point("store", Body::Store, false),
     ];
     // The fig4 reference, broken out per mechanism: each barrier mechanism
     // stresses a different engine mix (ll/sc retries, fence drains, spin
@@ -275,7 +212,7 @@ mod tests {
 
     #[test]
     fn microbench_points_time_and_report() {
-        let p = run_point("alu", Body::Alu, Knobs::default());
+        let p = run_point("alu", Body::Alu, false);
         // 14 body ops + addi + bne per iteration, + 2 preamble + halt.
         assert_eq!(p.instructions, ITERS * (BODY_OPS + 2) + 3);
         assert!(p.ns_per_instr() > 0.0);
@@ -284,7 +221,7 @@ mod tests {
     #[test]
     fn load_and_store_bodies_run_to_completion() {
         for body in [Body::LoadHit, Body::Store] {
-            let p = run_point("m", body, Knobs::default());
+            let p = run_point("m", body, false);
             assert_eq!(p.instructions, ITERS * (BODY_OPS + 2) + 3);
         }
     }
@@ -299,18 +236,14 @@ mod tests {
         let report = HotpathReport {
             points: vec![
                 mk("alu", 5.0),
-                mk("alu_decode_off", 8.0),
-                mk("alu_burst0", 30.0),
-                mk("alu_burst0_shards", 35.0),
+                mk("alu_reference", 30.0),
                 mk("load_hit", 12.0),
-                mk("load_hit_fused_off", 15.0),
                 mk("store", 20.0),
             ],
         };
         let text = report.render();
-        assert!(text.contains("schedule stage"));
-        assert!(text.contains("fused-memory saving"));
-        assert!(text.contains("sharded-queue cost"));
-        assert!(text.contains("25.00"), "burst0 delta = 30 - 5");
+        assert!(text.contains("reference engine surcharge"));
+        assert!(text.contains("memory stage, store"));
+        assert!(text.contains("25.00"), "reference delta = 30 - 5");
     }
 }

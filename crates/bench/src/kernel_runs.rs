@@ -246,7 +246,6 @@ mod tests {
             },
             cycles_per_rep: cycles as f64,
             decode: Default::default(),
-            queue: Default::default(),
             fused: Default::default(),
             bus_mean_wait: 0.0,
         })

@@ -52,7 +52,7 @@ use crate::throughput::{
 };
 use barrier_filter::BarrierMechanism;
 use cmp_sim::{fnv64, json_escape, Json};
-use kernels::{run, EngineKnobs, KernelError, RunOutput, RunSpec, WorkloadSpec};
+use kernels::{run, KernelError, RunOutput, RunSpec, WorkloadSpec};
 
 /// Wire schema tag of the serve protocol (returned by `ping`).
 pub const SERVE_SCHEMA: &str = "fastbar-serve/v1";
@@ -705,7 +705,7 @@ fn parse_item(line: &str, expect_index: Option<usize>) -> Result<ItemResult, Str
 /// committed ones).
 pub fn suite_specs(quick: bool) -> Vec<RunSpec> {
     let (inner, outer, vit_bits) = if quick { (8, 2, 24) } else { (64, 64, 96) };
-    let mut specs = fig4_specs(16, inner, outer, EngineKnobs::default());
+    let mut specs = fig4_specs(16, inner, outer);
     specs.push(RunSpec::parallel(
         WorkloadSpec::Viterbi {
             constraint: 5,

@@ -19,11 +19,9 @@
 use std::time::Instant;
 
 use barrier_filter::{Barrier, BarrierMechanism};
-use cmp_sim::{
-    json_escape, DecodeCacheStats, EventQueueStats, FusedMemStats, Measurement, TraceSink,
-};
+use cmp_sim::{json_escape, DecodeCacheStats, FusedMemStats, Measurement, TraceSink};
 use kernels::viterbi::Viterbi;
-use kernels::{EngineKnobs, ExecSpec, RunAttachments, RunSpec};
+use kernels::{ExecSpec, RunAttachments, RunSpec};
 
 use crate::latency::fig4_machine_with;
 use crate::sweep::SweepRunner;
@@ -52,17 +50,11 @@ pub struct ThroughputSample {
     /// `sim.instructions / wall_seconds` — the headline number.
     pub instr_per_sec: f64,
     /// Decoded-superblock cache counters summed over the workload's
-    /// machines. Host-side engine metrics (schema v3): they vary with
-    /// [`SimConfig::decode_cache`](cmp_sim::SimConfig::decode_cache)
-    /// while `sim` stays bit-identical.
+    /// machines. Host-side engine metrics: they are zero on the reference
+    /// engine while `sim` stays bit-identical.
     pub decode: DecodeCacheStats,
-    /// Sharded-event-queue counters summed over the workload's machines
-    /// (schema v4). All zero on the default calendar queue; nonzero lane
-    /// pushes prove a sharded run actually ran sharded.
-    pub queue: EventQueueStats,
     /// Memory-op-fused executor counters summed over the workload's
-    /// machines (schema v4). All zero when fusion (or the decode cache)
-    /// is off.
+    /// machines (zero on the reference engine).
     pub fused: FusedMemStats,
 }
 
@@ -71,7 +63,6 @@ fn sample(
     sim: Measurement,
     wall_seconds: f64,
     decode: DecodeCacheStats,
-    queue: EventQueueStats,
     fused: FusedMemStats,
 ) -> ThroughputSample {
     ThroughputSample {
@@ -80,7 +71,6 @@ fn sample(
         wall_seconds,
         instr_per_sec: sim.instructions as f64 / wall_seconds.max(1e-9),
         decode,
-        queue,
         fused,
     }
 }
@@ -93,7 +83,6 @@ struct Fig4Part {
     sim: Measurement,
     wall: f64,
     decode: DecodeCacheStats,
-    queue: EventQueueStats,
     fused: FusedMemStats,
 }
 
@@ -107,7 +96,6 @@ fn fig4_finish(mechanism: BarrierMechanism, cores: usize, mut m: cmp_sim::Machin
         sim: Measurement::new(&summary, &m.stats()),
         wall,
         decode: m.decode_stats(),
-        queue: m.queue_stats(),
         fused: m.fused_stats(),
     }
 }
@@ -128,7 +116,6 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
     let mut sim = Measurement::default();
     let mut wall = 0f64;
     let mut decode = DecodeCacheStats::default();
-    let mut queue = EventQueueStats::default();
     let mut fused = FusedMemStats::default();
     for part in parts {
         sim.cycles += part.sim.cycles;
@@ -137,33 +124,23 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
         decode.hits += part.decode.hits;
         decode.builds += part.decode.builds;
         decode.invalidations += part.decode.invalidations;
-        queue.core_events += part.queue.core_events;
-        queue.shared_events += part.queue.shared_events;
-        queue.head_rescans += part.queue.head_rescans;
         fused.loads += part.fused.loads;
         fused.stores += part.fused.stores;
         fused.memo_hits += part.fused.memo_hits;
         sim.episodes.merge(&part.sim.episodes);
     }
     sim.stats_digest = fold_fig4_digests(parts.iter().map(|p| p.sim.stats_digest));
-    sample(
-        &format!("fig4_{cores}core"),
-        sim,
-        wall,
-        decode,
-        queue,
-        fused,
-    )
+    sample(&format!("fig4_{cores}core"), sim, wall, decode, fused)
 }
 
 /// The per-mechanism [`RunSpec`]s of the fig4 workload: every mechanism
 /// in [`BarrierMechanism::ALL`] at `cores` cores, `inner` × `outer`
-/// barriers each, sharing `knobs`. These are the exact values a serve
-/// batch, a cache key and the in-process sample agree on.
-pub fn fig4_specs(cores: usize, inner: u64, outer: u64, knobs: EngineKnobs) -> Vec<RunSpec> {
+/// barriers each. These are the exact values a serve batch, a cache key
+/// and the in-process sample agree on.
+pub fn fig4_specs(cores: usize, inner: u64, outer: u64) -> Vec<RunSpec> {
     BarrierMechanism::ALL
         .into_iter()
-        .map(|mechanism| RunSpec::fig4(mechanism, cores, inner, outer).with_knobs(knobs))
+        .map(|mechanism| RunSpec::fig4(mechanism, cores, inner, outer))
         .collect()
 }
 
@@ -192,16 +169,16 @@ pub fn fold_fig4_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
 /// Panics if any mechanism's run fails: the workload is fixed and must
 /// always complete.
 pub fn fig4_sample(cores: usize, inner: u64, outer: u64) -> ThroughputSample {
-    fig4_sample_with(cores, inner, outer, EngineKnobs::default(), |_| None)
+    fig4_sample_with(cores, inner, outer, false, |_| None)
 }
 
-/// [`fig4_sample`] with every engine fast-path knob explicit (a `None`
-/// knob keeps the process default) and a hook that may attach a trace
-/// sink (e.g. a race detector) to each mechanism's machine once its
-/// barrier is registered. Knobs are host-side execution strategies and
-/// sinks are observers: every combination must yield a bit-identical
-/// chained digest — `tests/determinism.rs` and `throughput --check` pin
-/// this against the committed [`EXPECTED_FIG4_16CORE_DIGEST`].
+/// [`fig4_sample`] on the production or, with `reference_engine`, the
+/// reference engine, with a hook that may attach a trace sink (e.g. a
+/// race detector) to each mechanism's machine once its barrier is
+/// registered. The engines must agree and sinks are observers: every
+/// combination must yield a bit-identical chained digest —
+/// `tests/determinism.rs` and `throughput --check` pin this against the
+/// committed [`EXPECTED_FIG4_16CORE_DIGEST`].
 ///
 /// # Panics
 ///
@@ -210,15 +187,18 @@ pub fn fig4_sample_with(
     cores: usize,
     inner: u64,
     outer: u64,
-    knobs: EngineKnobs,
+    reference_engine: bool,
     mut observe: impl FnMut(&Barrier) -> Option<Box<dyn TraceSink>>,
 ) -> ThroughputSample {
-    let parts: Vec<Fig4Part> = fig4_specs(cores, inner, outer, knobs)
+    let parts: Vec<Fig4Part> = fig4_specs(cores, inner, outer)
         .iter()
         .map(|spec| {
             fig4_part(
                 spec,
-                RunAttachments::observed(&mut |b: &Barrier| observe(b)),
+                RunAttachments {
+                    reference_engine,
+                    ..RunAttachments::observed(&mut |b: &Barrier| observe(b))
+                },
             )
         })
         .collect();
@@ -245,7 +225,6 @@ pub fn viterbi_sample(data_bits: usize, threads: usize) -> ThroughputSample {
         outcome.sim,
         wall,
         outcome.decode,
-        outcome.queue,
         outcome.fused,
     )
 }
@@ -282,7 +261,6 @@ pub fn viterbi_sample_traced(
         outcome.sim,
         wall,
         outcome.decode,
-        outcome.queue,
         outcome.fused,
     )
 }
@@ -386,13 +364,13 @@ pub struct ThroughputDoc {
 /// Serialize the document as `BENCH_throughput.json` (std-only,
 /// hand-rolled JSON: the repo builds with no registry access).
 ///
-/// Schema `fastbar-throughput/v4` extends v3 with per-sample `queue`
-/// (sharded-event-queue lane pushes and cohort rebuilds; all zero on the
-/// default calendar queue) and `fused` (memory-op-fused executor loads,
-/// stores and line-memo hits) objects — host-side engine counters; every
-/// simulated field keeps its v3 meaning.
+/// Schema `fastbar-throughput/v5` is v4 without the per-sample `queue`
+/// object. Each sample carries its `decode` (decoded-superblock hits,
+/// builds, invalidations) and `fused` (memory-op-fused loads, stores,
+/// line-memo hits) host-side engine counters; every simulated field keeps
+/// its v4 meaning.
 pub fn to_json(doc: &ThroughputDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v4\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fastbar-throughput/v5\",\n");
     out.push_str(&format!("  \"jobs\": {},\n", doc.jobs));
     out.push_str(&format!("  \"host_threads\": {},\n", doc.host_threads));
     out.push_str(&format!(
@@ -432,11 +410,6 @@ pub fn to_json(doc: &ThroughputDoc) -> String {
         out.push_str(&format!(
             "\"decode\": {{\"hits\": {}, \"builds\": {}, \"invalidations\": {}}}, ",
             d.hits, d.builds, d.invalidations,
-        ));
-        let q = &s.queue;
-        out.push_str(&format!(
-            "\"queue\": {{\"core_events\": {}, \"shared_events\": {}, \"head_rescans\": {}}}, ",
-            q.core_events, q.shared_events, q.head_rescans,
         ));
         let f = &s.fused;
         out.push_str(&format!(
@@ -485,14 +458,6 @@ mod tests {
         }
     }
 
-    fn queue(core_events: u64, shared_events: u64, head_rescans: u64) -> EventQueueStats {
-        EventQueueStats {
-            core_events,
-            shared_events,
-            head_rescans,
-        }
-    }
-
     fn fused(loads: u64, stores: u64, memo_hits: u64) -> FusedMemStats {
         FusedMemStats {
             loads,
@@ -533,19 +498,11 @@ mod tests {
                 meas(10, 20, 7),
                 0.5,
                 decode(100, 4, 1),
-                queue(50, 6, 9),
                 fused(30, 2, 25),
             ),
-            sample(
-                "w2",
-                meas(1, 2, 9),
-                0.25,
-                decode(0, 0, 0),
-                queue(0, 0, 0),
-                fused(0, 0, 0),
-            ),
+            sample("w2", meas(1, 2, 9), 0.25, decode(0, 0, 0), fused(0, 0, 0)),
         ]));
-        assert!(j.contains("fastbar-throughput/v4"));
+        assert!(j.contains("fastbar-throughput/v5"));
         assert!(j.contains("\"jobs\": 2"));
         assert!(j.contains("\"host_threads\": 8"));
         assert!(j.contains("\"serial_wall_seconds\": 1.500000"));
@@ -559,18 +516,16 @@ mod tests {
         assert!(j.contains("\"episodes\": {\"count\": 0"));
         assert!(
             j.contains("\"decode\": {\"hits\": 100, \"builds\": 4, \"invalidations\": 1}"),
-            "v3 samples carry the decoded-superblock counters"
+            "samples carry the decoded-superblock counters"
         );
         assert!(j.contains("\"decode\": {\"hits\": 0, \"builds\": 0, \"invalidations\": 0}"));
         assert!(
-            j.contains(
-                "\"queue\": {\"core_events\": 50, \"shared_events\": 6, \"head_rescans\": 9}"
-            ),
-            "v4 samples carry the sharded-queue counters"
+            !j.contains("\"queue\""),
+            "v5 samples drop the queue counters"
         );
         assert!(
             j.contains("\"fused\": {\"loads\": 30, \"stores\": 2, \"memo_hits\": 25}"),
-            "v4 samples carry the fused-memory counters"
+            "samples carry the fused-memory counters"
         );
         assert!(j.contains("\"fused\": {\"loads\": 0, \"stores\": 0, \"memo_hits\": 0}"));
     }
@@ -582,7 +537,6 @@ mod tests {
             meas(1, 1, 0),
             0.5,
             decode(0, 0, 0),
-            queue(0, 0, 0),
             fused(0, 0, 0),
         )]));
         assert!(j.contains("\"workload\": \"w\\\"quoted\\\\slash\""));

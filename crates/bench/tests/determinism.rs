@@ -2,7 +2,8 @@
 //!
 //! The engine's correctness contract is bit-level reproducibility: the same
 //! `SimConfig` and program must produce the same cycle counts, instruction
-//! counts and full `MachineStats` on every run, in every process. The
+//! counts and full `MachineStats` on every run, in every process — and on
+//! the production engine exactly what the reference engine produces. The
 //! hot-path machinery this guards — the calendar event queue's
 //! same-cycle FIFO order and the deterministic `FxHashMap` line tables —
 //! has no randomized fallback, so any divergence here is a real engine bug,
@@ -10,15 +11,16 @@
 
 use analyze::RaceDetectorSink;
 use barrier_filter::BarrierMechanism;
-use bench_suite::latency::{barrier_latency, fig4_machine, fig4_machine_with, run_latency};
+use bench_suite::latency::{barrier_latency, fig4_machine_with, run_latency};
 use bench_suite::scale::scale_clusters;
 use bench_suite::throughput::{
     fig4_sample_with, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
 };
+use bench_suite::verify::{CLUSTERED_CORES, CLUSTERS};
 use bench_suite::{build_latency_machine, SweepRunner};
-use cmp_sim::{Measurement, TraceConfig, TraceSink};
+use cmp_sim::{DecodeCacheStats, FusedMemStats, MachineStats, RunSummary, TraceConfig, TraceSink};
 use kernels::viterbi::Viterbi;
-use kernels::{EngineKnobs, ExecSpec, RunAttachments, RunSpec};
+use kernels::{ExecSpec, RunAttachments, RunSpec};
 
 /// Run the Figure 4 micro-benchmark twice from scratch and require the
 /// whole observable outcome — `RunSummary` and the full `MachineStats`
@@ -175,7 +177,7 @@ fn race_detector_leaves_pinned_digests_bit_identical() {
     // fig4_16core: all seven mechanisms at 16 cores, 64 × 64 barriers,
     // one detector per mechanism run.
     let mut handles = Vec::new();
-    let fig4 = fig4_sample_with(16, 64, 64, EngineKnobs::default(), |bar| {
+    let fig4 = fig4_sample_with(16, 64, 64, false, |bar| {
         let sink = RaceDetectorSink::new([bar.protocol()]);
         handles.push(sink.handle());
         Some(Box::new(sink) as Box<dyn TraceSink>)
@@ -299,213 +301,188 @@ fn parallel_sweep_matches_serial_sweep() {
     }
 }
 
-/// The engine fast-path contract, as a full matrix: the core-step burst
-/// (consuming a core's own ready events in place while every queued event
-/// is strictly later), the decoded-superblock cache (executing
-/// pre-decoded instruction runs without touching `Program::fetch`), the
-/// sharded per-core event lanes, and the memory-op-fused decoded executor
-/// are execution shortcuts, not model changes. Every combination of
-/// `burst_budget ∈ {0, 1, 64}` × `decode_cache` × `event_shards` ×
-/// `fused_memory` must yield a bit-identical `RunSummary`, full
-/// `MachineStats`, and digest for every barrier mechanism. The matrix is
-/// held non-vacuous through the engine's own host-side counters: budgets
-/// 0 and 1 must never burst (a burst needs at least two steps), budget 64
-/// must; the decode cache must hit when enabled and stay silent when
-/// disabled; a sharded run must push lane events while a calendar run
-/// reports all-zero queue stats; and fused memory must retire fused
-/// accesses exactly when it and the decode cache are both on — for every
-/// mechanism whose barrier loop touches data memory at all (filter-i
-/// stores its arrival flag then sleeps on an interrupt, so its loop can
-/// legitimately retire zero fused *loads*), with an aggregate check that
-/// fused loads and line-memo hits actually happened somewhere in the
-/// matrix.
-#[test]
-fn engine_fast_paths_never_change_simulated_behaviour() {
-    let (cores, inner, outer) = (8, 8, 2);
-    let budgets = [0u32, 1, 64];
-    let mut fused_loads_anywhere = 0u64;
-    let mut fused_memo_hits_anywhere = 0u64;
-    for mechanism in BarrierMechanism::ALL {
-        let run = |knobs: EngineKnobs| {
-            let spec = RunSpec::fig4(mechanism, cores, inner, outer).with_knobs(knobs);
-            let mut m = fig4_machine(&spec).expect("fig4 machine");
-            let summary = m.run().expect("barrier loop");
-            (
-                summary,
-                m.stats().clone(),
-                m.burst_retired(),
-                m.decode_stats(),
-                m.queue_stats(),
-                m.fused_stats(),
-            )
-        };
-        let (ref_sum, ref_stats, ..) = run(EngineKnobs {
-            burst_budget: Some(0),
-            decode_cache: Some(false),
-            event_shards: Some(false),
-            fused_memory: Some(false),
-        });
-        let ref_digest = ref_stats.digest();
-        for budget in budgets {
-            for decode in [false, true] {
-                for shards in [false, true] {
-                    for fused in [false, true] {
-                        let label = format!(
-                            "{mechanism} budget={budget} decode={decode} \
-                             shards={shards} fused={fused}"
-                        );
-                        let (sum, stats, bursts, dstats, qstats, fstats) = run(EngineKnobs {
-                            burst_budget: Some(budget),
-                            decode_cache: Some(decode),
-                            event_shards: Some(shards),
-                            fused_memory: Some(fused),
-                        });
-                        assert_eq!(sum, ref_sum, "{label}: RunSummary diverged");
-                        assert_eq!(stats, ref_stats, "{label}: full MachineStats diverged");
-                        assert_eq!(stats.digest(), ref_digest, "{label}: digest diverged");
-                        if budget < 2 {
-                            assert_eq!(bursts, 0, "{label}: a burst needs at least two steps");
-                        } else {
-                            assert!(bursts > 0, "{label}: burst path never engaged — vacuous");
-                        }
-                        if decode {
-                            assert!(dstats.hits > 0, "{label}: decode cache never hit — vacuous");
-                            assert!(dstats.builds > 0, "{label}: decode cache built nothing");
-                        } else {
-                            assert_eq!(
-                                dstats,
-                                Default::default(),
-                                "{label}: disabled decode cache must stay silent"
-                            );
-                        }
-                        if shards {
-                            assert!(
-                                qstats.core_events > 0,
-                                "{label}: sharded queue saw no lane events — vacuous"
-                            );
-                        } else {
-                            assert_eq!(
-                                qstats,
-                                Default::default(),
-                                "{label}: calendar queue must report zero lane stats"
-                            );
-                        }
-                        if decode && fused {
-                            let l1d_traffic: u64 =
-                                ref_stats.l1d.iter().map(|c| c.hits + c.misses).sum();
-                            if l1d_traffic > 0 {
-                                assert!(
-                                    fstats.loads + fstats.stores > 0,
-                                    "{label}: loop touches data memory but the fused \
-                                     executor retired nothing — vacuous"
-                                );
-                            }
-                            fused_loads_anywhere += fstats.loads;
-                            fused_memo_hits_anywhere += fstats.memo_hits;
-                        } else {
-                            assert_eq!(
-                                fstats,
-                                Default::default(),
-                                "{label}: fused-memory counters must stay silent"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        fused_loads_anywhere > 0,
-        "no mechanism retired a fused load — the fused path is vacuous"
-    );
-    assert!(
-        fused_memo_hits_anywhere > 0,
-        "no mechanism hit the fused line memo — the memo path is vacuous"
-    );
+/// Everything one fig4 run leaves behind: the simulated outcome and the
+/// engine's host-side counters.
+struct EngineRun {
+    summary: RunSummary,
+    stats: MachineStats,
+    bursts: u64,
+    decode: DecodeCacheStats,
+    fused: FusedMemStats,
 }
 
-/// The knob matrix beyond the flat topology: one 256-core clustered point
-/// (16 clusters × 16 cores, tree-combining software barrier) must produce
-/// the identical `Measurement` — digest included — on the calendar queue
-/// and on the sharded lanes, with and without the fused executor. This is
-/// the scale regime the sharded queue was designed for, so the
-/// equivalence is asserted where the lane count is largest, and held
-/// non-vacuous through the same counters as the flat matrix.
-#[test]
-fn clustered_256_core_knob_matrix_is_digest_invariant() {
-    let run = |shards: bool, fused: bool| {
-        let spec = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2)
-            .clustered(scale_clusters(256))
-            .with_knobs(EngineKnobs {
-                event_shards: Some(shards),
-                fused_memory: Some(fused),
-                ..EngineKnobs::default()
-            });
-        let mut m = fig4_machine(&spec).expect("256-core clustered machine");
-        let summary = m.run().expect("256-core clustered run");
-        (
-            Measurement::new(&summary, &m.stats()),
-            m.queue_stats(),
-            m.fused_stats(),
-        )
+fn run_engine(spec: &RunSpec, reference_engine: bool) -> EngineRun {
+    let mut att = RunAttachments {
+        reference_engine,
+        ..RunAttachments::default()
     };
-    let (reference, q0, _) = run(false, false);
-    assert_eq!(q0, Default::default(), "calendar queue stats must be zero");
-    for (shards, fused) in [(false, true), (true, false), (true, true)] {
-        let label = format!("256-core shards={shards} fused={fused}");
-        let (m, q, f) = run(shards, fused);
-        assert_eq!(m, reference, "{label}: Measurement diverged");
-        if shards {
-            assert!(q.core_events > 0, "{label}: no lane events — vacuous");
-            assert!(q.head_rescans > 0, "{label}: no cohort rebuilds — vacuous");
-        }
-        if fused {
-            assert!(f.loads > 0, "{label}: no fused loads — vacuous");
-        }
+    let mut m = fig4_machine_with(spec, &mut att).expect("fig4 machine");
+    let summary = m.run().expect("barrier loop");
+    EngineRun {
+        summary,
+        stats: m.stats(),
+        bursts: m.burst_retired(),
+        decode: m.decode_stats(),
+        fused: m.fused_stats(),
     }
 }
 
-/// The decode cache must reproduce the *pinned* digests of both committed
-/// throughput workloads with the cache disabled — not merely match a
-/// same-process re-run. The committed constants were minted by engine
-/// trajectories without the decoded-superblock layer, so hitting them
-/// from both sides of the switch proves the cache is invisible to the
-/// simulated machine on the real workloads, at full 16-core scale.
-/// Non-vacuousness is pinned through the host-side counters on both
-/// sides: off-runs must report zero decode activity, on-runs must hit.
+/// Run `spec` on both engines, require identical `RunSummary`, full
+/// `MachineStats` and digest, and hold both sides non-vacuous through the
+/// host-side counters: the reference engine never bursts, decodes or
+/// fuses, while the production engine bursts, hits its decode cache,
+/// fuses loads wherever the loop loads data, and fuses some memory op
+/// wherever it touches the L1D at all (filter-i stores its arrival flag
+/// then sleeps on an interrupt, so its loop retires no loads). Returns
+/// the production run.
+fn assert_engines_agree(label: &str, spec: &RunSpec) -> EngineRun {
+    let oracle = run_engine(spec, true);
+    let fast = run_engine(spec, false);
+    assert_eq!(fast.summary, oracle.summary, "{label}: RunSummary diverged");
+    assert_eq!(
+        fast.stats, oracle.stats,
+        "{label}: full MachineStats diverged"
+    );
+    assert_eq!(
+        fast.stats.digest(),
+        oracle.stats.digest(),
+        "{label}: digest diverged"
+    );
+    assert_eq!(
+        oracle.bursts, 0,
+        "{label}: the reference engine never bursts"
+    );
+    assert_eq!(
+        oracle.decode,
+        Default::default(),
+        "{label}: reference decoded"
+    );
+    assert_eq!(oracle.fused, Default::default(), "{label}: reference fused");
+    assert!(
+        fast.bursts > 0,
+        "{label}: burst path never engaged — vacuous"
+    );
+    assert!(
+        fast.decode.hits > 0,
+        "{label}: decode cache never hit — vacuous"
+    );
+    assert!(
+        fast.decode.builds > 0,
+        "{label}: decode cache built nothing"
+    );
+    let loads: u64 = oracle.stats.cores.iter().map(|c| c.loads).sum();
+    if loads > 0 {
+        assert!(
+            fast.fused.loads > 0,
+            "{label}: loop loads data but the fused executor retired no \
+             load — vacuous"
+        );
+    }
+    let l1d_traffic: u64 = oracle.stats.l1d.iter().map(|c| c.hits + c.misses).sum();
+    if l1d_traffic > 0 {
+        assert!(
+            fast.fused.loads + fast.fused.stores > 0,
+            "{label}: loop touches data memory but the fused executor \
+             retired nothing — vacuous"
+        );
+    }
+    fast
+}
+
+/// The engine contract over every barrier mechanism: the production
+/// engine — core-step bursts (consuming a core's own ready events in place
+/// while every queued event is strictly later), the decoded-superblock
+/// cache, and the memory-op-fused executor — is an execution strategy, not
+/// a model change. All nine mechanisms of [`BarrierMechanism::EXTENDED`]
+/// must reproduce the reference interpreter bit for bit: the flat seven at
+/// 8 cores, the hierarchical pair on the verify grid's 64-core / 4-cluster
+/// shape, where their combining trees actually span clusters. An aggregate
+/// check requires fused loads and line-memo hits somewhere in the sweep.
 #[test]
-fn decode_cache_reproduces_pinned_digests_on_and_off() {
-    for decode in [false, true] {
-        let knobs = EngineKnobs {
-            decode_cache: Some(decode),
-            ..EngineKnobs::default()
+fn production_engine_matches_the_reference_engine() {
+    let (inner, outer) = (8, 2);
+    let mut fused_loads = 0u64;
+    let mut memo_hits = 0u64;
+    for mechanism in BarrierMechanism::EXTENDED {
+        let spec = if mechanism.is_hierarchical() {
+            RunSpec::fig4(mechanism, CLUSTERED_CORES, inner, outer).clustered(CLUSTERS)
+        } else {
+            RunSpec::fig4(mechanism, 8, inner, outer)
         };
-        let fig4 = fig4_sample_with(16, 64, 64, knobs, |_| None);
+        let label = format!("{mechanism} @ {} cores", spec.exec.threads);
+        let fast = assert_engines_agree(&label, &spec);
+        fused_loads += fast.fused.loads;
+        memo_hits += fast.fused.memo_hits;
+    }
+    assert!(
+        fused_loads > 0,
+        "no mechanism retired a fused load — vacuous"
+    );
+    assert!(
+        memo_hits > 0,
+        "no mechanism hit the fused line memo — vacuous"
+    );
+}
+
+/// The engine contract beyond the verify grid's shapes: one 256-core
+/// clustered point (16 clusters × 16 cores, tree-combining software
+/// barrier) must produce the identical outcome on both engines.
+#[test]
+fn clustered_256_core_point_matches_the_reference_engine() {
+    let spec = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2).clustered(scale_clusters(256));
+    let fast = assert_engines_agree("sw-hier @ 256 cores", &spec);
+    assert!(
+        fast.fused.loads > 0,
+        "256-core run fused no loads — vacuous"
+    );
+}
+
+/// Both engines must reproduce the *pinned* digests of the two committed
+/// throughput workloads at full 16-core scale — not merely match each
+/// other. The committed constants were minted on the reference path
+/// (interpreter, no bursts), so hitting them from both engines proves the
+/// production engine's fast paths are invisible to the simulated machine
+/// on the real workloads. Non-vacuousness is pinned through the host-side
+/// counters on both sides: reference runs report zero decode activity,
+/// production runs hit.
+#[test]
+fn both_engines_reproduce_the_pinned_digests() {
+    for reference_engine in [true, false] {
+        let engine = if reference_engine {
+            "reference"
+        } else {
+            "production"
+        };
+        let fig4 = fig4_sample_with(16, 64, 64, reference_engine, |_| None);
         assert_eq!(
             fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST,
-            "fig4_16core digest moved with decode_cache={decode}: {:#018x} != committed {:#018x}",
+            "fig4_16core digest moved on the {engine} engine: {:#018x} != committed {:#018x}",
             fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST
         );
-        let mut exec = ExecSpec::parallel(16, BarrierMechanism::FilterD);
-        exec.knobs = knobs;
+        let att = RunAttachments {
+            reference_engine,
+            ..RunAttachments::default()
+        };
         let outcome = Viterbi::new(96)
-            .run_with(&exec, RunAttachments::default())
+            .run_with(&ExecSpec::parallel(16, BarrierMechanism::FilterD), att)
             .expect("viterbi workload")
             .outcome;
         assert_eq!(
             outcome.sim.stats_digest, EXPECTED_VITERBI_K5_16T_DIGEST,
-            "viterbi_k5_16t digest moved with decode_cache={decode}: {:#018x} != committed {:#018x}",
+            "viterbi_k5_16t digest moved on the {engine} engine: {:#018x} != committed {:#018x}",
             outcome.sim.stats_digest, EXPECTED_VITERBI_K5_16T_DIGEST
         );
-        if decode {
+        if reference_engine {
+            assert_eq!(fig4.decode, Default::default());
+            assert_eq!(outcome.decode, Default::default());
+            assert_eq!(outcome.fused, Default::default());
+        } else {
             assert!(
                 fig4.decode.hits > 0,
                 "fig4 decode cache never hit — vacuous"
             );
             assert!(outcome.decode.hits > 0, "viterbi decode cache never hit");
-        } else {
-            assert_eq!(fig4.decode, Default::default());
-            assert_eq!(outcome.decode, Default::default());
+            assert!(outcome.fused.loads > 0, "viterbi fused no loads");
         }
     }
 }

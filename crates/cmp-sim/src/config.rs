@@ -250,67 +250,21 @@ pub struct SimConfig {
     /// Abort the simulation if it exceeds this many cycles (deadlock guard
     /// for tests and the harness).
     pub cycle_limit: u64,
-    /// Core-step burst budget: the maximum number of consecutive
-    /// instructions one core may retire back-to-back without re-enqueueing
-    /// itself on the event queue, taken only while every queued event lies
-    /// strictly later than the core's next ready cycle (see
-    /// `Machine::run_until`). This is a host-side fast path: simulated
-    /// behaviour — cycle counts, event order, every stats counter and the
-    /// [`MachineStats::digest`](crate::MachineStats::digest) — is
-    /// bit-identical at any budget. `0` disables the fast path (every
-    /// instruction round-trips the queue, the pre-burst engine behaviour).
-    pub burst_budget: u32,
-    /// Decoded-superblock cache toggle. When on (the default), the engine
-    /// retires instructions out of pre-decoded blocks with pre-scaled issue
-    /// costs instead of fetching and decoding from the [`sim_isa::Program`]
-    /// image each step. Like `burst_budget`, this is a host-side fast path:
-    /// simulated behaviour and the
-    /// [`MachineStats::digest`](crate::MachineStats::digest) are
-    /// bit-identical either way; only the host-side
-    /// [`DecodeCacheStats`](crate::DecodeCacheStats) counters differ. The
-    /// default honours the `FASTBAR_DECODE_CACHE` environment variable
-    /// (read once per process; `0` disables) so CI can smoke the
-    /// interpreter path without code changes.
-    pub decode_cache: bool,
-    /// Sharded event scheduling toggle. When on, the engine runs on
-    /// per-core event-queue lanes plus one shared bank/hook lane
-    /// (`ShardedQueue` in `event_queue` — per-cycle cohort of lane
-    /// heads, rebuilt once per drained cycle) instead of the single
-    /// calendar queue. Like `burst_budget` and `decode_cache`, this is a
-    /// host-side fast path: both queues drain in the identical
-    /// `(cycle, seq)` total order, so simulated behaviour and the
-    /// [`MachineStats::digest`](crate::MachineStats::digest) are
-    /// bit-identical either way; only the host-side
-    /// [`EventQueueStats`](crate::EventQueueStats) counters differ.
-    ///
-    /// **Off by default**: measured on the fig4 reference workload, the
-    /// sharded drain costs ~10-15 ns/instr over the calendar queue (the
-    /// calendar's time-indexed buckets give O(1) ordering regardless of
-    /// core count, while any lane-decomposed queue pays a cross-lane
-    /// minimum per drained cycle) — see `EXPERIMENTS.md`. The lane
-    /// structure stays selectable for scheduling experiments and for the
-    /// digest-invariance matrix. The default honours the
-    /// `FASTBAR_EVENT_SHARDS` environment variable (read once per
-    /// process; `1` enables, `0` forces off).
-    pub event_shards: bool,
-    /// Memory-op-fused decoded executor toggle. When on (the default) and
-    /// the decode cache is active, loads and stores inside a decoded
-    /// superblock carry a pre-resolved memory-op descriptor
-    /// (`MemClass` in `decode`) baked into the op arena at decode
-    /// time, so the decoded loop retires hitting memory ops through a
-    /// fused hit path (per-core L1D line memo, no per-access set walk)
-    /// and falls back to the generic miss machinery otherwise. The fused
-    /// path performs exactly the simulated mutations the interpreter
-    /// would — same LRU updates, same hit/miss counters, same event
-    /// pushes, in the same order at the same cycles — so the digest is
-    /// bit-identical either way; only the host-side
-    /// [`FusedMemStats`](crate::FusedMemStats) counters differ.
-    /// Invalidation rides the decode cache's existing
-    /// (pc, code digest) + `icbi` machinery: a dropped block drops its
-    /// fused descriptors with it. The default honours the
-    /// `FASTBAR_FUSED_MEMORY` environment variable (read once per
-    /// process; `0` disables). No effect while `decode_cache` is off.
-    pub fused_memory: bool,
+    /// Run the reference engine instead of the production one. The
+    /// production engine retires instructions out of the decoded-superblock
+    /// cache (with loads and stores fused onto a per-core L1D line memo)
+    /// and lets a core retire up to 64 consecutive instructions in place
+    /// while every queued event lies strictly later (see
+    /// `Machine::run_until`). The reference engine turns both off: every
+    /// instruction is fetched and decoded by the `step_core` interpreter
+    /// and round-trips the event queue. The pinned digests were minted on
+    /// the reference path, and the two engines must agree on every
+    /// simulated number — this switch exists only so tests can hold the
+    /// production engine to that. Host-side counters
+    /// ([`Machine::burst_retired`](crate::Machine::burst_retired),
+    /// [`DecodeCacheStats`](crate::DecodeCacheStats),
+    /// [`FusedMemStats`](crate::FusedMemStats)) stay zero on it.
+    pub reference_engine: bool,
     /// Trace-sink selection: where memory-system trace events stream to
     /// (off by default; sinks are observers and never change simulated
     /// behaviour).
@@ -477,32 +431,6 @@ impl SimConfig {
     }
 }
 
-/// Process-wide default for [`SimConfig::decode_cache`]: on unless
-/// `FASTBAR_DECODE_CACHE=0`. Read once so every machine in a process (and
-/// both sides of an in-process A/B comparison that sets the field
-/// explicitly) sees a stable default.
-fn decode_cache_env_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("FASTBAR_DECODE_CACHE").map_or(true, |v| v != "0"))
-}
-
-/// Process-wide default for [`SimConfig::event_shards`]: off unless
-/// `FASTBAR_EVENT_SHARDS` is set to anything other than `0` (the calendar
-/// queue measures faster at every scale tried — see the field docs). Read
-/// once, like [`decode_cache_env_default`].
-fn event_shards_env_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("FASTBAR_EVENT_SHARDS").is_ok_and(|v| v != "0"))
-}
-
-/// Process-wide default for [`SimConfig::fused_memory`]: on unless
-/// `FASTBAR_FUSED_MEMORY=0`. Read once, like
-/// [`decode_cache_env_default`].
-fn fused_memory_env_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("FASTBAR_FUSED_MEMORY").map_or(true, |v| v != "0"))
-}
-
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
@@ -541,10 +469,7 @@ impl Default for SimConfig {
             timing: CoreTiming::default(),
             hw_barrier: HwBarrierConfig::default(),
             cycle_limit: u64::MAX,
-            burst_budget: 64,
-            decode_cache: decode_cache_env_default(),
-            event_shards: event_shards_env_default(),
-            fused_memory: fused_memory_env_default(),
+            reference_engine: false,
             trace: crate::trace::TraceConfig::Off,
             topology: Topology::flat(),
         }

@@ -29,17 +29,17 @@
 //! decoded block performs exactly the simulated actions (cache lookups, bus
 //! acquisitions, event pushes) the interpreter would, in the same order at
 //! the same cycles, so [`MachineStats::digest`](crate::MachineStats::digest)
-//! is bit-identical with the cache on or off. The hit/build/invalidation
-//! counters are therefore *excluded* from the digest, like `burst_retired`.
+//! is bit-identical to the reference interpreter's
+//! ([`SimConfig::reference_engine`](crate::SimConfig::reference_engine)).
+//! The hit/build/invalidation counters are therefore *excluded* from the
+//! digest, like `burst_retired`.
 
 use sim_isa::{line_of, FReg, Instr, MemWidth, Program, Reg, CODE_BASE, INSTR_BYTES};
 
 use crate::machine::ScaledCosts;
 
 /// Pre-resolved memory-op descriptor, baked into the op arena at decode
-/// time (the memory-op-fused executor,
-/// [`SimConfig::fused_memory`](crate::SimConfig::fused_memory)). The
-/// decoded loop dispatches on this small tag instead of re-matching the
+/// time (the memory-op-fused executor). The decoded loop dispatches on this small tag instead of re-matching the
 /// full [`Instr`], and runs the cache-hit path fused (per-core line memo);
 /// the class's operand fields are exactly the instruction's, so the fused
 /// executor computes the same address, performs the same alignment check,
@@ -54,7 +54,7 @@ use crate::machine::ScaledCosts;
 /// interpreter arm — identical simulated behaviour, just unfused.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum MemClass {
-    /// Not a fuseable memory op (or fusion is disabled for this machine).
+    /// Not a fuseable memory op.
     Other,
     /// `Ld`/`Ll`: integer load, `link` for the load-linked variant.
     Load {
@@ -78,11 +78,8 @@ pub(crate) enum MemClass {
 }
 
 impl MemClass {
-    /// Classify `instr`, or [`MemClass::Other`] when fusion is off.
-    fn of(instr: &Instr, fused: bool) -> MemClass {
-        if !fused {
-            return MemClass::Other;
-        }
+    /// Classify `instr`.
+    fn of(instr: &Instr) -> MemClass {
         let narrow = |off: i64| i32::try_from(off).ok();
         match *instr {
             Instr::Ld(rd, base, off, width) => match narrow(off) {
@@ -129,11 +126,11 @@ impl MemClass {
 
 /// Host-side counters for the memory-op-fused decoded executor.
 ///
-/// Engine metrics in the same family as [`DecodeCacheStats`]: they vary
-/// with [`SimConfig::fused_memory`](crate::SimConfig::fused_memory) while
-/// every simulated number stays bit-identical, so they are deliberately
-/// not part of [`MachineStats`](crate::MachineStats) or its digest. Tests
-/// use them to prove the fused paths actually engaged.
+/// Engine metrics in the same family as [`DecodeCacheStats`]: they are
+/// zero on the reference engine while every simulated number stays
+/// bit-identical, so they are deliberately not part of
+/// [`MachineStats`](crate::MachineStats) or its digest. Tests use them to
+/// prove the fused paths actually engaged.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FusedMemStats {
     /// Loads retired through the fused path (hit or miss).
@@ -168,19 +165,17 @@ pub(crate) struct DecodedOp {
     /// whole-cycle or event-driven paths. `u32` keeps the op at 32 bytes;
     /// per-instruction costs are table entries far below the range limit.
     pub units: u32,
-    /// Pre-resolved memory class ([`MemClass::Other`] for every op when the
-    /// machine was built with fused memory disabled, so the decoded loop
-    /// never branches on the knob itself).
+    /// Pre-resolved memory class.
     pub mem: MemClass,
 }
 
 /// Host-side counters for the decoded-superblock cache.
 ///
 /// Like [`Machine::burst_retired`](crate::Machine::burst_retired), these are
-/// engine metrics, not simulated behaviour: they vary with
-/// [`SimConfig::decode_cache`](crate::SimConfig::decode_cache) while every
-/// simulated number stays bit-identical, so they are deliberately not part
-/// of [`MachineStats`](crate::MachineStats) or its digest.
+/// engine metrics, not simulated behaviour: they are zero on the reference
+/// engine while every simulated number stays bit-identical, so they are
+/// deliberately not part of [`MachineStats`](crate::MachineStats) or its
+/// digest.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeCacheStats {
     /// Block-table lookups that found an already-decoded block.
@@ -208,20 +203,16 @@ pub(crate) struct DecodeCache {
     /// The [`Program::code_digest`] the current contents were built
     /// against.
     built_digest: u64,
-    /// Whether [`block_at`](DecodeCache::block_at) bakes real [`MemClass`]
-    /// descriptors (fused-memory executor) or `Other` everywhere.
-    fused: bool,
     stats: DecodeCacheStats,
 }
 
 impl DecodeCache {
-    pub fn new(program: &Program, fused: bool) -> DecodeCache {
+    pub fn new(program: &Program) -> DecodeCache {
         DecodeCache {
             ops: Vec::new(),
             blocks: vec![EMPTY; program.len()],
             gen: 0,
             built_digest: program.code_digest(),
-            fused,
             stats: DecodeCacheStats::default(),
         }
     }
@@ -267,7 +258,7 @@ impl DecodeCache {
             self.ops.push(DecodedOp {
                 instr,
                 units: u32::try_from(units).expect("issue cost fits u32"),
-                mem: MemClass::of(&instr, self.fused),
+                mem: MemClass::of(&instr),
             });
             let next = p + INSTR_BYTES;
             // Stop after block enders, at line boundaries (a block never

@@ -1,16 +1,15 @@
-//! The engine's event queues: a calendar (bucketed) queue keyed by cycle,
-//! and a sharded per-lane queue keyed by `(cycle, seq)` per lane.
+//! The engine's event queue: a calendar (bucketed) queue keyed by cycle.
 //!
-//! ## Ordering contract (shared by both implementations)
+//! ## Ordering contract
 //!
-//! A queue is a strict priority queue over `(cycle, seq)`, where `seq` is
+//! The queue is a strict priority queue over `(cycle, seq)`, where `seq` is
 //! a monotonically increasing sequence number assigned at push time: events
 //! at the same cycle drain in the order they were scheduled. This is the
 //! exact order the old `BinaryHeap<Reverse<Scheduled>>` produced, and the
 //! barrier filter's invalidate-before-fill guarantee (machine.rs module
 //! docs) depends on it. `seq` is unique per event, so the order is *total*:
-//! there are no unstable ties at equal `(cycle, seq)`, and neither bucket
-//! rotation nor lane sharding can reorder anything.
+//! there are no unstable ties at equal `(cycle, seq)`, and bucket rotation
+//! cannot reorder anything.
 //!
 //! ## Calendar structure ([`CalendarQueue`])
 //!
@@ -27,28 +26,6 @@
 //!   events of exactly one cycle and append order within it is `seq` order;
 //! * overflow events migrate via a binary insertion on `seq`, preserving
 //!   the total order even though they arrive "late".
-//!
-//! ## Sharded structure ([`ShardedQueue`])
-//!
-//! One tiny sorted lane per core plus one shared lane for bank/hook
-//! traffic. A core's lane is bounded by its outstanding work — at most one
-//! `CoreReady`, one `StoreRetire`, and an MSHR's worth of fills — so a push
-//! is almost always a back append and a pop a front removal. The cross-lane
-//! drain order comes from a *cohort*: the `(seq, lane)` list, in `seq`
-//! order, of every lane whose head sits at the cycle currently draining.
-//! Rebuilding it costs one branchless min + gather over the flat lane-head
-//! arrays (empty lanes hold `u64::MAX` sentinels), but happens once per
-//! *simulated cycle with events*, not once per event — a busy machine
-//! retires many events per cycle, so the scan amortizes to near zero and
-//! every pop and `next_cycle`/`all_later_than` probe is O(1). Pushes keep
-//! the cohort exact by construction: a push at the cohort cycle appends
-//! (its fresh `seq` is the global maximum), a push below it — possible
-//! only between `floor` and a cohort that has advanced past it — makes the
-//! pushed lane the unique earliest head, so the cohort resets to exactly
-//! that lane. [`EngineQueue`] dispatches between the two implementations
-//! per [`SimConfig::event_shards`](crate::SimConfig::event_shards); both
-//! drain in the identical `(cycle, seq)` total order, so the choice is
-//! invisible to simulated behaviour.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -293,305 +270,6 @@ impl<T: Eq> CalendarQueue<T> {
     }
 }
 
-/// Host-side counters for the sharded event queue.
-///
-/// Like [`DecodeCacheStats`](crate::DecodeCacheStats) and
-/// `Machine::burst_retired`, these are engine metrics, not simulated
-/// behaviour: they vary with
-/// [`SimConfig::event_shards`](crate::SimConfig::event_shards) while every
-/// simulated number stays bit-identical, so they are deliberately not part
-/// of [`MachineStats`](crate::MachineStats) or its digest. The calendar
-/// queue reports all-zero stats, which is what lets tests prove the knob
-/// actually switched implementations.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EventQueueStats {
-    /// Events pushed to per-core lanes (`CoreReady`, `StoreRetire`, fills).
-    pub core_events: u64,
-    /// Events pushed to the shared bank/hook lane.
-    pub shared_events: u64,
-    /// Cross-lane head rescans (cohort rebuilds): one per simulated cycle
-    /// that drained events, not one per event. `head_rescans` far below
-    /// `core_events + shared_events` is the cohort amortization working.
-    pub head_rescans: u64,
-}
-
-/// Sharded `(cycle, seq)` priority queue: one sorted lane per core plus a
-/// shared lane (see the module docs). Drains in the identical total order
-/// as [`CalendarQueue`].
-#[derive(Debug)]
-pub(crate) struct ShardedQueue<T> {
-    /// Per-lane event runs, sorted by `(cycle, seq)`. Within one lane,
-    /// equal cycles appear in push (= `seq`) order because insertion
-    /// places a new event after every event at `cycle' <= cycle` and its
-    /// fresh `seq` exceeds all of theirs.
-    lanes: Vec<VecDeque<(u64, u64, T)>>,
-    /// `head_cycle[lane]` / `head_seq[lane]`: the lane's earliest pending
-    /// `(cycle, seq)`, or `(u64::MAX, u64::MAX)` when empty. Flat arrays so
-    /// the cohort rebuild's min + gather walk contiguous memory.
-    head_cycle: Vec<u64>,
-    head_seq: Vec<u64>,
-    /// The cycle the current drain cohort belongs to.
-    cohort_cycle: u64,
-    /// `(seq, lane)` of every lane whose head sits at `cohort_cycle`, in
-    /// `seq` order — the exact global drain order for that cycle. Kept
-    /// exact by construction (see the module docs): rebuilt by
-    /// [`rebuild_cohort`](ShardedQueue::rebuild_cohort) when it runs dry,
-    /// folded into by pushes and head exposures otherwise.
-    cohort: VecDeque<(u64, u32)>,
-    /// Cycle of the last pop; pushes must not go behind it.
-    floor: u64,
-    /// Last assigned sequence number (0 = none yet).
-    seq: u64,
-    len: usize,
-    /// Index of the shared (non-core) lane, for the push counters.
-    shared_lane: usize,
-    stats: EventQueueStats,
-}
-
-impl<T> ShardedQueue<T> {
-    /// A queue with `cores` per-core lanes plus one shared lane (index
-    /// `cores`).
-    pub fn new(cores: usize) -> ShardedQueue<T> {
-        let lanes = cores + 1;
-        ShardedQueue {
-            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
-            head_cycle: vec![u64::MAX; lanes],
-            head_seq: vec![u64::MAX; lanes],
-            cohort_cycle: 0,
-            cohort: VecDeque::new(),
-            floor: 0,
-            seq: 0,
-            len: 0,
-            shared_lane: cores,
-            stats: EventQueueStats::default(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn stats(&self) -> EventQueueStats {
-        self.stats
-    }
-
-    /// Schedule `item` at `cycle` on `lane`, after everything already
-    /// scheduled for that cycle (any lane). `cycle` must not precede an
-    /// already-popped cycle.
-    pub fn push(&mut self, lane: usize, cycle: u64, item: T) {
-        assert!(
-            cycle >= self.floor,
-            "event scheduled at cycle {cycle} behind the queue cursor {}",
-            self.floor
-        );
-        self.seq += 1;
-        let seq = self.seq;
-        if lane == self.shared_lane {
-            self.stats.shared_events += 1;
-        } else {
-            self.stats.core_events += 1;
-        }
-        let q = &mut self.lanes[lane];
-        // Fast path: one core's schedules are usually non-decreasing in
-        // cycle, so the new event belongs at the back. When not (e.g. a
-        // store retire landing under an in-flight far-future fill), insert
-        // after every event at `cycle' <= cycle` — the fresh `seq` is the
-        // lane's largest, so this preserves `(cycle, seq)` order.
-        if q.back().is_none_or(|&(bc, _, _)| bc <= cycle) {
-            q.push_back((cycle, seq, item));
-        } else {
-            let pos = q.partition_point(|&(bc, _, _)| bc <= cycle);
-            q.insert(pos, (cycle, seq, item));
-        }
-        self.len += 1;
-        if cycle < self.head_cycle[lane] {
-            // New lane head: fold into the head arrays and the cohort.
-            self.head_cycle[lane] = cycle;
-            self.head_seq[lane] = seq;
-            if cycle == self.cohort_cycle {
-                // Joins the cycle currently draining; the fresh `seq` is
-                // the global maximum, so it drains last — append. (This
-                // also covers a displaced head whose old entry sat in the
-                // cohort: impossible, because the old head would be
-                // `> cycle >= floor = cohort_cycle`.)
-                self.cohort.push_back((seq, lane as u32));
-            } else if cycle < self.cohort_cycle {
-                // The cohort advanced past `cycle` before this push
-                // arrived (only reachable with `floor <= cycle <
-                // cohort_cycle`). Every other lane head was `>=
-                // cohort_cycle` when the cohort was built and can only
-                // have grown, so this push is the unique earliest head:
-                // the cohort resets to exactly it.
-                self.cohort_cycle = cycle;
-                self.cohort.clear();
-                self.cohort.push_back((seq, lane as u32));
-            }
-        }
-    }
-
-    /// True iff every pending event lies strictly after `cycle` (vacuously
-    /// true when empty) — the burst-fast-path precondition, an O(1) probe
-    /// of the cohort head.
-    pub fn all_later_than(&mut self, cycle: u64) -> bool {
-        self.next_cycle().is_none_or(|head| head > cycle)
-    }
-
-    /// Cycle of the earliest pending event. Takes `&mut self` because a
-    /// dry cohort rebuilds here (the once-per-cycle rescan).
-    pub fn next_cycle(&mut self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.cohort.is_empty() {
-            self.rebuild_cohort();
-        }
-        Some(self.cohort_cycle)
-    }
-
-    /// Rebuild the cohort for the earliest pending cycle: one branchless
-    /// min over the lane-head cycles (`u64::MAX` sentinels for empty
-    /// lanes), one gather of the lanes at that minimum, one small sort by
-    /// `seq`. Runs once per simulated cycle that drains events — the
-    /// events of that cycle amortize it.
-    fn rebuild_cohort(&mut self) {
-        debug_assert!(self.len > 0 && self.cohort.is_empty());
-        let mut min_cycle = u64::MAX;
-        for &hc in &self.head_cycle {
-            min_cycle = min_cycle.min(hc);
-        }
-        debug_assert_ne!(min_cycle, u64::MAX, "len > 0 implies an occupied lane");
-        self.cohort_cycle = min_cycle;
-        for (lane, &hc) in self.head_cycle.iter().enumerate() {
-            if hc == min_cycle {
-                self.cohort.push_back((self.head_seq[lane], lane as u32));
-            }
-        }
-        self.cohort.make_contiguous().sort_unstable();
-        self.stats.head_rescans += 1;
-    }
-
-    /// Remove and return the earliest event *if* it is scheduled exactly
-    /// at `cycle`; `None` once every pending event lies later (or the
-    /// queue is empty). The run loop's same-cycle cohort drain, served
-    /// straight off the cohort head.
-    pub fn pop_at(&mut self, cycle: u64) -> Option<T> {
-        if self.next_cycle() != Some(cycle) {
-            return None;
-        }
-        self.pop().map(|(_, item)| item)
-    }
-
-    /// Remove and return the earliest event as `(cycle, item)`.
-    pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.next_cycle()?;
-        let cycle = self.cohort_cycle;
-        let Some((seq, lane32)) = self.cohort.pop_front() else {
-            unreachable!("next_cycle rebuilt a non-empty cohort");
-        };
-        let lane = lane32 as usize;
-        let q = &mut self.lanes[lane];
-        let Some((c, s, item)) = q.pop_front() else {
-            unreachable!("cohort lanes hold their heads");
-        };
-        debug_assert_eq!((c, s), (cycle, seq), "head arrays track lane fronts");
-        self.len -= 1;
-        self.floor = cycle;
-        match q.front() {
-            Some(&(nc, ns, _)) => {
-                self.head_cycle[lane] = nc;
-                self.head_seq[lane] = ns;
-                if nc == cycle {
-                    // The pop exposed another same-cycle event behind the
-                    // head: it joins the live cohort at its `seq` position
-                    // (it may predate other cohort members' seqs).
-                    let pos = self.cohort.partition_point(|&(s2, _)| s2 < ns);
-                    self.cohort.insert(pos, (ns, lane32));
-                }
-            }
-            None => {
-                self.head_cycle[lane] = u64::MAX;
-                self.head_seq[lane] = u64::MAX;
-            }
-        }
-        Some((cycle, item))
-    }
-}
-
-/// The engine's event queue, dispatching between the calendar and sharded
-/// implementations per [`SimConfig::event_shards`](crate::SimConfig::event_shards).
-/// Both drain in the identical `(cycle, seq)` total order; the calendar
-/// variant ignores the push-time lane hint.
-#[derive(Debug)]
-pub(crate) enum EngineQueue<T: Eq> {
-    Calendar(CalendarQueue<T>),
-    Sharded(ShardedQueue<T>),
-}
-
-impl<T: Eq> EngineQueue<T> {
-    /// A queue for `cores` cores: sharded (per-core lanes + a shared lane)
-    /// when `sharded`, the single calendar queue otherwise.
-    pub fn new(sharded: bool, cores: usize) -> EngineQueue<T> {
-        if sharded {
-            EngineQueue::Sharded(ShardedQueue::new(cores))
-        } else {
-            EngineQueue::Calendar(CalendarQueue::new())
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            EngineQueue::Calendar(q) => q.len(),
-            EngineQueue::Sharded(q) => q.len(),
-        }
-    }
-
-    /// Host-side queue counters (all zero on the calendar variant).
-    pub fn stats(&self) -> EventQueueStats {
-        match self {
-            EngineQueue::Calendar(_) => EventQueueStats::default(),
-            EngineQueue::Sharded(q) => q.stats(),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, lane: usize, cycle: u64, item: T) {
-        match self {
-            EngineQueue::Calendar(q) => q.push(cycle, item),
-            EngineQueue::Sharded(q) => q.push(lane, cycle, item),
-        }
-    }
-
-    /// Cycle of the earliest pending event. `&mut` because the sharded
-    /// variant rebuilds a dry drain cohort here (once per cycle).
-    #[inline]
-    pub fn next_cycle(&mut self) -> Option<u64> {
-        match self {
-            EngineQueue::Calendar(q) => q.next_cycle(),
-            EngineQueue::Sharded(q) => q.next_cycle(),
-        }
-    }
-
-    /// True iff every pending event lies strictly after `cycle` (the
-    /// burst-fast-path precondition).
-    #[inline]
-    pub fn all_later_than(&mut self, cycle: u64) -> bool {
-        match self {
-            EngineQueue::Calendar(q) => q.all_later_than(cycle),
-            EngineQueue::Sharded(q) => q.all_later_than(cycle),
-        }
-    }
-
-    /// Pop the earliest event only if it is at exactly `cycle` (the run
-    /// loop's same-cycle cohort drain).
-    #[inline]
-    pub fn pop_at(&mut self, cycle: u64) -> Option<T> {
-        match self {
-            EngineQueue::Calendar(q) => q.pop_at(cycle),
-            EngineQueue::Sharded(q) => q.pop_at(cycle),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,165 +349,5 @@ mod tests {
         q.push(100, ());
         q.pop();
         q.push(99, ());
-    }
-
-    #[test]
-    fn sharded_same_cycle_drains_in_push_order_across_lanes() {
-        let mut q = ShardedQueue::new(3);
-        q.push(2, 5, "a");
-        q.push(0, 5, "b");
-        q.push(3, 3, "c"); // shared lane
-        q.push(0, 5, "d");
-        q.push(2, 4, "e");
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            drained,
-            vec![(3, "c"), (4, "e"), (5, "a"), (5, "b"), (5, "d")]
-        );
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn sharded_out_of_order_lane_insert_keeps_seq_order() {
-        let mut q = ShardedQueue::new(1);
-        // A far-future fill, then a near store retire on the same lane,
-        // then another event at the fill's cycle: the late push must land
-        // *between* them in cycle order and *after* the first at its cycle.
-        q.push(0, 100, 1u32);
-        q.push(0, 10, 2);
-        q.push(0, 100, 3);
-        assert_eq!(q.pop(), Some((10, 2)));
-        assert_eq!(q.pop(), Some((100, 1)));
-        assert_eq!(q.pop(), Some((100, 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn sharded_matches_calendar_and_reference_heap() {
-        // The two engine implementations and the reference heap must drain
-        // the same deterministic pseudo-random workload identically,
-        // including lane assignment patterns the engine produces (mostly
-        // self-lane, occasional shared-lane pushes).
-        const LANES: usize = 16;
-        let mut sharded = ShardedQueue::new(LANES);
-        let mut calendar = CalendarQueue::new();
-        let mut reference: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut state = 0xfeed_beef_1234_5678u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        for i in 0..5000u32 {
-            let delta = match rnd() % 10 {
-                0 => 600 + rnd() % 2048,
-                1..=3 => rnd() % 600,
-                _ => rnd() % 8,
-            };
-            let lane = if rnd() % 8 == 0 {
-                LANES // shared lane
-            } else {
-                (rnd() % LANES as u64) as usize
-            };
-            sharded.push(lane, now + delta, i);
-            calendar.push(now + delta, i);
-            seq += 1;
-            reference.push(Reverse((now + delta, seq, i)));
-            if rnd() % 3 != 0 {
-                let got_s = sharded.pop();
-                let got_c = calendar.pop();
-                let Some(Reverse((cycle, _, item))) = reference.pop() else {
-                    panic!("reference empty while queues were not");
-                };
-                assert_eq!(got_s, Some((cycle, item)));
-                assert_eq!(got_c, Some((cycle, item)));
-                now = cycle;
-            }
-        }
-        while let Some(Reverse((cycle, _, item))) = reference.pop() {
-            assert_eq!(sharded.pop(), Some((cycle, item)));
-            assert_eq!(calendar.pop(), Some((cycle, item)));
-        }
-        assert_eq!(sharded.pop(), None);
-        assert_eq!(sharded.len(), 0);
-        let stats = sharded.stats();
-        assert!(stats.core_events > 0 && stats.shared_events > 0);
-        assert_eq!(stats.core_events + stats.shared_events, 5000);
-    }
-
-    #[test]
-    fn sharded_min_crosses_group_boundaries() {
-        // 130 lanes -> 3 occupancy words; the cross-group reduce must pick
-        // the true minimum wherever it lives.
-        let mut q = ShardedQueue::new(129);
-        q.push(5, 50, "w0");
-        q.push(70, 40, "w1");
-        q.push(128, 30, "w2");
-        q.push(129, 35, "shared");
-        assert_eq!(q.next_cycle(), Some(30));
-        assert_eq!(q.pop(), Some((30, "w2")));
-        assert_eq!(q.pop(), Some((35, "shared")));
-        assert_eq!(q.pop(), Some((40, "w1")));
-        assert_eq!(q.pop(), Some((50, "w0")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "behind the queue cursor")]
-    fn sharded_pushing_behind_the_cursor_is_a_bug() {
-        let mut q = ShardedQueue::new(2);
-        q.push(0, 100, ());
-        q.pop();
-        q.push(1, 99, ());
-    }
-
-    // Scratch queue micro-timer (not part of the suite's assertions): run
-    // with `cargo test --release -p cmp-sim qbench_scratch -- --ignored
-    // --nocapture` to compare the two implementations on the fig4-shaped
-    // workload (16 always-occupied lanes, events 1-3 cycles out).
-    #[test]
-    #[ignore]
-    fn qbench_scratch() {
-        const LANES: usize = 16;
-        const OPS: u64 = 8_000_000;
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let deltas: Vec<u64> = (0..OPS).map(|_| 1 + rnd() % 3).collect();
-
-        let t0 = std::time::Instant::now();
-        let mut cal = CalendarQueue::new();
-        for lane in 0..LANES {
-            cal.push(0, lane as u32);
-        }
-        let mut sum = 0u64;
-        for d in &deltas {
-            let (cycle, lane) = cal.pop().unwrap();
-            sum = sum.wrapping_add(cycle);
-            cal.push(cycle + d, lane);
-        }
-        let cal_ns = t0.elapsed().as_secs_f64() * 1e9 / OPS as f64;
-
-        let t0 = std::time::Instant::now();
-        let mut sh = ShardedQueue::new(LANES);
-        for lane in 0..LANES {
-            sh.push(lane, 0, lane as u32);
-        }
-        let mut sum2 = 0u64;
-        for d in &deltas {
-            let (cycle, lane) = sh.pop().unwrap();
-            sum2 = sum2.wrapping_add(cycle);
-            sh.push(lane as usize, cycle + d, lane);
-        }
-        let sh_ns = t0.elapsed().as_secs_f64() * 1e9 / OPS as f64;
-        assert_eq!(sum, sum2);
-        println!("qbench: calendar {cal_ns:.1} ns/op  sharded {sh_ns:.1} ns/op");
     }
 }

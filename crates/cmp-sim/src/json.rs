@@ -45,6 +45,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one hostile line
+/// overflow the stack; no document the repo writes or reads nests
+/// beyond a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
@@ -56,11 +62,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, with a byte offset in the message.
+    /// Malformed JSON, with a byte offset in the message; arrays and
+    /// objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing content at byte {pos}"));
@@ -207,12 +214,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value at nesting `depth` (the number of arrays and objects
+/// enclosing it).
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -302,7 +315,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     loop {
@@ -314,7 +327,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             _ => {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1, // tolerant: allows a trailing comma
@@ -326,7 +339,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     loop {
@@ -344,7 +357,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return err(format!("expected `:` at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -414,6 +427,25 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["{", "[1", "\"abc", "{\"k\" 1}", "nul", "1 2", "{'k':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let arrays = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}0{}", "{\"k\":".repeat(levels), "}".repeat(levels));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for hostile in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            arrays(100_000),
+            "[".repeat(100_000),
+            "{\"k\":".repeat(100_000),
+        ] {
+            let e = Json::parse(&hostile).expect_err("too deep to parse");
+            assert!(e.0.contains("nesting deeper than 256"), "{e}");
         }
     }
 

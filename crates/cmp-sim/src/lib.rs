@@ -86,7 +86,6 @@ pub use config::{
 pub use core::CoreStats;
 pub use decode::{DecodeCacheStats, FusedMemStats};
 pub use error::SimError;
-pub use event_queue::EventQueueStats;
 pub use faults::{run_with_faults, FaultEvent, FaultKind, FaultPlan, FaultReport, Lcg};
 pub use hook::{
     BankHook, FillDecision, HookOutcome, HookViolation, ParkToken, FILL_ERROR_SENTINEL,

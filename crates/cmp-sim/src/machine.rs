@@ -34,7 +34,7 @@ use crate::coherence::{Directory, ReadOutcome};
 use crate::core::{Continuation, Core, Waiting};
 use crate::decode::{DecodeCache, DecodeCacheStats, FusedMemStats, MemClass};
 use crate::error::SimError;
-use crate::event_queue::{EngineQueue, EventQueueStats};
+use crate::event_queue::CalendarQueue;
 use crate::fastmap::FxHashMap;
 use crate::hook::{
     BankHook, FillDecision, HookOutcome, HookViolation, ParkToken, FILL_ERROR_SENTINEL,
@@ -244,6 +244,11 @@ impl ScaledCosts {
     }
 }
 
+/// Most instructions one core retires in place per burst (see
+/// `Machine::core_ready_burst`) before its ready event goes back through
+/// the queue. Simulated behaviour is identical at any budget.
+const BURST_BUDGET: u32 = 64;
+
 /// The simulated chip multiprocessor.
 ///
 /// Build one with [`MachineBuilder`](crate::MachineBuilder), run it with
@@ -269,10 +274,8 @@ pub struct Machine {
     l3_port: Resource,
     hooks: Vec<Option<Box<dyn BankHook>>>,
     hwnet: DedicatedNetwork,
-    /// The event queue: per-core lanes + a shared lane
-    /// ([`SimConfig::event_shards`]) or the single calendar queue. Lane
-    /// routing lives in [`schedule`](Machine::schedule).
-    events: EngineQueue<Ev>,
+    /// The event queue, drained in `(cycle, seq)` order.
+    events: CalendarQueue<Ev>,
     now: u64,
     /// Fills parked at bank hooks (O(1) by core and by token; see
     /// [`ParkedSet`]).
@@ -314,9 +317,10 @@ pub struct Machine {
     /// straight-line runs with pre-scaled issue costs, so the hot path
     /// skips `Program::fetch` and the cost tables entirely.
     decode: DecodeCache,
-    /// Cached [`SimConfig::decode_cache`]: routes `CoreReady` stepping
-    /// through the decoded executor or the reference interpreter.
-    decode_on: bool,
+    /// Cached [`SimConfig::reference_engine`]: routes `CoreReady` stepping
+    /// through the reference interpreter, with no bursts, instead of the
+    /// decoded executor.
+    reference: bool,
     /// Memory-op-fused executor counters (host-side; see
     /// [`FusedMemStats`]).
     fused: FusedMemStats,
@@ -328,8 +332,8 @@ pub struct Machine {
     /// deduplicated by pc. A patch lands in the program image only when an
     /// `icbi` broadcast covers its line — until then every fetch
     /// (windowed, decoded, or cold) architecturally sees the old word, so
-    /// the stale-fetch window is deterministic and identical with the
-    /// decode cache on or off.
+    /// the stale-fetch window is deterministic and identical on the
+    /// production and reference engines.
     pending_patches: Vec<(u64, Instr)>,
 }
 
@@ -376,7 +380,7 @@ impl Machine {
             l3_port: Resource::new(),
             hooks,
             hwnet,
-            events: EngineQueue::new(config.event_shards, n),
+            events: CalendarQueue::new(),
             now: 0,
             parked: ParkedSet::new(n),
             next_token: 0,
@@ -390,8 +394,8 @@ impl Machine {
             burst_core: usize::MAX,
             burst_ready: None,
             burst_retired: 0,
-            decode: DecodeCache::new(&program, config.decode_cache && config.fused_memory),
-            decode_on: config.decode_cache,
+            decode: DecodeCache::new(&program),
+            reference: config.reference_engine,
             fused: FusedMemStats::default(),
             live_links: 0,
             pending_patches: Vec::new(),
@@ -408,17 +412,9 @@ impl Machine {
         m
     }
 
-    /// Enqueue an event, routing it to its queue lane: core-addressed
-    /// events (ready, store retire, fills) go to that core's lane, bank
-    /// hook traffic to the shared lane. Routing is pure dispatch — the
-    /// drain order is the same total `(cycle, seq)` order either way.
+    /// Enqueue an event after everything already scheduled for `cycle`.
     fn schedule(&mut self, cycle: u64, ev: Ev) {
-        let lane = match ev {
-            Ev::CoreReady(c) | Ev::StoreRetire(c) => c as usize,
-            Ev::FillReady { core, .. } | Ev::FillDone { core, .. } => core as usize,
-            Ev::HookInvalidate { .. } | Ev::HookDeadline { .. } => self.cores.len(),
-        };
-        self.events.push(lane, cycle, ev);
+        self.events.push(cycle, ev);
     }
 
     fn trace(&mut self, ev: TraceEvent) {
@@ -510,7 +506,7 @@ impl Machine {
             self.now = self.now.max(head_cycle);
             while let Some(ev) = self.events.pop_at(head_cycle) {
                 match ev {
-                    Ev::CoreReady(c) if self.events.all_later_than(self.now) => {
+                    Ev::CoreReady(c) if !self.reference && self.events.all_later_than(self.now) => {
                         self.core_ready_burst(c as usize, pause_at)?;
                     }
                     // With another event pending at `now`, the burst gate
@@ -519,7 +515,7 @@ impl Machine {
                     // the defer/flush frame: `finish` is every deferring
                     // path's last event push, so pushing the `CoreReady`
                     // there directly assigns the identical `seq` the
-                    // flush would have.
+                    // flush would have. The reference engine never bursts.
                     Ev::CoreReady(c) => self.step_once(c as usize)?,
                     ev => self.dispatch(ev)?,
                 }
@@ -550,14 +546,10 @@ impl Machine {
     /// The burst drains back to the queue the moment the core blocks or
     /// halts (no deferred ready), an instruction retires through a
     /// non-deferring path (`finish_at`, hw-barrier release), the strictly-
-    /// later precondition fails, or the budget expires.
+    /// later precondition fails, or [`BURST_BUDGET`] steps have retired.
     fn core_ready_burst(&mut self, c: usize, pause_at: u64) -> Result<(), SimError> {
-        let budget = self.config.burst_budget;
-        if budget == 0 {
-            return self.step_once(c);
-        }
         self.burst_core = c;
-        let mut left = budget;
+        let mut left = BURST_BUDGET;
         let result = loop {
             debug_assert!(self.burst_ready.is_none());
             if let Err(e) = self.step_once(c) {
@@ -625,11 +617,11 @@ impl Machine {
 
     /// Instructions retired via the core-step burst fast path so far.
     ///
-    /// A host-side engine metric: it varies with
-    /// [`SimConfig::burst_budget`](crate::SimConfig::burst_budget) while
-    /// every simulated number stays bit-identical, so it is deliberately
-    /// not part of [`MachineStats`]. Tests use it to prove the fast path
-    /// actually engaged.
+    /// A host-side engine metric: it is zero on the reference engine
+    /// ([`SimConfig::reference_engine`]) while every simulated number
+    /// stays bit-identical, so it is deliberately not part of
+    /// [`MachineStats`]. Tests use it to prove the fast path actually
+    /// engaged.
     pub fn burst_retired(&self) -> u64 {
         self.burst_retired
     }
@@ -637,27 +629,17 @@ impl Machine {
     /// Decoded-superblock cache counters so far (hits/builds/invalidations).
     ///
     /// Host-side engine metrics like [`burst_retired`](Machine::burst_retired):
-    /// they vary with [`SimConfig::decode_cache`] while every simulated
-    /// number stays bit-identical, so they are not part of [`MachineStats`]
-    /// or its digest. Tests use the hit counter to prove the decoded
-    /// executor actually engaged.
+    /// zero on the reference engine while every simulated number stays
+    /// bit-identical, so they are not part of [`MachineStats`] or its
+    /// digest. Tests use the hit counter to prove the decoded executor
+    /// actually engaged.
     pub fn decode_stats(&self) -> DecodeCacheStats {
         self.decode.stats()
     }
 
-    /// Sharded-event-queue counters so far (per-lane push counts, head
-    /// rescans). All zero when the machine runs the calendar queue
-    /// ([`SimConfig::event_shards`] off) — which is what lets tests prove
-    /// the knob actually switched implementations. Host-side engine
-    /// metrics, not part of [`MachineStats`] or its digest.
-    pub fn queue_stats(&self) -> EventQueueStats {
-        self.events.stats()
-    }
-
     /// Memory-op-fused executor counters so far (fused loads/stores, line-
-    /// memo hits). All zero unless both [`SimConfig::decode_cache`] and
-    /// [`SimConfig::fused_memory`] are on. Host-side engine metrics, not
-    /// part of [`MachineStats`] or its digest.
+    /// memo hits). All zero on the reference engine. Host-side engine
+    /// metrics, not part of [`MachineStats`] or its digest.
     pub fn fused_stats(&self) -> FusedMemStats {
         self.fused
     }
@@ -668,7 +650,8 @@ impl Machine {
     /// every fetch architecturally sees the old word (matching the stale
     /// window real weakly-ordered ISAs permit between a code store and the
     /// `icbi`/`isync` sequence), so runs are deterministic — and identical
-    /// with the decode cache on or off — even when a core races the patch.
+    /// on the production and reference engines — even when a core races
+    /// the patch.
     /// Restaging the same pc before the `icbi` lands replaces the staged
     /// word.
     ///
@@ -1558,13 +1541,13 @@ impl Machine {
     }
 
     /// Execute one instruction on core `c`, routed through the decoded
-    /// executor or the reference interpreter per [`SimConfig::decode_cache`].
-    /// Both produce identical simulated behaviour (see [`crate::decode`]).
+    /// executor or, on the reference engine, the interpreter. Both produce
+    /// identical simulated behaviour (see [`crate::decode`]).
     fn step_once(&mut self, c: usize) -> Result<(), SimError> {
-        if self.decode_on {
-            self.step_core_fast(c)
-        } else {
+        if self.reference {
             self.step_core(c)
+        } else {
+            self.step_core_fast(c)
         }
     }
 
@@ -1662,12 +1645,10 @@ impl Machine {
         let core = &mut self.cores[c];
         core.dec_pos = pos + 1;
         core.dec_pc = pc + sim_isa::INSTR_BYTES;
-        // Memory-op-fused dispatch: the decode cache bakes `Other` for
-        // every op when fusion is off, so this match *is* the knob — the
-        // hot loop never tests the config. The fused arms perform exactly
-        // the interpreter arms' simulated actions in the same order (see
-        // each helper's digest argument); only the dispatch and the L1D
-        // set walk are elided.
+        // Memory-op-fused dispatch. The fused arms perform exactly the
+        // interpreter arms' simulated actions in the same order (see each
+        // helper's digest argument); only the dispatch and the L1D set
+        // walk are elided.
         let units = u64::from(op.units);
         match op.mem {
             MemClass::Other => self.exec_instr(c, pc, op.instr, units),
@@ -2351,9 +2332,9 @@ impl Machine {
         // Only an actually-patched line invalidates decoded blocks: a
         // code-line icbi with nothing staged (the instruction-filter
         // barrier's arrival protocol fires one per arrival) leaves the
-        // image unchanged, so its blocks are still exact. A disabled
-        // cache is never consulted, so it also keeps its counters silent.
-        if patched && self.decode_on {
+        // image unchanged, so its blocks are still exact. The reference
+        // engine never consults the cache, so it keeps its counters silent.
+        if patched && !self.reference {
             self.decode.note_patched_line(line, &self.program);
         }
     }

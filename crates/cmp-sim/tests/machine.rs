@@ -760,9 +760,9 @@ fn resume_after_release_is_serviced_immediately() {
 /// `icbi payload; isync` — the architectural point where staged
 /// [`patch_code`](cmp_sim::Machine::patch_code) patches become fetchable.
 /// Returns the machine, the `out` base address, and the payload pc.
-fn build_smc_machine(with_icbi: bool, decode_cache: bool) -> (cmp_sim::Machine, u64, u64) {
+fn build_smc_machine(with_icbi: bool, reference_engine: bool) -> (cmp_sim::Machine, u64, u64) {
     let mut cfg = SimConfig::with_cores(1);
-    cfg.decode_cache = decode_cache;
+    cfg.reference_engine = reference_engine;
     let mut space = AddressSpace::new(&cfg);
     let out = space.alloc_u64(3).unwrap();
     let emit = |payload_pc: i64| {
@@ -799,37 +799,37 @@ fn build_smc_machine(with_icbi: bool, decode_cache: bool) -> (cmp_sim::Machine, 
 /// lands exactly at the first `icbi` broadcast covering its line. The
 /// first pass still executes the original payload (staging is invisible
 /// to fetch), every later pass executes the patched one — and the whole
-/// run is bit-identical with the decoded-superblock cache on or off,
-/// because the icbi both applies the patch and drops the line's decoded
-/// blocks. The decode counters pin non-vacuousness from both sides: the
-/// enabled cache must rebuild after exactly one patch invalidation and
-/// serve the *patched* block from cache on the third pass, while the
-/// disabled cache stays silent.
+/// run is bit-identical on the production engine (decoded superblocks)
+/// and the reference interpreter, because the icbi both applies the patch
+/// and drops the line's decoded blocks. The decode counters pin
+/// non-vacuousness from both sides: the production engine must rebuild
+/// after exactly one patch invalidation and serve the *patched* block from
+/// cache on the third pass, while the reference engine stays silent.
 #[test]
 fn staged_code_patch_lands_at_icbi_broadcast() {
     let mut reference = None;
-    for decode_cache in [false, true] {
-        let (mut m, out, payload_pc) = build_smc_machine(true, decode_cache);
+    for reference_engine in [true, false] {
+        let (mut m, out, payload_pc) = build_smc_machine(true, reference_engine);
         m.patch_code(payload_pc, sim_isa::Instr::Li(Reg::T1, 222))
             .unwrap();
         let summary = m.run().unwrap();
         assert_eq!(
             m.read_u64_slice(out, 3),
             vec![111, 222, 222],
-            "decode_cache={decode_cache}: patch must land at the first icbi"
+            "reference_engine={reference_engine}: patch must land at the first icbi"
         );
         let d = m.decode_stats();
-        if decode_cache {
+        if reference_engine {
+            assert_eq!(d, Default::default(), "the reference engine never decodes");
+        } else {
             assert_eq!(d.invalidations, 1, "exactly one pass lands a patch");
             assert!(d.builds > 0, "payload line must be re-decoded");
             assert!(d.hits > 0, "third pass reuses the patched block");
-        } else {
-            assert_eq!(d, Default::default(), "disabled cache stays silent");
         }
         match &reference {
             None => reference = Some((summary, m.stats().clone())),
             Some((ref_sum, ref_stats)) => {
-                assert_eq!(&summary, ref_sum, "RunSummary diverged across decode_cache");
+                assert_eq!(&summary, ref_sum, "RunSummary diverged across engines");
                 assert_eq!(&m.stats(), ref_stats, "MachineStats diverged");
                 assert_eq!(m.stats().digest(), ref_stats.digest());
             }
@@ -841,29 +841,29 @@ fn staged_code_patch_lands_at_icbi_broadcast() {
 /// architecturally sees the old payload word, exactly like the stale
 /// window a real weakly-ordered ISA permits between a code store and the
 /// `icbi`/`isync` sequence. The point of the test is that this staleness
-/// is *deterministic* — same result on every run, with the decode cache
-/// on or off — rather than dependent on which host execution strategy
-/// happened to have the line decoded.
+/// is *deterministic* — same result on every run, on the production and
+/// the reference engine — rather than dependent on which host execution
+/// strategy happened to have the line decoded.
 #[test]
 fn missing_icbi_keeps_stale_code_deterministic() {
     let mut reference = None;
-    for decode_cache in [false, true] {
+    for reference_engine in [true, false] {
         for run in 0..2 {
-            let (mut m, out, payload_pc) = build_smc_machine(false, decode_cache);
+            let (mut m, out, payload_pc) = build_smc_machine(false, reference_engine);
             m.patch_code(payload_pc, sim_isa::Instr::Li(Reg::T1, 222))
                 .unwrap();
             let summary = m.run().unwrap();
             assert_eq!(
                 m.read_u64_slice(out, 3),
                 vec![111, 111, 111],
-                "decode_cache={decode_cache} run={run}: no icbi, no patch"
+                "reference_engine={reference_engine} run={run}: no icbi, no patch"
             );
             let d = m.decode_stats();
-            if decode_cache {
+            if reference_engine {
+                assert_eq!(d, Default::default());
+            } else {
                 assert_eq!(d.invalidations, 0, "the staged patch never lands");
                 assert!(d.hits > 0, "later passes reuse the stale block");
-            } else {
-                assert_eq!(d, Default::default());
             }
             match &reference {
                 None => reference = Some((summary, m.stats().clone())),

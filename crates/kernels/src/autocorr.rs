@@ -102,12 +102,11 @@ impl Autocorr {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The integer results are exact, so both shapes validate
-    /// against the same host reference; attachments and knobs are
-    /// digest-invariant.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The integer
+    /// results are exact, so both shapes validate against the same host
+    /// reference; attachments are digest-invariant.
     ///
     /// # Errors
     ///

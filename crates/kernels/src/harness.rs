@@ -2,8 +2,8 @@
 
 use barrier_filter::BarrierSystem;
 use cmp_sim::{
-    run_with_faults, AddressSpace, DecodeCacheStats, EventQueueStats, FaultPlan, FaultReport,
-    FusedMemStats, Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
+    run_with_faults, AddressSpace, DecodeCacheStats, FaultPlan, FaultReport, FusedMemStats,
+    Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
 };
 use sim_isa::{Asm, Reg};
 
@@ -25,59 +25,19 @@ pub struct KernelOutcome {
     /// Cycles per kernel repetition.
     pub cycles_per_rep: f64,
     /// Decoded-superblock cache counters for the run. Host-side engine
-    /// metrics: they vary with
-    /// [`SimConfig::decode_cache`](cmp_sim::SimConfig::decode_cache) while
-    /// `sim` stays bit-identical, so they live outside [`Measurement`].
+    /// metrics: they are zero on the reference engine
+    /// ([`SimConfig::reference_engine`](cmp_sim::SimConfig::reference_engine))
+    /// while `sim` stays bit-identical, so they live outside
+    /// [`Measurement`].
     pub decode: DecodeCacheStats,
-    /// Sharded-event-queue counters (all zero on the default calendar
-    /// queue). Host-side engine metrics, like `decode`.
-    pub queue: EventQueueStats,
-    /// Memory-op-fused executor counters (all zero when fusion or the
-    /// decode cache is off). Host-side engine metrics, like `decode`.
+    /// Memory-op-fused executor counters (all zero on the reference
+    /// engine). Host-side engine metrics, like `decode`.
     pub fused: FusedMemStats,
     /// Mean wait on the more contended of the two shared buses
     /// (address/data), in cycles per access — the Figure 4 saturation
     /// signal, reported here so latency-style measurements can be read
     /// straight off a kernel outcome.
     pub bus_mean_wait: f64,
-}
-
-/// Optional overrides for the engine fast-path knobs, applied on top of
-/// the process defaults when a kernel machine is configured. `None`
-/// leaves the corresponding [`SimConfig`] field alone. Every knob is a
-/// host-side execution strategy: any combination must leave the kernel's
-/// [`Measurement`] — digest included — bit-identical
-/// (`bench/tests/determinism.rs` and `throughput --check` hold that
-/// line).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineKnobs {
-    /// Override for [`SimConfig::burst_budget`], the max events drained
-    /// per core visit before re-arbitration.
-    pub burst_budget: Option<u32>,
-    /// Override for [`SimConfig::decode_cache`].
-    pub decode_cache: Option<bool>,
-    /// Override for [`SimConfig::event_shards`].
-    pub event_shards: Option<bool>,
-    /// Override for [`SimConfig::fused_memory`].
-    pub fused_memory: Option<bool>,
-}
-
-impl EngineKnobs {
-    /// Apply the set overrides to `config`.
-    pub fn apply(&self, config: &mut SimConfig) {
-        if let Some(b) = self.burst_budget {
-            config.burst_budget = b;
-        }
-        if let Some(d) = self.decode_cache {
-            config.decode_cache = d;
-        }
-        if let Some(s) = self.event_shards {
-            config.event_shards = s;
-        }
-        if let Some(f) = self.fused_memory {
-            config.fused_memory = f;
-        }
-    }
 }
 
 /// Everything a kernel needs while emitting itself.
@@ -164,7 +124,6 @@ pub(crate) fn run_reps_faulted(
             sim: Measurement::new(&summary, &stats),
             cycles_per_rep: summary.cycles as f64 / reps as f64,
             decode: machine.decode_stats(),
-            queue: machine.queue_stats(),
             fused: machine.fused_stats(),
             bus_mean_wait: stats.addr_bus.mean_wait().max(stats.data_bus.mean_wait()),
         },

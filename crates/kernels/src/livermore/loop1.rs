@@ -108,11 +108,11 @@ impl Loop1 {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The output vector is always validated against the host
-    /// reference; attachments and knobs are digest-invariant.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The output
+    /// vector is always validated against the host reference; attachments are
+    /// digest-invariant.
     ///
     /// # Errors
     ///

@@ -148,12 +148,12 @@ impl Loop2 {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The output is always validated against the host reference,
-    /// and after a faulted run the filter tables must end quiescent
-    /// (§3.3.3). Attachments and knobs are digest-invariant.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The output is
+    /// always validated against the host reference, and after a faulted run the
+    /// filter tables must end quiescent (§3.3.3). Attachments are
+    /// digest-invariant.
     ///
     /// # Errors
     ///

@@ -97,12 +97,11 @@ impl Loop3 {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The inner product is validated against the host reference
-    /// in the matching accumulation order; attachments and knobs are
-    /// digest-invariant.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The inner
+    /// product is validated against the host reference in the matching
+    /// accumulation order; attachments are digest-invariant.
     ///
     /// # Errors
     ///

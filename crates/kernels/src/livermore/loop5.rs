@@ -80,8 +80,8 @@ impl Loop5 {
 
     /// Run under a full [`ExecSpec`]. The only accepted shape is
     /// sequential ([`KernelError::Spec`] otherwise — the recurrence is
-    /// serial), but engine knobs, seeded faults and attachments all apply
-    /// like any other kernel.
+    /// serial), but seeded faults and attachments apply like any other
+    /// kernel.
     ///
     /// # Errors
     ///

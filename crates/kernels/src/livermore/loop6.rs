@@ -125,12 +125,11 @@ impl Loop6 {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The recurrence output is validated against the host
-    /// reference in the matching evaluation order; attachments and knobs
-    /// are digest-invariant.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The recurrence
+    /// output is validated against the host reference in the matching
+    /// evaluation order; attachments are digest-invariant.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! `RunSpec`: one serializable description of a kernel run.
 //!
-//! Historically every orthogonal run option (engine knobs, fault plans,
-//! trace sinks, race-detector observers, clustered topologies) grew its
+//! Historically every orthogonal run option (fault plans, trace sinks,
+//! race-detector observers, clustered topologies) grew its
 //! own `run_parallel_*` / `build_latency_machine_*` function variant, so
 //! a run configuration could not be described as *data* — which blocked
 //! putting the sweep grid behind a wire protocol or a result cache. This
@@ -9,8 +9,8 @@
 //!
 //! * [`WorkloadSpec`] — which kernel, at what size (the paper's eight
 //!   workloads plus the Figure 4 barrier micro-benchmark);
-//! * [`ExecSpec`] — threads, barrier mechanism, topology preset,
-//!   [`EngineKnobs`], and an optional seeded [`FaultSpec`];
+//! * [`ExecSpec`] — threads, barrier mechanism, topology preset and an
+//!   optional seeded [`FaultSpec`];
 //! * [`RunSpec`] — the pair, with a canonical single-line JSON form
 //!   ([`RunSpec::canonical_json`]) whose FNV-1a hash
 //!   ([`RunSpec::digest`]) keys the `fastbar-serve` result cache.
@@ -18,13 +18,14 @@
 //! A wire job, a cache key and an in-process call are now the same
 //! value: [`run`] consumes a spec, [`run_with`] additionally takes the
 //! non-serializable [`RunAttachments`] (trace sinks, observer hooks,
-//! hand-built fault plans) that only make sense in-process.
+//! hand-built fault plans, the reference-engine switch) that only make
+//! sense in-process.
 //!
-//! Everything in [`ExecSpec`] beyond threads/mechanism/topology is a
-//! host-side concern: knobs, faults-with-empty-plans, traces and
-//! observers must leave the run's [`Measurement`](cmp_sim::Measurement)
-//! digest bit-identical. The determinism suite pins the committed Figure
-//! 4 and Viterbi digests through this path.
+//! A spec holds only what changes the simulated run. Host-side choices
+//! live in the attachments and must leave the run's
+//! [`Measurement`](cmp_sim::Measurement) digest bit-identical, so they
+//! never reach a cache key. The determinism suite pins the committed
+//! Figure 4 and Viterbi digests through this path.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -37,7 +38,7 @@ use cmp_sim::{
 use sim_isa::{Asm, Program};
 
 use crate::fig4::Fig4;
-use crate::harness::{EngineKnobs, KernelBuild, KernelOutcome};
+use crate::harness::{KernelBuild, KernelOutcome};
 use crate::livermore::{Loop1, Loop2, Loop3, Loop4, Loop5, Loop6};
 use crate::{Autocorr, KernelError, OceanProxy, Viterbi};
 
@@ -296,9 +297,9 @@ pub struct FaultSpec {
     pub horizon: u64,
 }
 
-/// How to execute a workload: parallelism, machine shape, engine knobs,
-/// faults. Everything here is serializable; see [`RunAttachments`] for
-/// the in-process-only extras.
+/// How to execute a workload: parallelism, machine shape, faults.
+/// Everything here is serializable; see [`RunAttachments`] for the
+/// in-process-only extras.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSpec {
     /// Thread count (= core count; one thread per core). Must be 1 when
@@ -310,8 +311,6 @@ pub struct ExecSpec {
     /// ([`SimConfig::with_cores`]), k > 1 = `k` clusters
     /// ([`SimConfig::clustered`]).
     pub clusters: usize,
-    /// Engine fast-path knob overrides (digest-invariant).
-    pub knobs: EngineKnobs,
     /// Optional seeded fault plan (§3.3.3 graceful degradation).
     pub faults: Option<FaultSpec>,
 }
@@ -323,7 +322,6 @@ impl ExecSpec {
             threads: 1,
             mechanism: None,
             clusters: 1,
-            knobs: EngineKnobs::default(),
             faults: None,
         }
     }
@@ -334,14 +332,11 @@ impl ExecSpec {
             threads,
             mechanism: Some(mechanism),
             clusters: 1,
-            knobs: EngineKnobs::default(),
             faults: None,
         }
     }
 
-    /// The [`SimConfig`] this spec's topology preset selects (before
-    /// knob overrides, which the build path applies at the same point
-    /// the legacy variants did).
+    /// The [`SimConfig`] this spec's topology preset selects.
     pub fn config(&self) -> SimConfig {
         SimConfig::clustered(self.threads, self.clusters)
     }
@@ -404,11 +399,16 @@ pub struct RunSpec {
 }
 
 /// Wire schema tag of the canonical spec encoding.
-pub const SPEC_SCHEMA: &str = "fastbar-spec/v1";
+pub const SPEC_SCHEMA: &str = "fastbar-spec/v2";
+
+/// The previous schema tag, still accepted on input. Its `knobs` object
+/// chose host-side engine settings that never changed a result, so it is
+/// ignored: a v1 line decodes to the spec its v2 form describes.
+const SPEC_SCHEMA_V1: &str = "fastbar-spec/v1";
 
 impl RunSpec {
     /// `workload` under `mechanism` across `threads` threads on the flat
-    /// machine, default knobs, no faults.
+    /// machine, no faults.
     pub fn parallel(
         workload: WorkloadSpec,
         threads: usize,
@@ -438,13 +438,6 @@ impl RunSpec {
     #[must_use]
     pub fn clustered(mut self, clusters: usize) -> RunSpec {
         self.exec.clusters = clusters;
-        self
-    }
-
-    /// This spec with engine knob overrides (builder style).
-    #[must_use]
-    pub fn with_knobs(mut self, knobs: EngineKnobs) -> RunSpec {
-        self.exec.knobs = knobs;
         self
     }
 
@@ -499,28 +492,6 @@ impl RunSpec {
             None => out.push_str(",\"mechanism\":null"),
         }
         let _ = write!(out, ",\"clusters\":{}", self.exec.clusters);
-        out.push_str(",\"knobs\":{");
-        match self.exec.knobs.burst_budget {
-            Some(b) => {
-                let _ = write!(out, "\"burst_budget\":{b}");
-            }
-            None => out.push_str("\"burst_budget\":null"),
-        }
-        for (name, v) in [
-            ("decode_cache", self.exec.knobs.decode_cache),
-            ("event_shards", self.exec.knobs.event_shards),
-            ("fused_memory", self.exec.knobs.fused_memory),
-        ] {
-            match v {
-                Some(b) => {
-                    let _ = write!(out, ",\"{name}\":{b}");
-                }
-                None => {
-                    let _ = write!(out, ",\"{name}\":null");
-                }
-            }
-        }
-        out.push('}');
         match self.exec.faults {
             Some(f) => {
                 let _ = write!(
@@ -543,14 +514,17 @@ impl RunSpec {
     }
 
     /// Decode a spec from parsed JSON (tolerant: field order and unknown
-    /// fields don't matter; missing optional fields default).
+    /// fields don't matter; missing optional fields default). Accepts the
+    /// current schema and `fastbar-spec/v1`, whose `knobs` object is
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// [`KernelError::Spec`] on missing/malformed fields.
+    /// [`KernelError::Spec`] on an unknown schema tag or missing/malformed
+    /// fields.
     pub fn from_json(j: &Json) -> Result<RunSpec, KernelError> {
         if let Some(schema) = j.get("schema").and_then(Json::as_str) {
-            if schema != SPEC_SCHEMA {
+            if schema != SPEC_SCHEMA && schema != SPEC_SCHEMA_V1 {
                 return Err(KernelError::Spec(format!("unknown spec schema `{schema}`")));
             }
         }
@@ -580,31 +554,6 @@ impl RunSpec {
                 .as_usize()
                 .ok_or_else(|| KernelError::Spec("clusters must be a count".into()))?,
         };
-        let mut knobs = EngineKnobs::default();
-        if let Some(k) = j.get("knobs") {
-            if !k.is_null() {
-                if let Some(b) = k.get("burst_budget") {
-                    if !b.is_null() {
-                        knobs.burst_budget = Some(b.as_u64().ok_or_else(|| {
-                            KernelError::Spec("knobs.burst_budget must be a number".into())
-                        })? as u32);
-                    }
-                }
-                for (name, slot) in [
-                    ("decode_cache", &mut knobs.decode_cache),
-                    ("event_shards", &mut knobs.event_shards),
-                    ("fused_memory", &mut knobs.fused_memory),
-                ] {
-                    if let Some(v) = k.get(name) {
-                        if !v.is_null() {
-                            *slot = Some(v.as_bool().ok_or_else(|| {
-                                KernelError::Spec(format!("knobs.{name} must be a bool"))
-                            })?);
-                        }
-                    }
-                }
-            }
-        }
         let faults = match j.get("faults") {
             None | Some(Json::Null) => None,
             Some(f) => {
@@ -626,7 +575,6 @@ impl RunSpec {
                 threads,
                 mechanism,
                 clusters,
-                knobs,
                 faults,
             },
         })
@@ -644,10 +592,10 @@ impl RunSpec {
 }
 
 /// The in-process-only side channel of a run: trace sinks, observer
-/// hooks and hand-built fault plans. None of these belong in the
-/// serializable [`RunSpec`] — they hold host closures and file handles —
-/// and all of them are observers or replay drivers: attaching them never
-/// changes the run's measurement digest.
+/// hooks, hand-built fault plans and the engine choice. None of these
+/// belong in the serializable [`RunSpec`] — they hold host closures and
+/// file handles, or pick how the host computes an identical result — and
+/// attaching them never changes the run's measurement digest.
 #[derive(Default)]
 pub struct RunAttachments<'a> {
     /// Trace-sink selection for the built machine (default off).
@@ -661,6 +609,10 @@ pub struct RunAttachments<'a> {
     /// [`ExecSpec::fault_plan`] would generate. Used by the chaos tests
     /// to drive specific event sequences.
     pub fault_plan: Option<&'a FaultPlan>,
+    /// Run on the reference engine
+    /// ([`SimConfig::reference_engine`]), the test oracle the production
+    /// engine is diffed against.
+    pub reference_engine: bool,
 }
 
 impl<'a> RunAttachments<'a> {
@@ -686,6 +638,14 @@ impl<'a> RunAttachments<'a> {
     pub fn with_plan(plan: &'a FaultPlan) -> RunAttachments<'a> {
         RunAttachments {
             fault_plan: Some(plan),
+            ..RunAttachments::default()
+        }
+    }
+
+    /// Attachments selecting only the reference engine.
+    pub fn reference() -> RunAttachments<'a> {
+        RunAttachments {
+            reference_engine: true,
             ..RunAttachments::default()
         }
     }
@@ -765,7 +725,7 @@ pub(crate) fn run_spec_reps(
 
 impl KernelBuild {
     /// Build state for `exec`: the topology preset's machine, the barrier
-    /// (when a mechanism is set), trace/knob/observer wiring — in exactly
+    /// (when a mechanism is set), trace/engine/observer wiring — in exactly
     /// the order the legacy variants applied them, so the digest path is
     /// unchanged.
     pub(crate) fn from_exec(
@@ -778,7 +738,7 @@ impl KernelBuild {
             None => {
                 let mut b = KernelBuild::sequential();
                 b.trace = trace;
-                exec.knobs.apply(&mut b.config);
+                b.config.reference_engine = att.reference_engine;
                 Ok((b, None))
             }
             Some(mechanism) => {
@@ -796,7 +756,7 @@ impl KernelBuild {
                     sink: None,
                     threads: exec.threads,
                 };
-                exec.knobs.apply(&mut b.config);
+                b.config.reference_engine = att.reference_engine;
                 if let Some(observe) = att.observe.take() {
                     b.sink = observe(&barrier);
                 }
@@ -843,16 +803,7 @@ mod tests {
             )
             .with_faults(u64::MAX, 16, 1 << 40),
         );
-        roundtrip(
-            RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2)
-                .clustered(16)
-                .with_knobs(EngineKnobs {
-                    burst_budget: Some(0),
-                    decode_cache: Some(true),
-                    event_shards: Some(false),
-                    fused_memory: None,
-                }),
-        );
+        roundtrip(RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2).clustered(16));
         roundtrip(RunSpec::parallel(
             WorkloadSpec::Ocean {
                 grid: 16,
@@ -872,15 +823,37 @@ mod tests {
             RunSpec::fig4(BarrierMechanism::FilterD, 8, 64, 64),
             RunSpec::fig4(BarrierMechanism::FilterD, 16, 32, 64),
             base.with_faults(1, 1, 1000),
-            base.with_knobs(EngineKnobs {
-                decode_cache: Some(false),
-                ..EngineKnobs::default()
-            }),
             RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2).clustered(16),
         ] {
             let d = other.digest();
             assert!(!seen.contains(&d), "digest collision for {other:?}");
             seen.push(d);
+        }
+    }
+
+    #[test]
+    fn v1_specs_decode_to_the_knob_free_v2_spec() {
+        let spec = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2).clustered(16);
+        let v1 = r#"{"schema":"fastbar-spec/v1","workload":{"kind":"fig4","inner":4,"outer":2},"threads":256,"mechanism":"sw-hier","clusters":16,"knobs":{"burst_budget":0,"decode_cache":null,"event_shards":true,"fused_memory":null},"faults":null}"#;
+        let back = RunSpec::parse(v1).expect("v1 text still parses");
+        assert_eq!(back, spec, "the knobs object is ignored");
+        let text = back.canonical_json();
+        assert!(
+            text.starts_with(r#"{"schema":"fastbar-spec/v2","#),
+            "{text}"
+        );
+        assert!(!text.contains("knobs"), "{text}");
+        assert_eq!(back.digest(), spec.digest(), "v1 and v2 share a cache key");
+        let unknown = v1.replace("fastbar-spec/v1", "fastbar-spec/v9");
+        let err = RunSpec::parse(&unknown).expect_err("unknown schema");
+        assert!(err.to_string().contains("fastbar-spec/v9"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_input_is_a_typed_error() {
+        for text in ["[".repeat(100_000), "{\"workload\":".repeat(100_000)] {
+            let err = RunSpec::parse(&text).expect_err("100,000 levels");
+            assert!(matches!(err, KernelError::Spec(_)), "{err}");
         }
     }
 

@@ -196,15 +196,14 @@ impl Viterbi {
             .outcome)
     }
 
-    /// Run under a full [`ExecSpec`] (threads, mechanism, topology,
-    /// engine knobs, seeded faults) with optional in-process
-    /// [`RunAttachments`] (trace sinks, observer hooks, hand-built
-    /// plans). The decoded output is always validated against the host
-    /// decoder, and after a faulted run the filter tables must end
-    /// quiescent — the §3.3.3 graceful-degradation contract. Knobs and
-    /// attachments are digest-invariant: the outcome's
-    /// [`Measurement`](cmp_sim::Measurement) is bit-identical across any
-    /// combination.
+    /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
+    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
+    /// observer hooks, hand-built plans, the reference engine). The decoded
+    /// output is always validated against the host decoder, and after a faulted
+    /// run the filter tables must end quiescent — the §3.3.3
+    /// graceful-degradation contract. Attachments are digest-invariant: the
+    /// outcome's [`Measurement`](cmp_sim::Measurement) is bit-identical across
+    /// any combination.
     ///
     /// # Errors
     ///

@@ -1,9 +1,9 @@
 //! The RunSpec plumbing grid: every kernel must honour every field of a
-//! [`RunSpec`] — no workload may silently ignore engine knobs, seeded
-//! faults or observer attachments. Before the spec unification each of
-//! these capabilities existed only on the kernels whose legacy variant
-//! happened to plumb it (`run_parallel_knobs` on viterbi,
-//! `run_parallel_faulted` on loop2/viterbi, `run_parallel_observed` on
+//! [`RunSpec`] and every [`RunAttachments`] — no workload may silently
+//! ignore the reference-engine switch, seeded faults or observer
+//! attachments. Before the spec unification each of these capabilities
+//! existed only on the kernels whose legacy variant happened to plumb it
+//! (`run_parallel_faulted` on loop2/viterbi, `run_parallel_observed` on
 //! most but not all); this grid is the regression fence that keeps the
 //! unified surface uniform.
 
@@ -12,10 +12,11 @@ use std::sync::Arc;
 
 use barrier_filter::BarrierMechanism;
 use cmp_sim::{TraceEvent, TraceSink};
-use kernels::{run, run_with, EngineKnobs, RunAttachments, RunSpec, WorkloadSpec};
+use kernels::{run, run_with, RunAttachments, RunSpec, WorkloadSpec};
 
 /// One spec per parallel-capable workload, small enough to run the whole
-/// grid three times (baseline / knobbed / faulted) in one test binary.
+/// grid three times (baseline / reference engine / faulted) in one test
+/// binary.
 fn parallel_grid() -> Vec<RunSpec> {
     vec![
         RunSpec::fig4(BarrierMechanism::FilterD, 4, 8, 2),
@@ -72,12 +73,7 @@ impl TraceSink for CountingSink {
 }
 
 #[test]
-fn every_kernel_honours_engine_knobs_and_keeps_its_digest() {
-    let knobs = EngineKnobs {
-        burst_budget: Some(1),
-        decode_cache: Some(false),
-        ..EngineKnobs::default()
-    };
+fn every_kernel_reaches_the_reference_engine_and_keeps_its_digest() {
     for spec in parallel_grid() {
         let kind = spec.workload.kind();
         let base = run(&spec).unwrap();
@@ -85,15 +81,15 @@ fn every_kernel_honours_engine_knobs_and_keeps_its_digest() {
             base.outcome.decode.hits + base.outcome.decode.builds > 0,
             "{kind}: baseline run should exercise the decode cache"
         );
-        let tuned = run(&spec.with_knobs(knobs)).unwrap();
+        let oracle = run_with(&spec, RunAttachments::reference()).unwrap();
         assert_eq!(
-            tuned.outcome.decode.hits + tuned.outcome.decode.builds,
+            oracle.outcome.decode.hits + oracle.outcome.decode.builds,
             0,
-            "{kind}: decode_cache=false knob was silently ignored"
+            "{kind}: the reference-engine attachment was silently ignored"
         );
         assert_eq!(
-            base.outcome.sim.stats_digest, tuned.outcome.sim.stats_digest,
-            "{kind}: engine knobs must be digest-invariant"
+            base.outcome.sim, oracle.outcome.sim,
+            "{kind}: the engines must agree on the measurement"
         );
     }
 }
@@ -151,20 +147,13 @@ fn observers_fire_on_every_kernel_without_perturbing_the_digest() {
 }
 
 #[test]
-fn sequential_runs_accept_knobs_too() {
+fn sequential_runs_reach_the_reference_engine_too() {
     let spec = RunSpec::sequential(WorkloadSpec::Loop5 { n: 64 });
     let base = run(&spec).unwrap();
-    let tuned = run(&spec.with_knobs(EngineKnobs {
-        decode_cache: Some(false),
-        ..EngineKnobs::default()
-    }))
-    .unwrap();
+    let oracle = run_with(&spec, RunAttachments::reference()).unwrap();
     assert!(base.outcome.decode.hits + base.outcome.decode.builds > 0);
-    assert_eq!(tuned.outcome.decode.hits + tuned.outcome.decode.builds, 0);
-    assert_eq!(
-        base.outcome.sim.stats_digest,
-        tuned.outcome.sim.stats_digest
-    );
+    assert_eq!(oracle.outcome.decode.hits + oracle.outcome.decode.builds, 0);
+    assert_eq!(base.outcome.sim, oracle.outcome.sim);
 }
 
 #[test]

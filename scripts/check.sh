@@ -23,40 +23,23 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+echo "==> perfbench build + tests"
+# The benchmark is a workspace of its own, so the workspace test run above
+# never compiles it; this catches API changes that break it.
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> cargo doc (rustdoc rot gate)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
-echo "==> throughput digest smoke (--jobs 2, committed digests)"
+echo "==> throughput digest smoke (--jobs 2, committed digests, both engines)"
 # Runs the full fixed workloads on a 2-worker pool and asserts the
 # committed stats digests — catches both host-parallelism regressions
 # (sweep jobs leaking state into each other) and engine changes that
-# silently alter simulated behaviour.
+# silently alter simulated behaviour. --check then re-runs both workloads
+# on the reference engine (interpreter, no bursts), which must reproduce
+# the same digests.
 cargo run --release --offline -p bench-suite --bin throughput -q -- \
     --check --jobs 2 --out "$(mktemp -t fastbar_check_throughput.XXXXXX.json)"
-
-echo "==> throughput digest smoke (decoded-superblock cache disabled)"
-# Same committed digests with the decoded-superblock execution layer off:
-# the decode cache is a host-side fast path, so a digest difference between
-# this run and the previous one means the cache changed simulated behaviour.
-FASTBAR_DECODE_CACHE=0 \
-cargo run --release --offline -p bench-suite --bin throughput -q -- \
-    --check --jobs 2 --out "$(mktemp -t fastbar_check_throughput_nodecode.XXXXXX.json)"
-
-echo "==> throughput digest smoke (sharded event lanes enabled)"
-# Same committed digests with the opt-in sharded per-core event lanes on
-# process-wide: queue implementation is a host-side choice, so a digest
-# difference here means the sharded queue reordered simulated events.
-FASTBAR_EVENT_SHARDS=1 \
-cargo run --release --offline -p bench-suite --bin throughput -q -- \
-    --check --jobs 2 --out "$(mktemp -t fastbar_check_throughput_shards.XXXXXX.json)"
-
-echo "==> throughput digest smoke (fused memory disabled)"
-# Same committed digests with the memory-op-fused decoded executor off:
-# the fused path is a host-side shortcut over the exact cache model, so a
-# digest difference here means fusion changed simulated behaviour.
-FASTBAR_FUSED_MEMORY=0 \
-cargo run --release --offline -p bench-suite --bin throughput -q -- \
-    --check --jobs 2 --out "$(mktemp -t fastbar_check_throughput_nofuse.XXXXXX.json)"
 
 echo "==> chaos recovery smoke (fixed seed, quick grid)"
 # Quick fault-injection sweep at a pinned seed: every point must produce

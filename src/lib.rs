@@ -37,8 +37,8 @@ pub mod prelude {
         Measurement, SimConfig, SimError,
     };
     pub use kernels::{
-        run, run_with, EngineKnobs, ExecSpec, FaultSpec, KernelError, KernelOutcome,
-        RunAttachments, RunOutput, RunSpec, WorkloadSpec,
+        run, run_with, ExecSpec, FaultSpec, KernelError, KernelOutcome, RunAttachments, RunOutput,
+        RunSpec, WorkloadSpec,
     };
     pub use sim_isa::{Asm, FReg, Instr, MemWidth, Program, Reg};
 }
