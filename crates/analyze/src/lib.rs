@@ -20,7 +20,7 @@
 //!   data accesses the order does not cover. It is an observer only:
 //!   attaching it cannot change cycle counts or run digests.
 //!
-//! The `verify` bench binary drives both layers over every shipped
+//! The `fastbar verify` experiment drives both layers over every shipped
 //! kernel × mechanism combination.
 
 mod cfg;

@@ -1,18 +1,21 @@
-//! One argument parser for every figure binary.
+//! One argument parser for every experiment.
 //!
-//! Each binary used to hand-roll its own `std::env::args()` scan, with
-//! drifting help text and error conventions. [`Cli`] is the single
-//! replacement: every binary gets `--quick`, `--jobs N` and `--help` for
-//! free, and opts into the flags it actually supports (`--check`,
-//! `--trace`, `--out`, and the fault-injection pair `--faults`/`--seed`).
-//! Unrecognized flags are rejected — a binary never silently ignores a
-//! flag it does not implement.
+//! Each experiment of the [`experiments`](crate::experiments) registry
+//! declares its flags as a [`Cli`] value: every experiment gets
+//! `--quick`, `--jobs N` and `--help` for free, and opts into the flags
+//! it actually supports (`--check`, `--trace`, `--out`, the
+//! fault-injection pair `--faults`/`--seed`, and named switches).
+//! Unrecognized flags are rejected — an experiment never silently ignores
+//! a flag it does not implement.
 //!
-//! ```no_run
-//! use bench_suite::cli::Cli;
+//! ```
+//! use bench_suite::cli::{Cli, Parse};
 //!
-//! let args = Cli::new("fig5_autocorr", "Figure 5 — Autocorrelation speedup").parse();
-//! let n = if args.quick { 512 } else { 2048 };
+//! let cli = Cli::new("fig5", "Figure 5 — Autocorrelation speedup");
+//! let args = ["--quick".to_string(), "--jobs=2".to_string()];
+//! let Ok(Parse::Run(args)) = cli.parse_from(&args) else { panic!("parses") };
+//! assert!(args.quick);
+//! assert_eq!(args.runner.jobs(), 2);
 //! ```
 
 use crate::sweep::SweepRunner;
@@ -22,11 +25,13 @@ use crate::sweep::SweepRunner;
 /// chaos schedule).
 pub const DEFAULT_SEED: u64 = 0x5eed_ba44_1e4a_0001;
 
-/// Most boolean switches one binary can declare via [`Cli::with_switch`].
+/// Most boolean switches one experiment can declare via
+/// [`Cli::with_switch`].
 const MAX_SWITCHES: usize = 4;
 
-/// Flag declaration for one figure binary: the universal flags plus
-/// whichever optional ones the binary supports.
+/// Flag declaration for one experiment: the universal flags plus
+/// whichever optional ones the experiment supports. The builders are
+/// `const`, so the registry is a static table.
 #[derive(Debug, Clone, Copy)]
 pub struct Cli {
     name: &'static str,
@@ -38,9 +43,10 @@ pub struct Cli {
     switches: [Option<(&'static str, &'static str)>; MAX_SWITCHES],
 }
 
-/// Parsed command line, with defaults filled in for every flag the binary
-/// did not receive (and `0`/[`DEFAULT_SEED`] for fault flags the binary
-/// does not even declare, so downstream code can read them unconditionally).
+/// Parsed command line, with defaults filled in for every flag the
+/// experiment did not receive (and `0`/[`DEFAULT_SEED`] for fault flags
+/// the experiment does not even declare, so downstream code can read them
+/// unconditionally).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// `--quick`: shrink problem sizes/rep counts for a smoke run.
@@ -51,7 +57,7 @@ pub struct BenchArgs {
     pub runner: SweepRunner,
     /// `--trace PATH` (or prefix), if given.
     pub trace: Option<String>,
-    /// `--out PATH`, defaulted to the binary's declared output path.
+    /// `--out PATH`, defaulted to the experiment's declared output path.
     pub out: Option<String>,
     /// `--faults N`: scheduled fault events per run (default 0).
     pub faults: usize,
@@ -73,7 +79,7 @@ impl BenchArgs {
 /// request for the usage text.
 #[derive(Debug, Clone)]
 pub enum Parse {
-    /// Flags parsed; run the benchmark.
+    /// Flags parsed; run the experiment.
     Run(BenchArgs),
     /// `--help`/`-h` was present; print [`Cli::usage`] and exit 0.
     Help,
@@ -81,9 +87,9 @@ pub enum Parse {
 
 impl Cli {
     /// A parser accepting the universal flags (`--quick`, `--jobs N`,
-    /// `--help`) for the binary `name`, described by `about` in the help
-    /// text.
-    pub fn new(name: &'static str, about: &'static str) -> Cli {
+    /// `--help`) for the experiment `name`, described by `about` in the
+    /// help text.
+    pub const fn new(name: &'static str, about: &'static str) -> Cli {
         Cli {
             name,
             about,
@@ -97,52 +103,67 @@ impl Cli {
 
     /// Accept `--check` (digest assertion mode).
     #[must_use]
-    pub fn with_check(mut self) -> Cli {
+    pub const fn with_check(mut self) -> Cli {
         self.check = true;
         self
     }
 
     /// Accept `--trace PATH`.
     #[must_use]
-    pub fn with_trace(mut self) -> Cli {
+    pub const fn with_trace(mut self) -> Cli {
         self.trace = true;
         self
     }
 
     /// Accept `--out PATH`, defaulting to `default_path` when absent.
     #[must_use]
-    pub fn with_out(mut self, default_path: &'static str) -> Cli {
+    pub const fn with_out(mut self, default_path: &'static str) -> Cli {
         self.out = Some(default_path);
         self
     }
 
     /// Accept the fault-injection pair `--faults N` and `--seed S`.
     #[must_use]
-    pub fn with_faults(mut self) -> Cli {
+    pub const fn with_faults(mut self) -> Cli {
         self.faults = true;
         self
     }
 
-    /// Accept a binary-specific boolean switch (e.g. `--mc`), read back
-    /// via [`BenchArgs::switch`]. `flag` must include the `--` prefix.
+    /// Accept an experiment-specific boolean switch (e.g. `--mc`), read
+    /// back via [`BenchArgs::switch`]. `flag` must include the `--`
+    /// prefix.
     ///
     /// # Panics
     ///
-    /// More than four declared switches (a declaration-time bug, not an
-    /// input error).
+    /// A flag without the `--` prefix or more than four declared switches
+    /// (declaration-time bugs, caught at compile time in a `const`).
     #[must_use]
-    pub fn with_switch(mut self, flag: &'static str, help: &'static str) -> Cli {
-        assert!(flag.starts_with("--"), "switch {flag:?} must start with --");
-        let slot = self
-            .switches
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("too many declared switches");
-        *slot = Some((flag, help));
+    pub const fn with_switch(mut self, flag: &'static str, help: &'static str) -> Cli {
+        let bytes = flag.as_bytes();
+        assert!(
+            bytes.len() > 2 && bytes[0] == b'-' && bytes[1] == b'-',
+            "a switch must start with --"
+        );
+        let mut slot = 0;
+        while self.switches[slot].is_some() {
+            slot += 1;
+            assert!(slot < MAX_SWITCHES, "too many declared switches");
+        }
+        self.switches[slot] = Some((flag, help));
         self
     }
 
-    /// The full help text for this binary's declared flags.
+    /// The experiment name this parser was declared for.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The one-line description shown in the help text.
+    pub fn about(&self) -> &'static str {
+        self.about
+    }
+
+    /// The full help text for this experiment's declared flags.
     pub fn usage(&self) -> String {
         let mut flags = String::from("[--quick] [--jobs N]");
         if self.check {
@@ -161,7 +182,7 @@ impl Cli {
             flags.push_str(&format!(" [{flag}]"));
         }
         let mut text = format!(
-            "Usage: {} {flags} [--help]\n\n{}\n\nOptions:\n      \
+            "Usage: fastbar {} {flags} [--help]\n\n{}\n\nOptions:\n      \
              --quick        shrink problem sizes for a fast smoke run\n      \
              --jobs N       worker threads for the sweep (default: all host threads)\n",
             self.name, self.about
@@ -192,31 +213,14 @@ impl Cli {
         text
     }
 
-    /// Parse the process arguments, handling `--help` (usage to stdout,
-    /// exit 0) and errors (message plus usage to stderr, exit 2) the same
-    /// way in every binary.
-    pub fn parse(&self) -> BenchArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match self.parse_from(&args) {
-            Ok(Parse::Run(parsed)) => parsed,
-            Ok(Parse::Help) => {
-                print!("{}", self.usage());
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("{}: {e}\n\n{}", self.name, self.usage());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse an explicit argument list (no `argv[0]`). Pure — the testable
-    /// core of [`parse`](Cli::parse).
+    /// Parse an argument list (the words after the experiment name).
     ///
     /// # Errors
     ///
     /// Returns a one-line message for an unrecognized flag, a missing or
-    /// malformed value, or a positional argument (no binary takes any).
+    /// malformed value, an inline value on a boolean flag
+    /// (`--quick=false`), or a positional argument (no experiment takes
+    /// any).
     pub fn parse_from(&self, args: &[String]) -> Result<Parse, String> {
         let mut parsed = BenchArgs {
             quick: false,
@@ -240,10 +244,17 @@ impl Cli {
                     .or_else(|| it.next().cloned())
                     .ok_or_else(|| format!("{flag} requires a value"))
             };
+            let boolean = |flag: &str| match &inline {
+                Some(v) => Err(format!("{flag} takes no value, got {v:?}")),
+                None => Ok(true),
+            };
             match flag {
-                "--help" | "-h" => return Ok(Parse::Help),
-                "--quick" => parsed.quick = true,
-                "--check" if self.check => parsed.check = true,
+                "--help" | "-h" => {
+                    boolean(flag)?;
+                    return Ok(Parse::Help);
+                }
+                "--quick" => parsed.quick = boolean(flag)?,
+                "--check" if self.check => parsed.check = boolean(flag)?,
                 "--jobs" => {
                     let v = value("--jobs")?;
                     let jobs: usize =
@@ -266,16 +277,16 @@ impl Cli {
                         .ok_or_else(|| format!("--seed: expected decimal or 0x hex, got {v:?}"))?;
                 }
                 _ => {
-                    if let Some((declared, _)) = self
+                    let Some((declared, _)) = self
                         .switches
                         .iter()
                         .flatten()
                         .find(|(declared, _)| *declared == flag)
-                    {
-                        parsed.switches.push(declared);
-                    } else {
+                    else {
                         return Err(format!("unrecognized argument {arg:?} (try --help)"));
-                    }
+                    };
+                    boolean(flag)?;
+                    parsed.switches.push(declared);
                 }
             }
         }
@@ -378,7 +389,7 @@ mod tests {
         assert!(b.switch("--mc") && b.switch("--json"));
         let err = run(&cli, &["--verbose"]).unwrap_err();
         assert!(err.contains("unrecognized"));
-        // A switch declared by one binary stays rejected by another.
+        // A switch declared by one experiment stays rejected by another.
         let plain = Cli::new("t", "test binary");
         assert!(run(&plain, &["--mc"]).unwrap_err().contains("unrecognized"));
         let usage = cli.usage();
@@ -388,7 +399,10 @@ mod tests {
 
     #[test]
     fn bad_values_report_the_flag() {
-        let cli = Cli::new("t", "test binary").with_faults();
+        let cli = Cli::new("t", "test binary")
+            .with_faults()
+            .with_check()
+            .with_switch("--mc", "run the model-checker layer");
         for (flags, needle) in [
             (&["--jobs"][..], "--jobs"),
             (&["--jobs", "0"], "--jobs"),
@@ -396,6 +410,12 @@ mod tests {
             (&["--faults", "-1"], "--faults"),
             (&["--seed", "0xZZ"], "--seed"),
             (&["--seed"], "--seed"),
+            // Boolean flags take no inline value: `--quick=false` must not
+            // quietly mean `--quick`.
+            (&["--quick=false"], "--quick"),
+            (&["--check=no"], "--check"),
+            (&["--quick", "--mc=no"], "--mc"),
+            (&["--help=yes"], "--help"),
         ] {
             let err = run(&cli, flags).unwrap_err();
             assert!(err.contains(needle), "{flags:?}: {err}");

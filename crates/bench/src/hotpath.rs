@@ -1,4 +1,4 @@
-//! Per-stage engine cost profiler (the `hotpath` binary).
+//! Per-stage engine cost profiler (the `fastbar hotpath` experiment).
 //!
 //! The throughput suite reports one number per workload; when it stalls,
 //! the next perf PR starts from a blind profile. This module isolates the
@@ -11,7 +11,7 @@
 //! workloads are fixed.
 //!
 //! The committed snapshot lives at `results/hotpath.txt`; regenerate it
-//! with `cargo run --release -p bench-suite --bin hotpath`.
+//! with `fastbar hotpath > results/hotpath.txt`.
 
 use std::time::Instant;
 

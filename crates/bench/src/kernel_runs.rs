@@ -1,21 +1,17 @@
-//! Shared speedup-measurement plumbing for the kernel experiments
-//! (Table 1, Figures 5–8 and 10).
+//! The kernel speedup grid behind Table 1, Figures 5–8 and 10 and the
+//! Ocean contrast.
 //!
 //! Every kernel figure is the same grid: workload rows (a kernel at some
-//! size) × variant columns (the sequential baseline plus one parallel run
-//! per [`BarrierMechanism`]). [`sweep_grid`] flattens that grid into
-//! independent jobs on a [`SweepRunner`], so every figure binary gets
-//! `--jobs` host parallelism from one helper — with results reassembled
-//! in row-major, [`BarrierMechanism::ALL`]-column order no matter which
-//! job finishes first.
+//! size, as a [`WorkloadSpec`]) × variant columns (the sequential baseline
+//! plus one parallel run per [`BarrierMechanism`]). [`sweep_grid`] turns
+//! each cell into a [`RunSpec`], runs the cells as independent jobs on a
+//! [`SweepRunner`] through [`kernels::run`], and reassembles them in
+//! row-major, [`BarrierMechanism::ALL`]-column order no matter which job
+//! finishes first.
 
 use crate::sweep::SweepRunner;
 use barrier_filter::BarrierMechanism;
-use kernels::{KernelError, KernelOutcome};
-
-/// One cell of the workload × variant grid: `None` is the sequential
-/// baseline column, `Some(m)` a parallel run under mechanism `m`.
-pub type GridVariant = Option<BarrierMechanism>;
+use kernels::{RunSpec, WorkloadSpec};
 
 /// Sequential baseline plus one parallel measurement per mechanism.
 #[derive(Debug, Clone)]
@@ -29,14 +25,19 @@ pub struct SpeedupRow {
 }
 
 impl SpeedupRow {
-    /// Speedup of `mechanism` over sequential (>1 is faster).
-    pub fn speedup(&self, mechanism: BarrierMechanism) -> f64 {
+    /// Parallel cycles per repetition under `mechanism`.
+    pub fn cycles(&self, mechanism: BarrierMechanism) -> f64 {
         let &(_, cycles) = self
             .parallel
             .iter()
             .find(|(m, _)| *m == mechanism)
             .expect("mechanism measured");
-        self.sequential / cycles
+        cycles
+    }
+
+    /// Speedup of `mechanism` over sequential (>1 is faster).
+    pub fn speedup(&self, mechanism: BarrierMechanism) -> f64 {
+        self.sequential / self.cycles(mechanism)
     }
 
     /// The best speedup achieved by a software-only barrier — the quantity
@@ -59,79 +60,43 @@ impl SpeedupRow {
     }
 }
 
-/// Measure a kernel: the `seq` closure runs the sequential baseline, and
-/// `par` runs the parallel version for a given mechanism. Both must
-/// validate internally (they return [`KernelOutcome`] only on a verified
-/// run). Runs every variant serially on the calling thread; use
-/// [`measure_on`] to spread the variants over a [`SweepRunner`].
+/// Run the workload × variant grid on `runner` and fold the outcomes
+/// into one [`SpeedupRow`] per `(label, workload)` row: the sequential
+/// baseline ([`RunSpec::sequential`]) plus `workload` across `threads`
+/// threads under every [`BarrierMechanism::ALL`] member
+/// ([`RunSpec::parallel`]). Rows come back in input order with parallel
+/// columns in `ALL` order, whatever order the jobs finish in.
 ///
 /// # Errors
 ///
-/// Propagates kernel failures, labelled with the workload and mechanism.
-pub fn measure(
-    label: impl Into<String>,
-    seq: impl Fn() -> Result<KernelOutcome, KernelError> + Sync,
-    par: impl Fn(BarrierMechanism) -> Result<KernelOutcome, KernelError> + Sync,
-) -> Result<SpeedupRow, String> {
-    measure_on(&SweepRunner::new(1), label, seq, par)
-}
-
-/// [`measure`], with the baseline and the seven mechanism runs dispatched
-/// as independent jobs on `runner`. The returned row is identical to the
-/// serial one — each variant is a self-contained simulation, and the row
-/// is assembled in [`BarrierMechanism::ALL`] order after every job lands.
-///
-/// # Errors
-///
-/// Propagates kernel failures and captured job panics, labelled with the
-/// workload and mechanism.
-pub fn measure_on(
-    runner: &SweepRunner,
-    label: impl Into<String>,
-    seq: impl Fn() -> Result<KernelOutcome, KernelError> + Sync,
-    par: impl Fn(BarrierMechanism) -> Result<KernelOutcome, KernelError> + Sync,
-) -> Result<SpeedupRow, String> {
-    let labels = [label.into()];
-    let mut rows = sweep_grid(runner, &labels, |_, variant| match variant {
-        None => seq(),
-        Some(m) => par(m),
-    })?;
-    Ok(rows.pop().expect("one label in, one row out"))
-}
-
-/// Run the full workload × variant grid on `runner` and fold the outcomes
-/// into one [`SpeedupRow`] per workload.
-///
-/// `run(row, variant)` must execute workload `labels[row]` under
-/// `variant` ([`None`] = sequential baseline, `Some(m)` = parallel under
-/// `m`) and is called exactly once per grid cell, possibly concurrently
-/// from pool workers. Rows come back in `labels` order with parallel
-/// columns in [`BarrierMechanism::ALL`] order — the same shapes the
-/// serial loops produced — regardless of job completion order.
-///
-/// # Errors
-///
-/// Collects every failed cell (kernel error or captured panic) into one
-/// report; any failure fails the grid.
+/// Collects every failed cell (kernel error or captured panic), labelled
+/// with its row and variant, into one report; any failure fails the grid.
 pub fn sweep_grid(
     runner: &SweepRunner,
-    labels: &[String],
-    run: impl Fn(usize, GridVariant) -> Result<KernelOutcome, KernelError> + Sync,
+    rows: &[(String, WorkloadSpec)],
+    threads: usize,
 ) -> Result<Vec<SpeedupRow>, String> {
-    let cells: Vec<(usize, GridVariant)> = (0..labels.len())
-        .flat_map(|row| {
-            std::iter::once((row, None)).chain(
+    let width = 1 + BarrierMechanism::ALL.len();
+    let cells: Vec<RunSpec> = rows
+        .iter()
+        .flat_map(|&(_, w)| {
+            std::iter::once(RunSpec::sequential(w)).chain(
                 BarrierMechanism::ALL
                     .into_iter()
-                    .map(move |m| (row, Some(m))),
+                    .map(move |m| RunSpec::parallel(w, threads, m)),
             )
         })
         .collect();
-    let outcomes = runner.run_all(&cells, |_, &(row, variant)| {
-        run(row, variant).map_err(|e| match variant {
-            None => format!("{} sequential: {e}", labels[row]),
-            Some(m) => format!("{} {m}: {e}", labels[row]),
-        })
+    let outcomes = runner.run_all(&cells, |i, spec| {
+        kernels::run(spec)
+            .map(|out| out.outcome.cycles_per_rep)
+            .map_err(|e| {
+                let label = &rows[i / width].0;
+                match spec.exec.mechanism {
+                    None => format!("{label} sequential: {e}"),
+                    Some(m) => format!("{label} {m}: {e}"),
+                }
+            })
     })?;
     let failures: Vec<String> = outcomes
         .iter()
@@ -140,30 +105,19 @@ pub fn sweep_grid(
     if !failures.is_empty() {
         return Err(failures.join("; "));
     }
-    let width = 1 + BarrierMechanism::ALL.len();
-    let rows = labels
+    let cycles: Vec<f64> = outcomes.into_iter().flatten().collect();
+    Ok(rows
         .iter()
-        .enumerate()
-        .map(|(row, label)| {
-            let cells = &outcomes[row * width..(row + 1) * width];
-            let cycles = |i: usize| {
-                cells[i]
-                    .as_ref()
-                    .expect("failures drained above")
-                    .cycles_per_rep
-            };
-            SpeedupRow {
-                label: label.clone(),
-                sequential: cycles(0),
-                parallel: BarrierMechanism::ALL
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, m)| (m, cycles(1 + i)))
-                    .collect(),
-            }
+        .zip(cycles.chunks(width))
+        .map(|((label, _), cells)| SpeedupRow {
+            label: label.clone(),
+            sequential: cells[0],
+            parallel: BarrierMechanism::ALL
+                .into_iter()
+                .zip(cells[1..].iter().copied())
+                .collect(),
         })
-        .collect();
-    Ok(rows)
+        .collect())
 }
 
 /// Render rows as a speedup table (columns: workload, sequential cycles,
@@ -224,64 +178,47 @@ mod tests {
         assert!(t.contains("0.50"));
     }
 
-    /// A deterministic fake cell: cycles encode (row, column) so any
-    /// reordering or cross-slot mixup is visible in the reassembled rows.
-    fn fake_cell(row: usize, variant: GridVariant) -> Result<KernelOutcome, KernelError> {
-        let col = match variant {
-            None => 0,
-            Some(m) => {
-                1 + BarrierMechanism::ALL
-                    .iter()
-                    .position(|&x| x == m)
-                    .expect("known mechanism")
-            }
-        };
-        let cycles = (100 * row + col) as u64;
-        Ok(KernelOutcome {
-            sim: cmp_sim::Measurement {
-                cycles,
-                instructions: 1,
-                stats_digest: cycles,
-                episodes: Default::default(),
-            },
-            cycles_per_rep: cycles as f64,
-            decode: Default::default(),
-            fused: Default::default(),
-            bus_mean_wait: 0.0,
-        })
+    fn small_rows() -> Vec<(String, WorkloadSpec)> {
+        vec![
+            ("loop3".to_string(), WorkloadSpec::Loop3 { n: 32 }),
+            ("loop1".to_string(), WorkloadSpec::Loop1 { n: 32 }),
+        ]
     }
 
     #[test]
     fn grid_rows_are_identical_across_job_counts() {
-        let labels: Vec<String> = (0..3).map(|i| format!("w{i}")).collect();
-        let serial = sweep_grid(&SweepRunner::new(1), &labels, fake_cell).expect("serial grid");
-        let parallel = sweep_grid(&SweepRunner::new(4), &labels, fake_cell).expect("parallel grid");
-        assert_eq!(serial.len(), 3);
-        for (row, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(s.label, labels[row]);
+        let rows = small_rows();
+        let serial = sweep_grid(&SweepRunner::new(1), &rows, 4).expect("serial grid");
+        let parallel = sweep_grid(&SweepRunner::new(4), &rows, 4).expect("parallel grid");
+        assert_eq!(serial.len(), rows.len());
+        for ((s, p), (label, w)) in serial.iter().zip(&parallel).zip(&rows) {
+            assert_eq!(&s.label, label);
             assert_eq!(s.label, p.label);
-            assert_eq!(s.sequential, (100 * row) as f64);
             assert_eq!(s.sequential, p.sequential);
             assert_eq!(s.parallel, p.parallel);
-            for (col, &(m, cycles)) in s.parallel.iter().enumerate() {
+            // Each cell is exactly the run its spec describes: no
+            // cross-slot mixup between rows or columns.
+            let cycles = |spec: RunSpec| kernels::run(&spec).expect("cell").outcome.cycles_per_rep;
+            assert_eq!(s.sequential, cycles(RunSpec::sequential(*w)));
+            for (col, &(m, c)) in s.parallel.iter().enumerate() {
                 assert_eq!(m, BarrierMechanism::ALL[col], "ALL-order columns");
-                assert_eq!(cycles, (100 * row + col + 1) as f64);
+                assert_eq!(c, cycles(RunSpec::parallel(*w, 4, m)), "{label} {m}");
             }
         }
     }
 
     #[test]
     fn grid_reports_every_failed_cell() {
-        let labels = vec!["good".to_string(), "bad".to_string()];
-        let err = sweep_grid(&SweepRunner::new(2), &labels, |row, variant| {
-            if row == 1 && variant == Some(BarrierMechanism::SwTree) {
-                Err(KernelError::Validation("boom".into()))
-            } else {
-                fake_cell(row, variant)
-            }
-        })
-        .expect_err("one bad cell fails the grid");
-        assert!(err.contains("bad sw-tree"), "{err}");
-        assert!(err.contains("boom"), "{err}");
+        let mut rows = small_rows();
+        // Loop 5 is a true recurrence: its baseline runs, but every
+        // parallel cell is rejected by spec validation.
+        rows.push(("recurrence".to_string(), WorkloadSpec::Loop5 { n: 32 }));
+        let err = sweep_grid(&SweepRunner::new(2), &rows, 4)
+            .expect_err("the parallel loop5 cells fail the grid");
+        for m in BarrierMechanism::ALL {
+            assert!(err.contains(&format!("recurrence {m}:")), "{err}");
+        }
+        assert!(!err.contains("recurrence sequential"), "{err}");
+        assert!(!err.contains("loop3"), "{err}");
     }
 }

@@ -1,36 +1,39 @@
 //! `bench-suite`: the experiment harness that regenerates every table and
 //! figure of the paper's evaluation (§4).
 //!
-//! Each binary in `src/bin/` reproduces one artifact:
+//! One binary, `fastbar`, runs every experiment of the static
+//! [`experiments`] registry; `fastbar <name> > results/<name>.txt`
+//! regenerates each committed result:
 //!
-//! | binary | artifact |
+//! | `fastbar …` | artifact |
 //! |---|---|
 //! | `table1` | Table 1 — best software-barrier speedups on 16 cores |
-//! | `fig4_latency` | Figure 4 — average barrier latency vs core count |
-//! | `fig5_autocorr` | Figure 5 — Autocorrelation speedup by mechanism |
-//! | `fig6_viterbi` | Figure 6 — Viterbi speedup by mechanism |
-//! | `fig7_loop2` | Figure 7 — Livermore Loop 2 time vs vector length |
-//! | `fig8_loop3` | Figure 8 — Livermore Loop 3 time vs vector length |
-//! | `fig10_loop6` | Figure 10 — Livermore Loop 6 time vs vector length |
-//! | `fig_scale` | scaling sweep 16→1024 cores → `BENCH_scale.json` |
-//! | `ocean_coarse` | §4.1 — coarse-grained (Ocean-like) barrier overhead |
+//! | `fig4` | Figure 4 — average barrier latency vs core count |
+//! | `fig5` | Figure 5 — Autocorrelation speedup by mechanism |
+//! | `fig6` | Figure 6 — Viterbi speedup by mechanism |
+//! | `fig7` | Figure 7 — Livermore Loop 2 time vs vector length |
+//! | `fig8` | Figure 8 — Livermore Loop 3 time vs vector length |
+//! | `fig10` | Figure 10 — Livermore Loop 6 time vs vector length |
+//! | `ocean` | §4.1 — coarse-grained (Ocean-like) barrier overhead |
 //! | `ablations` | design ablations called out in DESIGN.md |
+//! | `fig_scale` | scaling sweep 16→1024 cores → `BENCH_scale.json` |
+//! | `hotpath` | engine per-stage cost profile → `results/hotpath.txt` |
 //! | `throughput` | host-side simulator throughput → `BENCH_throughput.json` |
-//! | `hotpath` | engine per-stage cost profile → committed `results/hotpath.txt` |
-//! | `verify` | static verifier + race detector grid → `BENCH_verify.json` |
-//! | `fastbar_serve` | batch sweep daemon + client over the [`serve`] protocol |
+//! | `chaos` | fault-injection recovery sweep → `BENCH_chaos.json` |
+//! | `verify` | verifier + race detector + model checker → `BENCH_verify.json` |
 //!
-//! The library half hosts the shared runners so integration tests and
-//! Criterion benches reuse exactly the code the binaries run.
+//! The library holds the registry and the shared runners, so integration
+//! tests (and the `perfbench` benchmark) reuse exactly the code the binary
+//! runs.
 
 pub mod chaos;
 pub mod cli;
+pub mod experiments;
 pub mod hotpath;
 pub mod kernel_runs;
 pub mod latency;
 pub mod report;
 pub mod scale;
-pub mod serve;
 pub mod sweep;
 pub mod throughput;
 pub mod verify;
@@ -38,7 +41,7 @@ pub mod verify;
 pub use chaos::{run_chaos, ChaosDoc, ChaosPoint, ChaosWorkload};
 pub use cli::{BenchArgs, Cli};
 pub use hotpath::{profile, HotpathPoint, HotpathReport};
-pub use kernel_runs::{measure, measure_on, speedup_table, sweep_grid, GridVariant, SpeedupRow};
+pub use kernel_runs::{speedup_table, sweep_grid, SpeedupRow};
 pub use latency::{
     barrier_latency, build_latency_machine, fig4_machine, fig4_machine_with, run_latency,
     run_latency_with, LatencyPoint,
@@ -46,10 +49,6 @@ pub use latency::{
 pub use scale::{
     run_scale, scale_clusters, scale_config, scale_grid, scale_mechanisms, scale_reps,
     to_scale_json, ScaleDoc, ScalePoint, SCALE_CORE_COUNTS,
-};
-pub use serve::{
-    check_suite, result_json, run_cached, suite_specs, Client, Endpoint, ItemResult, Listener,
-    ResultCache, Server, CACHE_SCHEMA, RESULT_SCHEMA, SERVE_SCHEMA,
 };
 pub use sweep::{JobPanic, SweepRunner};
 pub use throughput::{

@@ -1,4 +1,4 @@
-//! Plain-text table formatting shared by the harness binaries.
+//! Plain-text table formatting shared by the experiment reports.
 
 /// Render a table: a header row followed by data rows, columns padded to
 /// the widest cell. Returns the formatted block (trailing newline

@@ -63,32 +63,6 @@ impl SweepRunner {
         SweepRunner::new(jobs)
     }
 
-    /// Parse `--jobs N` (or `--jobs=N`) out of a CLI argument list,
-    /// defaulting to [`available`](SweepRunner::available) when absent.
-    /// Returns an error string on a malformed or missing value.
-    pub fn from_args(args: &[String]) -> Result<SweepRunner, String> {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let value = if arg == "--jobs" {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| "--jobs requires a value".to_string())?
-            } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                v.to_string()
-            } else {
-                continue;
-            };
-            let jobs: usize = value
-                .parse()
-                .map_err(|_| format!("--jobs: expected a positive integer, got {value:?}"))?;
-            if jobs == 0 {
-                return Err("--jobs: expected a positive integer, got 0".to_string());
-            }
-            return Ok(SweepRunner::new(jobs));
-        }
-        Ok(SweepRunner::available())
-    }
-
     /// Number of workers this runner will spawn.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -169,10 +143,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn results_come_back_in_item_order() {
         // Jobs sleep inversely to their index so later items finish first;
@@ -213,27 +183,6 @@ mod tests {
             })
             .expect_err("run_all reports the panic");
         assert!(err.contains("sweep job #5"), "{err}");
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_defaults() {
-        assert_eq!(
-            SweepRunner::from_args(&strings(&["--jobs", "4"]))
-                .expect("parses")
-                .jobs(),
-            4
-        );
-        assert_eq!(
-            SweepRunner::from_args(&strings(&["--quick", "--jobs=2"]))
-                .expect("parses")
-                .jobs(),
-            2
-        );
-        let default = SweepRunner::from_args(&[]).expect("defaults");
-        assert!(default.jobs() >= 1);
-        assert!(SweepRunner::from_args(&strings(&["--jobs"])).is_err());
-        assert!(SweepRunner::from_args(&strings(&["--jobs", "zero"])).is_err());
-        assert!(SweepRunner::from_args(&strings(&["--jobs", "0"])).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Wall-clock simulator-throughput benchmark.
 //!
 //! The paper's figures are about *simulated* cycles; this module is about
-//! how fast the simulator itself chews through them. Every PR that touches
-//! the engine hot path runs `cargo run --release -p bench-suite --bin
-//! throughput` and commits the resulting `BENCH_throughput.json`, so the
-//! host-throughput trajectory is tracked alongside the paper results.
+//! how fast the simulator itself chews through them. Every change that
+//! touches the engine hot path runs `fastbar throughput` and commits the
+//! resulting `BENCH_throughput.json`, so the host-throughput trajectory is
+//! tracked alongside the paper results.
 //!
 //! Two invariants make these numbers comparable across commits:
 //!
@@ -135,8 +135,7 @@ fn fold_fig4(cores: usize, parts: &[Fig4Part]) -> ThroughputSample {
 
 /// The per-mechanism [`RunSpec`]s of the fig4 workload: every mechanism
 /// in [`BarrierMechanism::ALL`] at `cores` cores, `inner` × `outer`
-/// barriers each. These are the exact values a serve batch, a cache key
-/// and the in-process sample agree on.
+/// barriers each: the exact specs the in-process sample runs.
 pub fn fig4_specs(cores: usize, inner: u64, outer: u64) -> Vec<RunSpec> {
     BarrierMechanism::ALL
         .into_iter()
@@ -147,8 +146,8 @@ pub fn fig4_specs(cores: usize, inner: u64, outer: u64) -> Vec<RunSpec> {
 /// Chain per-mechanism stats digests — which must be in
 /// [`BarrierMechanism::ALL`] order — into the combined fig4 workload
 /// digest (the value pinned by [`EXPECTED_FIG4_16CORE_DIGEST`]). Public
-/// so a serve client can fold the digests it got off the wire and check
-/// them against the committed value.
+/// so a harness that runs the per-mechanism specs itself can check them
+/// against the committed value.
 pub fn fold_fig4_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for d in digests {

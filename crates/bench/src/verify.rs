@@ -6,7 +6,7 @@
 //! its registered [`ProtocolSpec`](barrier_filter::ProtocolSpec) through
 //! the static verifier. A cell is *clean* when the static pass reports no
 //! `Error` and the dynamic pass observed no race — the shipped kernels
-//! must be clean under every mechanism, and the `verify` binary exits
+//! must be clean under every mechanism, and `fastbar verify` exits
 //! non-zero otherwise.
 //!
 //! The grid covers every [`BarrierMechanism::EXTENDED`] member on the
@@ -19,7 +19,7 @@
 //! mechanism's emitted routine is explored exhaustively at 2–4 cores,
 //! with and without an injected fault, against the `R-MC-*` properties.
 //!
-//! The sweep rides the same [`SweepRunner`] as every figure binary: cells
+//! The sweep rides the same [`SweepRunner`] as every experiment: cells
 //! are independent simulations, so host parallelism cannot change a
 //! single verdict.
 

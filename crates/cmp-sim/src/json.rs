@@ -1,9 +1,9 @@
 //! A small tolerant JSON reader (std-only, no dependencies).
 //!
 //! The repo's report writers hand-roll their JSON output; this is the
-//! matching *input* side, added for the `fastbar-serve` wire protocol and
-//! the on-disk result cache. It is deliberately tolerant where a wire
-//! peer can reasonably vary — insignificant whitespace, object keys in
+//! matching *input* side, used to decode serialized run specs
+//! (`kernels::RunSpec::parse`). It is deliberately tolerant where a
+//! writer can reasonably vary — insignificant whitespace, object keys in
 //! any order, trailing commas, unknown fields — and deliberately strict
 //! where correctness demands it (strings must be properly escaped,
 //! numbers must be numbers).
@@ -57,8 +57,8 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 
 impl Json {
     /// Parse one JSON value from `src`. Trailing whitespace is allowed;
-    /// any other trailing content is an error (the wire protocol is one
-    /// value per line).
+    /// any other trailing content is an error (one document is one
+    /// value).
     ///
     /// # Errors
     ///
@@ -192,8 +192,8 @@ pub fn parse_u64_flex(s: &str) -> Option<u64> {
     }
 }
 
-/// The 64-bit FNV-1a hash of `bytes` — the content-addressing hash for
-/// the serve result cache (same family as the engine's stats digests;
+/// The 64-bit FNV-1a hash of `bytes` — the content-addressing hash of
+/// `RunSpec::digest` (same family as the engine's stats digests;
 /// std-only and stable across platforms and releases).
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

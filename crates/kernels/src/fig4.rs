@@ -5,7 +5,7 @@
 //! This used to live in the bench crate as the `build_latency_machine_*`
 //! variant family; as a [`WorkloadSpec`](crate::WorkloadSpec) workload it
 //! is addressable by the same [`RunSpec`](crate::RunSpec) value as every
-//! other kernel, so latency points, throughput samples and serve jobs
+//! other kernel, so latency points, throughput samples and scaling points
 //! all share one description. The build sequence is kept exactly as the
 //! legacy builder emitted it (threads added before the barrier system
 //! installs, observer sink attached after) — the committed Figure 4

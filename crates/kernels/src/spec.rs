@@ -4,8 +4,8 @@
 //! race-detector observers, clustered topologies) grew its
 //! own `run_parallel_*` / `build_latency_machine_*` function variant, so
 //! a run configuration could not be described as *data* — which blocked
-//! putting the sweep grid behind a wire protocol or a result cache. This
-//! module collapses the variant zoo into a single value:
+//! expressing a figure as a grid of runs. This module collapses the
+//! variant zoo into a single value:
 //!
 //! * [`WorkloadSpec`] — which kernel, at what size (the paper's eight
 //!   workloads plus the Figure 4 barrier micro-benchmark);
@@ -13,10 +13,10 @@
 //!   optional seeded [`FaultSpec`];
 //! * [`RunSpec`] — the pair, with a canonical single-line JSON form
 //!   ([`RunSpec::canonical_json`]) whose FNV-1a hash
-//!   ([`RunSpec::digest`]) keys the `fastbar-serve` result cache.
+//!   ([`RunSpec::digest`]) is the run's content address.
 //!
-//! A wire job, a cache key and an in-process call are now the same
-//! value: [`run`] consumes a spec, [`run_with`] additionally takes the
+//! A figure's grid cell, a verify verdict's `spec_digest` and an
+//! in-process call are now the same value: [`run`] consumes a spec, [`run_with`] additionally takes the
 //! non-serializable [`RunAttachments`] (trace sinks, observer hooks,
 //! hand-built fault plans, the reference-engine switch) that only make
 //! sense in-process.
@@ -24,7 +24,7 @@
 //! A spec holds only what changes the simulated run. Host-side choices
 //! live in the attachments and must leave the run's
 //! [`Measurement`](cmp_sim::Measurement) digest bit-identical, so they
-//! never reach a cache key. The determinism suite pins the committed
+//! never reach a spec digest. The determinism suite pins the committed
 //! Figure 4 and Viterbi digests through this path.
 
 use std::fmt::Write as _;
@@ -114,7 +114,7 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Stable wire name of this workload kind.
+    /// Stable serialized name of this workload kind.
     pub fn kind(&self) -> &'static str {
         match self {
             WorkloadSpec::Fig4 { .. } => "fig4",
@@ -285,8 +285,8 @@ impl WorkloadSpec {
 /// A seeded fault plan, expressed as data: expands to
 /// [`FaultPlan::generate`]`(seed, count, horizon)` at run time. Carrying
 /// the horizon explicitly (instead of deriving it from a baseline run)
-/// keeps the spec self-contained, so the same wire value always produces
-/// the same plan.
+/// keeps the spec self-contained, so the same serialized value always
+/// produces the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Generator seed.
@@ -388,7 +388,7 @@ impl ExecSpec {
 }
 
 /// One serializable description of a kernel run: workload + execution.
-/// The same value serves as the wire job, the cache key and the
+/// The same value serves as the grid cell, the content address and the
 /// in-process call — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
@@ -400,11 +400,6 @@ pub struct RunSpec {
 
 /// Wire schema tag of the canonical spec encoding.
 pub const SPEC_SCHEMA: &str = "fastbar-spec/v2";
-
-/// The previous schema tag, still accepted on input. Its `knobs` object
-/// chose host-side engine settings that never changed a result, so it is
-/// ignored: a v1 line decodes to the spec its v2 form describes.
-const SPEC_SCHEMA_V1: &str = "fastbar-spec/v1";
 
 impl RunSpec {
     /// `workload` under `mechanism` across `threads` threads on the flat
@@ -507,16 +502,15 @@ impl RunSpec {
     }
 
     /// The spec's content address: the 64-bit FNV-1a hash of
-    /// [`canonical_json`](RunSpec::canonical_json). This is the
-    /// `fastbar-serve` cache key; determinism makes it a complete one.
+    /// [`canonical_json`](RunSpec::canonical_json). Determinism makes it a
+    /// complete key for the run's outcome.
     pub fn digest(&self) -> u64 {
         fnv64(self.canonical_json().as_bytes())
     }
 
     /// Decode a spec from parsed JSON (tolerant: field order and unknown
-    /// fields don't matter; missing optional fields default). Accepts the
-    /// current schema and `fastbar-spec/v1`, whose `knobs` object is
-    /// ignored.
+    /// fields don't matter; missing optional fields default). A `schema`
+    /// tag, when present, must be [`SPEC_SCHEMA`].
     ///
     /// # Errors
     ///
@@ -524,7 +518,7 @@ impl RunSpec {
     /// fields.
     pub fn from_json(j: &Json) -> Result<RunSpec, KernelError> {
         if let Some(schema) = j.get("schema").and_then(Json::as_str) {
-            if schema != SPEC_SCHEMA && schema != SPEC_SCHEMA_V1 {
+            if schema != SPEC_SCHEMA {
                 return Err(KernelError::Spec(format!("unknown spec schema `{schema}`")));
             }
         }
@@ -664,8 +658,8 @@ pub struct RunOutput {
     pub program: Program,
 }
 
-/// Run `spec` with no attachments: the single in-process entry point the
-/// wire protocol and the cache key share.
+/// Run `spec` with no attachments: the single entry point every sweep
+/// grid runs its cells through.
 ///
 /// # Errors
 ///
@@ -832,21 +826,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_specs_decode_to_the_knob_free_v2_spec() {
-        let spec = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2).clustered(16);
-        let v1 = r#"{"schema":"fastbar-spec/v1","workload":{"kind":"fig4","inner":4,"outer":2},"threads":256,"mechanism":"sw-hier","clusters":16,"knobs":{"burst_budget":0,"decode_cache":null,"event_shards":true,"fused_memory":null},"faults":null}"#;
-        let back = RunSpec::parse(v1).expect("v1 text still parses");
-        assert_eq!(back, spec, "the knobs object is ignored");
-        let text = back.canonical_json();
-        assert!(
-            text.starts_with(r#"{"schema":"fastbar-spec/v2","#),
-            "{text}"
-        );
-        assert!(!text.contains("knobs"), "{text}");
-        assert_eq!(back.digest(), spec.digest(), "v1 and v2 share a cache key");
-        let unknown = v1.replace("fastbar-spec/v1", "fastbar-spec/v9");
-        let err = RunSpec::parse(&unknown).expect_err("unknown schema");
-        assert!(err.to_string().contains("fastbar-spec/v9"), "{err}");
+    fn retired_and_unknown_schema_tags_are_rejected() {
+        let v2 = RunSpec::fig4(BarrierMechanism::SwHier, 256, 4, 2)
+            .clustered(16)
+            .canonical_json();
+        // v1 (the retired form with host-side engine knobs) is no longer
+        // accepted, and neither is a tag from the future.
+        for version in ["/v1", "/v9"] {
+            let tag = SPEC_SCHEMA.replace("/v2", version);
+            let err = RunSpec::parse(&v2.replace(SPEC_SCHEMA, &tag)).expect_err(&tag);
+            assert!(err.to_string().contains(&tag), "{err}");
+        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub use sim_isa;
 /// mechanisms, the shared [`Measurement`](cmp_sim::Measurement) record
 /// every benchmark layer reports, the fault-injection surface, and the
 /// [`RunSpec`](kernels::RunSpec) job description — the one serializable
-/// value that drives in-process runs, `fastbar-serve` wire jobs and the
-/// result cache alike.
+/// value behind every run, from a single kernel call to the cells of the
+/// `fastbar` experiment grids.
 pub mod prelude {
     pub use barrier_filter::{BarrierMechanism, BarrierSystem};
     pub use cmp_sim::{

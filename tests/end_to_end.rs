@@ -131,7 +131,7 @@ fn paper_claim_loop2_crossover_is_later_than_loop3() {
 fn paper_claim_loop6_parallel_beats_sequential_by_3x_at_256() {
     // Figure 10: "more than a factor of 3 faster ... for vector lengths of
     // 256 elements." (Checked at 128 to keep the test fast; the full size
-    // runs in the fig10_loop6 binary.)
+    // runs in `fastbar fig10`.)
     let k = Loop6::new(128);
     let seq = k.run_sequential().unwrap().cycles_per_rep;
     let filt = k
