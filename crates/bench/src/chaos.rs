@@ -3,27 +3,28 @@
 //! §3.3.3 claims the barrier filter tolerates OS interference — parked
 //! threads can be context-switched out, delayed, or migrated (with the
 //! filters re-armed through the reprogram path) and the barrier still
-//! functions. This sweep measures that claim: every point drives a real
-//! kernel (Viterbi, Livermore Loop 2) through a seeded
-//! [`FaultPlan`] and demands three things of the run:
+//! functions. This sweep measures that claim: every point is a
+//! [`RunSpec`] that drives a real kernel (Viterbi, Livermore Loop 2)
+//! through a seeded [`FaultSpec`](kernels::FaultSpec) and demands three
+//! things of the run:
 //!
 //! 1. **Validated output** — the kernel's own host-reference check passes
 //!    even with faults injected mid-episode.
 //! 2. **Quiescent filters** — after the run, no filter table holds a
 //!    parked fill (checked by the kernel harness).
-//! 3. **Bit-identical replay** — the same `(seed, plan)` reproduces the
-//!    same [`Measurement`], run for run.
+//! 3. **Bit-identical replay** — the same spec reproduces the same
+//!    [`Measurement`](cmp_sim::Measurement) and fault report, run for run.
 //!
-//! A zero-fault point must additionally be bit-identical to the plain
-//! (never-faulted) run, so chaos plumbing is proven to be a pure observer
-//! when disabled.
+//! A zero-fault point is the plain (never-faulted) run itself; on the
+//! barriers that never park, every faulted point must be bit-identical
+//! to it, so the injector is proven to be a pure observer when it finds
+//! nothing to do.
 
 use barrier_filter::BarrierMechanism;
-use cmp_sim::{json_escape, FaultPlan, FaultReport, Lcg, Measurement};
-use kernels::livermore::Loop2;
-use kernels::viterbi::Viterbi;
-use kernels::{ExecSpec, KernelError, KernelOutcome, RunAttachments};
+use cmp_sim::{FaultReport, Lcg};
+use kernels::{RunOutput, RunSpec, WorkloadSpec};
 
+use crate::kernel_runs::{run_specs, viterbi};
 use crate::sweep::SweepRunner;
 
 /// One kernel the chaos sweep drives.
@@ -39,73 +40,18 @@ impl ChaosWorkload {
     /// Both workloads, in sweep order.
     pub const ALL: [ChaosWorkload; 2] = [ChaosWorkload::Viterbi, ChaosWorkload::Loop2];
 
-    /// Stable identifier used in reports and seed derivation.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosWorkload::Viterbi => "viterbi",
-            ChaosWorkload::Loop2 => "loop2",
-        }
+    /// The fault-free spec of this workload under `mechanism` (`quick`
+    /// shrinks it for smoke runs; at full size the Viterbi/FilterD spec
+    /// is the committed `viterbi_k5_16t` throughput workload).
+    pub fn spec(self, quick: bool, mechanism: BarrierMechanism) -> RunSpec {
+        let (workload, threads) = match (self, quick) {
+            (ChaosWorkload::Viterbi, true) => (viterbi(24), 8),
+            (ChaosWorkload::Viterbi, false) => (viterbi(96), 16),
+            (ChaosWorkload::Loop2, true) => (WorkloadSpec::Loop2 { n: 64 }, 8),
+            (ChaosWorkload::Loop2, false) => (WorkloadSpec::Loop2 { n: 256 }, 16),
+        };
+        RunSpec::parallel(workload, threads, mechanism)
     }
-
-    /// Problem size / thread count for this workload (`quick` shrinks for
-    /// smoke runs; full sizes match the throughput workloads, so the
-    /// zero-fault Viterbi/FilterD point reproduces the committed digest).
-    fn shape(self, quick: bool) -> (usize, usize) {
-        match (self, quick) {
-            (ChaosWorkload::Viterbi, true) => (24, 8),
-            (ChaosWorkload::Viterbi, false) => (96, 16),
-            (ChaosWorkload::Loop2, true) => (64, 8),
-            (ChaosWorkload::Loop2, false) => (256, 16),
-        }
-    }
-
-    /// Run the workload under `plan`, validating output and filter
-    /// quiescence internally.
-    fn run(
-        self,
-        quick: bool,
-        mechanism: BarrierMechanism,
-        plan: &FaultPlan,
-    ) -> Result<(KernelOutcome, FaultReport), KernelError> {
-        let (size, threads) = self.shape(quick);
-        let exec = ExecSpec::parallel(threads, mechanism);
-        let att = RunAttachments::with_plan(plan);
-        let out = match self {
-            ChaosWorkload::Viterbi => Viterbi::new(size).run_with(&exec, att),
-            ChaosWorkload::Loop2 => Loop2::new(size).run_with(&exec, att),
-        }?;
-        Ok((out.outcome, out.faults))
-    }
-}
-
-/// One verified point of the sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosPoint {
-    /// Workload identifier ([`ChaosWorkload::name`]).
-    pub workload: &'static str,
-    /// Barrier mechanism under test.
-    pub mechanism: BarrierMechanism,
-    /// Scheduled fault events in the plan (0 = baseline).
-    pub faults: usize,
-    /// Seed the point's [`FaultPlan`] was generated from.
-    pub plan_seed: u64,
-    /// Simulated-run record (identical across replays by construction —
-    /// the sweep asserts it).
-    pub sim: Measurement,
-    /// What the injector actually did.
-    pub report: FaultReport,
-}
-
-/// The chaos document written as `BENCH_chaos.json`.
-pub struct ChaosDoc {
-    /// Master seed every per-point plan seed derives from.
-    pub seed: u64,
-    /// Worker count the sweep ran with.
-    pub jobs: usize,
-    /// Whether smoke sizes were used.
-    pub quick: bool,
-    /// Verified points, in workload × mechanism × fault-level order.
-    pub points: Vec<ChaosPoint>,
 }
 
 /// Derive a per-point plan seed from the master seed and the point's grid
@@ -129,18 +75,25 @@ fn plan_seed(
 }
 
 /// Run the full sweep: `levels` fault counts × every [`BarrierMechanism`]
-/// × both workloads, on `runner`. Each faulted point runs **twice** from
-/// the same plan and the two [`Measurement`]s must match bit-for-bit;
-/// each zero-fault point must match the plain (fault-free) baseline run.
-/// Level 0 is always swept (prepended if absent) so the baseline
-/// comparison exists for every workload × mechanism cell.
+/// × both workloads, on `runner`, returning each point's spec and output
+/// in workload × mechanism × fault-level order. A faulted point is its
+/// workload's spec [`with_faults`](RunSpec::with_faults) spread over the
+/// baseline's cycle count; it runs **twice** and the two outputs must
+/// match bit-for-bit. A zero-fault point is the fault-free baseline run.
+/// Level 0 is always swept (prepended if absent) so every workload ×
+/// mechanism cell has its baseline.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any run fails to complete, validate, or leave its filters
-/// quiescent, or if a replay diverges — each of those falsifies §3.3.3,
-/// so the sweep treats it as fatal rather than reporting around it.
-pub fn run_chaos(runner: &SweepRunner, quick: bool, levels: &[usize], seed: u64) -> ChaosDoc {
+/// Any run that fails to complete, validate or leave its filters
+/// quiescent, a replay that diverges, or a fault that is not a no-op on a
+/// barrier that never parks — each of those falsifies §3.3.3.
+pub fn run_chaos(
+    runner: &SweepRunner,
+    quick: bool,
+    levels: &[usize],
+    seed: u64,
+) -> Result<Vec<(RunSpec, RunOutput)>, String> {
     let mut levels: Vec<usize> = levels.to_vec();
     if !levels.contains(&0) {
         levels.insert(0, 0);
@@ -152,132 +105,47 @@ pub fn run_chaos(runner: &SweepRunner, quick: bool, levels: &[usize], seed: u64)
         .flat_map(|w| BarrierMechanism::ALL.into_iter().map(move |m| (w, m)))
         .collect();
     // Baselines first: they pin the fault horizon (events must land inside
-    // the run, not after it) and the zero-fault reference measurement.
-    let baselines: Vec<Measurement> = runner
-        .run_all(&grid, |_, &(w, m)| {
-            let (outcome, report) = w
-                .run(quick, m, &FaultPlan::none())
-                .unwrap_or_else(|e| panic!("{} {m} baseline failed: {e}", w.name()));
-            assert_eq!(
-                report,
-                FaultReport::default(),
-                "empty plan must inject nothing"
-            );
-            outcome.sim
-        })
-        .unwrap_or_else(|e| panic!("chaos baselines: {e}"));
+    // the run, not after it) and the zero-fault points.
+    let specs: Vec<RunSpec> = grid.iter().map(|&(w, m)| w.spec(quick, m)).collect();
+    let baselines = run_specs(runner, &specs)?;
 
-    let cells: Vec<(ChaosWorkload, BarrierMechanism, usize, Measurement)> = grid
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(w, m))| {
-            let baseline = baselines[i];
-            levels.iter().map(move |&f| (w, m, f, baseline))
-        })
+    let cells: Vec<(usize, usize)> = (0..grid.len())
+        .flat_map(|i| levels.iter().map(move |&faults| (i, faults)))
         .collect();
-    let points = runner
-        .run_all(&cells, |_, &(w, m, faults, baseline)| {
+    runner
+        .run_all(&cells, |_, &(i, faults)| {
+            let (w, m) = grid[i];
+            let (spec, baseline) = &baselines[i];
+            let label = format!("{} {m} x{faults}", spec.workload.kind());
             if faults == 0 {
-                return ChaosPoint {
-                    workload: w.name(),
-                    mechanism: m,
-                    faults: 0,
-                    plan_seed: plan_seed(seed, w, m, 0),
-                    sim: baseline,
-                    report: FaultReport::default(),
-                };
+                if baseline.faults != FaultReport::default() {
+                    return Err(format!("{label}: the empty plan injected a fault"));
+                }
+                return Ok((*spec, baseline.clone()));
             }
             let ps = plan_seed(seed, w, m, faults);
-            let plan = FaultPlan::generate(ps, faults, baseline.cycles);
-            let run = || {
-                w.run(quick, m, &plan)
-                    .unwrap_or_else(|e| panic!("{} {m} x{faults} faults failed: {e}", w.name()))
-            };
-            let (first, report) = run();
-            let (second, report2) = run();
-            assert_eq!(
-                (first.sim, report),
-                (second.sim, report2),
-                "{} {m} x{faults}: replay from seed {ps:#x} diverged",
-                w.name()
-            );
-            if !m.is_filter() {
-                // Non-filter barriers never park, so every fault is a
-                // counted no-op and the run must be bit-identical to the
-                // baseline.
-                assert_eq!(report.injected, 0, "{} {m}: nothing to inject", w.name());
-                assert_eq!(
-                    first.sim,
-                    baseline,
-                    "{} {m}: faults must be no-ops",
-                    w.name()
-                );
+            let faulted = spec.with_faults(ps, faults, baseline.outcome.sim.cycles);
+            let run = || kernels::run(&faulted).map_err(|e| format!("{label}: {e}"));
+            let (first, second) = (run()?, run()?);
+            if (first.outcome.sim, first.faults) != (second.outcome.sim, second.faults) {
+                return Err(format!("{label}: replay from seed {ps:#x} diverged"));
             }
-            ChaosPoint {
-                workload: w.name(),
-                mechanism: m,
-                faults,
-                plan_seed: ps,
-                sim: first.sim,
-                report,
+            // Non-filter barriers never park, so every fault is a counted
+            // no-op and the run must be bit-identical to the baseline.
+            if !m.is_filter()
+                && (first.faults.injected != 0 || first.outcome.sim != baseline.outcome.sim)
+            {
+                return Err(format!("{label}: faults must be no-ops"));
             }
-        })
-        .unwrap_or_else(|e| panic!("chaos sweep: {e}"));
-    ChaosDoc {
-        seed,
-        jobs: runner.jobs(),
-        quick,
-        points,
-    }
-}
-
-/// Serialize the document (schema `fastbar-chaos/v1`; std-only JSON).
-pub fn to_json(doc: &ChaosDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-chaos/v1\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#018x}\",\n", doc.seed));
-    out.push_str(&format!("  \"jobs\": {},\n", doc.jobs));
-    out.push_str(&format!("  \"quick\": {},\n", doc.quick));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in doc.points.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"workload\": \"{}\", ", json_escape(p.workload)));
-        out.push_str(&format!(
-            "\"mechanism\": \"{}\", ",
-            json_escape(&p.mechanism.to_string())
-        ));
-        out.push_str(&format!("\"faults\": {}, ", p.faults));
-        out.push_str(&format!("\"plan_seed\": \"{:#018x}\", ", p.plan_seed));
-        out.push_str(&format!("\"sim_cycles\": {}, ", p.sim.cycles));
-        out.push_str(&format!("\"sim_instructions\": {}, ", p.sim.instructions));
-        out.push_str(&format!(
-            "\"stats_digest\": \"{:#018x}\", ",
-            p.sim.stats_digest
-        ));
-        let r = &p.report;
-        out.push_str(&format!(
-            "\"injected\": {}, \"skipped\": {}, \"violations\": {}, \"resumed\": {}, ",
-            r.injected, r.skipped, r.violations, r.resumed
-        ));
-        let e = &p.sim.episodes;
-        out.push_str(&format!(
-            "\"episodes\": {}, \"parks\": {}, \"releases\": {}, \"cancellations\": {}, \
-             \"reparks\": {}, \"resumes_after_release\": {}",
-            e.episodes, e.parks, e.releases, e.cancellations, e.reparks, e.resumes_after_release
-        ));
-        out.push('}');
-        if i + 1 < doc.points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+            Ok((faulted, first))
+        })?
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmp_sim::EpisodeStats;
 
     #[test]
     fn plan_seeds_are_stable_and_distinct_per_cell() {
@@ -298,42 +166,5 @@ mod tests {
             a,
             plan_seed(2, ChaosWorkload::Viterbi, BarrierMechanism::FilterD, 4)
         );
-    }
-
-    #[test]
-    fn json_document_has_schema_and_fields() {
-        let doc = ChaosDoc {
-            seed: 0x2a,
-            jobs: 2,
-            quick: true,
-            points: vec![ChaosPoint {
-                workload: "viterbi",
-                mechanism: BarrierMechanism::FilterD,
-                faults: 4,
-                plan_seed: 7,
-                sim: Measurement {
-                    cycles: 10,
-                    instructions: 20,
-                    stats_digest: 9,
-                    episodes: EpisodeStats::default(),
-                },
-                report: FaultReport {
-                    injected: 3,
-                    skipped: 1,
-                    violations: 2,
-                    resumed: 3,
-                },
-            }],
-        };
-        let j = to_json(&doc);
-        assert!(j.contains("fastbar-chaos/v1"));
-        assert!(j.contains("\"seed\": \"0x000000000000002a\""));
-        assert!(j.contains("\"workload\": \"viterbi\""));
-        assert!(j.contains("\"mechanism\": \"filter-d\""));
-        assert!(j.contains("\"faults\": 4"));
-        assert!(j.contains("\"injected\": 3"));
-        assert!(j.contains("\"violations\": 2"));
-        assert!(j.contains("\"stats_digest\": \"0x0000000000000009\""));
-        assert!(j.contains("\"cancellations\": 0"));
     }
 }

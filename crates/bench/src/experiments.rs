@@ -19,24 +19,25 @@
 //! time) is byte-identical across `--jobs` values: the sweeps are
 //! deterministic and the host job count never reaches stdout (the JSON
 //! documents record it in their `jobs` field).
+//!
+//! The four JSON documents (`fig_scale`, `throughput`, `chaos`, `verify`)
+//! share one schema, [`RUNS_SCHEMA`]: a header, the experiment's own
+//! fields, then one [`RunOutput::record`] per simulated run.
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use barrier_filter::{BarrierMechanism, BarrierSystem};
-use cmp_sim::{AddressSpace, MachineBuilder, SimConfig, TraceConfig};
-use kernels::{OceanProxy, RunAttachments, RunSpec, WorkloadSpec};
+use cmp_sim::{AddressSpace, Json, MachineBuilder, SimConfig, TraceConfig};
+use kernels::{OceanProxy, RunAttachments, RunOutput, RunSpec, WorkloadSpec};
 use sim_isa::{Asm, Reg};
 
+use crate::chaos::run_chaos;
 use crate::cli::{BenchArgs, Cli};
-use crate::kernel_runs::{speedup_table, sweep_grid, SpeedupRow};
-use crate::latency::{barrier_latency, run_latency_with};
+use crate::kernel_runs::{speedup_table, sweep_grid, viterbi, SpeedupRow};
 use crate::report::{f1, f2, table};
-use crate::scale::{run_scale, to_scale_json, ScaleDoc};
-use crate::sweep::SweepRunner;
-use crate::throughput::{
-    fig4_sample, fig4_sample_with, run_suite, viterbi_sample, viterbi_sample_traced, ThroughputDoc,
-    ThroughputSample, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
-};
+use crate::scale::run_scale;
+use crate::throughput::{suite_digests, suite_specs, PINNED};
 use crate::verify::{run_verify, stream_findings, VerifyKernel};
 
 /// Append one formatted line to a report (`writeln!` into a `String`,
@@ -123,7 +124,6 @@ pub static EXPERIMENTS: [Experiment; 14] = [
             "fig_scale",
             "Scaling sweep 16 -> 1024 cores -> BENCH_scale.json",
         )
-        .with_check()
         .with_out("BENCH_scale.json"),
         run: fig_scale,
     },
@@ -137,7 +137,7 @@ pub static EXPERIMENTS: [Experiment; 14] = [
     Experiment {
         cli: Cli::new(
             "throughput",
-            "Host-side simulator throughput → BENCH_throughput.json",
+            "Pinned stats digests on both engines → BENCH_throughput.json",
         )
         .with_check()
         .with_trace()
@@ -149,7 +149,6 @@ pub static EXPERIMENTS: [Experiment; 14] = [
             "chaos",
             "Fault-injection sweep — barrier recovery under OS interference (§3.3.3)",
         )
-        .with_check()
         .with_out("BENCH_chaos.json")
         .with_faults(),
         run: chaos,
@@ -161,7 +160,6 @@ pub static EXPERIMENTS: [Experiment; 14] = [
              → BENCH_verify.json",
         )
         .with_out("BENCH_verify.json")
-        .with_check()
         .with_switch(
             "--mc",
             "explore every mechanism with the bounded model checker",
@@ -197,15 +195,6 @@ fn autocorr(n: usize) -> WorkloadSpec {
     WorkloadSpec::Autocorr { n, lags: 32 }
 }
 
-/// The K=5 Viterbi decoder over `data_bits` bits at 1% symbol noise.
-fn viterbi(data_bits: usize) -> WorkloadSpec {
-    WorkloadSpec::Viterbi {
-        constraint: 5,
-        data_bits,
-        noise_per_mille: 10,
-    }
-}
-
 /// `"yes"`, or a loud marker when a paper claim fails to reproduce.
 fn yes_or_mismatch(holds: bool) -> &'static str {
     if holds {
@@ -215,35 +204,46 @@ fn yes_or_mismatch(holds: bool) -> &'static str {
     }
 }
 
-/// Replay the two committed throughput workloads and compare their stats
-/// digests against the pinned constants. Any drift in ISA semantics,
-/// barrier emission or timing model shows up here before it shows up as
-/// a wrong figure.
-fn check_pinned_digests() -> Result<(), String> {
-    for (workload, got, expected) in [
-        (
-            "fig4_16core",
-            fig4_sample(16, 64, 64).sim.stats_digest,
-            EXPECTED_FIG4_16CORE_DIGEST,
-        ),
-        (
-            "viterbi_k5_16t",
-            viterbi_sample(96, 16).sim.stats_digest,
-            EXPECTED_VITERBI_K5_16T_DIGEST,
-        ),
-    ] {
-        if got != expected {
-            return Err(format!(
-                "{workload}: digest {got:#018x} != pinned {expected:#018x}"
-            ));
-        }
-    }
-    Ok(())
+/// Schema tag of every JSON document an experiment writes.
+pub const RUNS_SCHEMA: &str = "fastbar-runs/v1";
+
+/// The [`RUNS_SCHEMA`] document of experiment `name`: the header
+/// (`schema`, `experiment`, `jobs`, `quick`), the experiment's own
+/// `fields`, then `runs`, one record per simulated run.
+fn runs_document<'a>(
+    name: &'a str,
+    args: &BenchArgs,
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+    runs: Vec<Json>,
+) -> Json {
+    Json::obj(
+        [
+            ("schema", RUNS_SCHEMA.into()),
+            ("experiment", name.into()),
+            ("jobs", args.runner.jobs().into()),
+            ("quick", args.quick.into()),
+        ]
+        .into_iter()
+        .chain(fields)
+        .chain([("runs", Json::Arr(runs))]),
+    )
+}
+
+/// The [`RunOutput::record`]s of `runs`.
+fn records(runs: &[(RunSpec, RunOutput)]) -> Vec<Json> {
+    runs.iter().map(|(spec, out)| out.record(spec)).collect()
 }
 
 /// Write a JSON document to `path`.
-fn write_doc(path: &str, json: &str) -> Result<(), String> {
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))
+fn write_doc(path: &str, doc: &Json) -> Result<(), String> {
+    std::fs::write(path, doc.document()).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// The barrier mechanism a spec runs under, or `sequential`.
+fn mechanism_name(spec: &RunSpec) -> String {
+    spec.exec
+        .mechanism
+        .map_or("sequential".to_string(), |m| m.to_string())
 }
 
 // --- Table 1 and the kernel figures -------------------------------------
@@ -609,7 +609,8 @@ fn fig4(args: &BenchArgs) -> Result<String, String> {
                 _ => TraceConfig::Off,
             };
             let spec = RunSpec::fig4(mechanism, cores, inner, outer);
-            run_latency_with(&spec, RunAttachments::traced(trace))
+            kernels::run_with(&spec, RunAttachments::traced(trace))
+                .map(|out| out.outcome)
                 .map_err(|e| format!("{mechanism} @ {cores} cores: {e}"))
         })?
         .into_iter()
@@ -626,7 +627,7 @@ fn fig4(args: &BenchArgs) -> Result<String, String> {
         let mut wait_row = row.clone();
         let mut spread_row = row.clone();
         for p in chunk {
-            row.push(f1(p.cycles_per_barrier));
+            row.push(f1(p.cycles_per_rep));
             wait_row.push(f1(p.bus_mean_wait));
             spread_row.push(format!(
                 "{}/{}",
@@ -717,7 +718,9 @@ fn ablations(args: &BenchArgs) -> Result<String, String> {
         .collect();
     let points = runner
         .run_all(&grid, |_, &(cores, m)| {
-            barrier_latency(m, cores, inner, outer).map_err(|e| format!("{m} @ {cores}: {e}"))
+            kernels::run(&RunSpec::fig4(m, cores, inner, outer))
+                .map(|out| out.outcome.cycles_per_rep)
+                .map_err(|e| format!("{m} @ {cores}: {e}"))
         })?
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
@@ -725,7 +728,7 @@ fn ablations(args: &BenchArgs) -> Result<String, String> {
         .iter()
         .zip(points.chunks(2))
         .map(|(cores, pair)| {
-            let (d, pp) = (pair[0].cycles_per_barrier, pair[1].cycles_per_barrier);
+            let (d, pp) = (pair[0], pair[1]);
             vec![
                 cores.to_string(),
                 f1(d),
@@ -824,20 +827,15 @@ fn ablations(args: &BenchArgs) -> Result<String, String> {
 }
 
 /// The scaling sweep: Figure 4's loop from the paper's 16-core bus to
-/// clustered 256- and 1024-core machines, written as `BENCH_scale.json`
-/// (schema `fastbar-scale/v1`). `--check` also re-runs the two committed
-/// 16-core workloads at full size and asserts their pinned digests — the
-/// guard that the flat machine, expressed as a 1-cluster topology routed
-/// through the interconnect layer, stays bit-identical. It composes with
-/// `--quick`: the digest check always uses the full committed rep counts.
+/// clustered 256- and 1024-core machines, written as `BENCH_scale.json`.
 fn fig_scale(args: &BenchArgs) -> Result<String, String> {
     let out_path = args.out.as_deref().expect("--out has a default");
-    let points = run_scale(&args.runner, args)?;
+    let runs = run_scale(&args.runner, args.quick)?;
     let mut out = String::new();
     outln!(
         out,
         "Barrier latency vs machine scale ({} points{})",
-        points.len(),
+        runs.len(),
         if args.quick { ", quick grid" } else { "" }
     );
     outln!(out);
@@ -851,43 +849,32 @@ fn fig_scale(args: &BenchArgs) -> Result<String, String> {
         "stats digest",
     ]
     .map(String::from);
-    let rows: Vec<Vec<String>> = points
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|p| {
+        .map(|(spec, run)| {
+            let o = &run.outcome;
             vec![
-                p.point.cores.to_string(),
-                p.clusters.to_string(),
-                p.point.mechanism.to_string(),
-                f1(p.point.cycles_per_barrier),
-                f2(p.point.bus_mean_wait),
-                p.point.sim.episodes.episodes.to_string(),
-                format!("{:#018x}", p.point.sim.stats_digest),
+                spec.exec.threads.to_string(),
+                spec.exec.clusters.to_string(),
+                mechanism_name(spec),
+                f1(o.cycles_per_rep),
+                f2(o.bus_mean_wait),
+                o.sim.episodes.episodes.to_string(),
+                format!("{:#018x}", o.sim.stats_digest),
             ]
         })
         .collect();
     out.push_str(&table(&header, &rows));
-    if args.check {
-        check_pinned_digests().map_err(|e| {
-            format!("{e} — the degenerate 1-cluster topology changed the flat machine")
-        })?;
-        outln!(out);
-        outln!(
-            out,
-            "digest check passed: the flat machine survives the topology layer bit-identical"
-        );
-    }
-    let doc = ScaleDoc {
-        jobs: args.runner.jobs(),
-        quick: args.quick,
-        points,
-    };
-    write_doc(out_path, &to_scale_json(&doc))?;
+    write_doc(
+        out_path,
+        &runs_document("fig_scale", args, [], records(&runs)),
+    )?;
     outln!(out);
     outln!(out, "wrote {out_path}");
     Ok(out)
 }
 
-// --- Host throughput and the engine profile -----------------------------
+// --- The engine profile and the pinned-digest gate ----------------------
 
 /// Per-stage engine cost profile (see [`crate::hotpath`]); committed as
 /// `results/hotpath.txt` so perf work starts from a current profile. The
@@ -900,88 +887,15 @@ fn hotpath(args: &BenchArgs) -> Result<String, String> {
     Ok(crate::hotpath::profile().render())
 }
 
-/// Wall-time repetitions per workload under `throughput --check`. The
-/// reported wall is the median of this many serial runs.
-const CHECK_REPS: usize = 3;
-
-/// `throughput --check`: re-time each tracked workload to a
-/// median-of-[`CHECK_REPS`] wall (updating the sample in place so the
-/// table and JSON report the median), assert the committed digests, then
-/// run both workloads at full size on the reference engine and require it
-/// to reproduce the same digests bit-for-bit.
-fn check_throughput(
-    samples: &mut [ThroughputSample],
-    inner: u64,
-    outer: u64,
-    vit_bits: usize,
-) -> Result<(), String> {
-    for s in samples.iter_mut() {
-        let expected = match s.workload.as_str() {
-            "fig4_16core" => EXPECTED_FIG4_16CORE_DIGEST,
-            "viterbi_k5_16t" => EXPECTED_VITERBI_K5_16T_DIGEST,
-            other => return Err(format!("unexpected workload {other:?} under --check")),
-        };
-        let got = s.sim.stats_digest;
-        if got != expected {
-            return Err(format!(
-                "{}: digest {got:#018x} != committed {expected:#018x} — \
-                 simulated behaviour changed",
-                s.workload
-            ));
-        }
-        let mut walls = vec![s.wall_seconds];
-        while walls.len() < CHECK_REPS {
-            let rerun = if s.workload == "fig4_16core" {
-                fig4_sample(16, inner, outer)
-            } else {
-                viterbi_sample(vit_bits, 16)
-            };
-            if rerun.sim.stats_digest != got {
-                return Err(format!(
-                    "{}: wall-time rep diverged from the first run",
-                    s.workload
-                ));
-            }
-            walls.push(rerun.wall_seconds);
-        }
-        walls.sort_by(f64::total_cmp);
-        s.wall_seconds = walls[walls.len() / 2];
-        s.instr_per_sec = s.sim.instructions as f64 / s.wall_seconds.max(1e-9);
-    }
-    let fig4 = fig4_sample_with(16, inner, outer, true, |_| None)
-        .sim
-        .stats_digest;
-    let vit = kernels::run_with(
-        &RunSpec::parallel(viterbi(vit_bits), 16, BarrierMechanism::FilterD),
-        RunAttachments::reference(),
-    )
-    .map_err(|e| format!("viterbi check workload: {e}"))?
-    .outcome
-    .sim
-    .stats_digest;
-    for (workload, got, expected) in [
-        ("fig4_16core", fig4, EXPECTED_FIG4_16CORE_DIGEST),
-        ("viterbi_k5_16t", vit, EXPECTED_VITERBI_K5_16T_DIGEST),
-    ] {
-        if got != expected {
-            return Err(format!(
-                "{workload} [reference engine]: digest {got:#018x} != committed \
-                 {expected:#018x} — the engines disagree"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Simulator wall-clock throughput: the fixed workloads (the Figure 4
-/// sweep at 16 cores and the Viterbi kernel), run once with one worker and
-/// once on `--jobs` workers, written as `BENCH_throughput.json`.
-/// Simulated numbers and digests are bit-identical across job counts;
-/// only wall time moves. `--check` records median-of-[`CHECK_REPS`] walls,
-/// asserts the committed digests and requires the reference engine to
-/// reproduce them (full sizes only). `--trace PATH` re-runs the Viterbi
-/// workload with a Chrome trace and checks that tracing left the digest
-/// bit-identical; the traced re-run is not written to the JSON file.
+/// The pinned-digest gate: the two committed workloads (the Figure 4
+/// loop under every mechanism at 16 cores, and the Viterbi kernel) as
+/// eight runs on the worker pool, written as `BENCH_throughput.json` with
+/// both digests and each run's host seconds. The seconds are
+/// informational; perfbench is the gated timing. `--check` requires both
+/// digests to equal the pinned constants on the production engine and,
+/// re-running the suite, on the reference engine (full sizes only).
+/// `--trace PATH` re-runs the Viterbi workload with a Chrome trace and
+/// checks that tracing left its digest bit-identical.
 fn throughput(args: &BenchArgs) -> Result<String, String> {
     let (quick, check, runner) = (args.quick, args.check, &args.runner);
     let out_path = args.out.as_deref().expect("--out has a default");
@@ -994,108 +908,117 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
         std::fs::write(path, b"").map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
     }
 
-    let (inner, outer, vit_bits) = if quick { (8, 2, 24) } else { (64, 64, 96) };
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let specs = suite_specs(quick);
+    let failed =
+        |spec: &RunSpec, e: kernels::KernelError| format!("{}: {e}", spec.canonical_json());
+    let runs: Vec<(RunOutput, f64)> = runner
+        .run_all(&specs, |_, spec| {
+            let t0 = Instant::now();
+            let out = kernels::run(spec).map_err(|e| failed(spec, e))?;
+            Ok((out, t0.elapsed().as_secs_f64()))
+        })?
+        .into_iter()
+        .collect::<Result<_, String>>()?;
+    let stats_digests: Vec<u64> = runs
+        .iter()
+        .map(|(o, _)| o.outcome.sim.stats_digest)
+        .collect();
+    let digests = suite_digests(&stats_digests);
 
-    // Serial pass: the reference numbers (per-workload walls comparable
-    // across commits), then the parallel pass on the requested worker
-    // count. Simulated numbers must agree bit-for-bit.
-    let serial = run_suite(&SweepRunner::new(1), 16, inner, outer, vit_bits, 16);
-    let parallel = run_suite(runner, 16, inner, outer, vit_bits, 16);
-    for (s, p) in serial.samples.iter().zip(&parallel.samples) {
-        if (s.sim.cycles, s.sim.stats_digest) != (p.sim.cycles, p.sim.stats_digest) {
-            return Err(format!(
-                "{}: parallel pass diverged from serial — sweep jobs must be independent",
-                s.workload
-            ));
-        }
-    }
-
-    let mut samples = serial.samples;
-    if quick {
-        for s in &mut samples {
-            s.workload.push_str("_quick");
-        }
-    }
     let mut out = String::new();
     if check {
-        check_throughput(&mut samples, inner, outer, vit_bits)?;
+        let reference: Vec<u64> = runner
+            .run_all(&specs, |_, spec| {
+                kernels::run_with(spec, RunAttachments::reference())
+                    .map(|o| o.outcome.sim.stats_digest)
+                    .map_err(|e| failed(spec, e))
+            })?
+            .into_iter()
+            .collect::<Result<_, String>>()?;
+        for (engine, got) in [
+            ("production", digests),
+            ("reference", suite_digests(&reference)),
+        ] {
+            for ((workload, expected), got) in PINNED.into_iter().zip(got) {
+                if got != expected {
+                    return Err(format!(
+                        "{workload} [{engine} engine]: digest {got:#018x} != pinned \
+                         {expected:#018x} — simulated behaviour changed"
+                    ));
+                }
+            }
+        }
         outln!(
             out,
-            "check passed: median-of-{CHECK_REPS} walls recorded; both committed \
-             digests reproduced by the production and the reference engine"
+            "check passed: both pinned digests reproduced by the production and the \
+             reference engine"
         );
         outln!(out);
     }
 
     outln!(
         out,
-        "Simulator throughput (simulated instructions per host second; \
-         parallel pass: {} jobs on {host_threads} host threads)",
-        runner.jobs()
+        "Pinned-digest workloads (host seconds are informational; perfbench is the \
+         gated timing)"
     );
     outln!(out);
     let header = [
         "workload",
-        "sim Mcycles",
-        "sim Minstr",
-        "host s",
-        "Minstr/s",
+        "mechanism",
+        "sim cycles",
+        "sim instr",
         "stats digest",
-        "episodes",
-        "spread/fanout",
+        "host s",
     ]
     .map(String::from);
-    let rows: Vec<Vec<String>> = samples
+    let rows: Vec<Vec<String>> = specs
         .iter()
-        .map(|s| {
+        .zip(&runs)
+        .map(|(spec, (run, wall))| {
+            let sim = &run.outcome.sim;
             vec![
-                s.workload.clone(),
-                f1(s.sim.cycles as f64 / 1e6),
-                f1(s.sim.instructions as f64 / 1e6),
-                format!("{:.3}", s.wall_seconds),
-                f2(s.instr_per_sec / 1e6),
-                format!("{:#018x}", s.sim.stats_digest),
-                s.sim.episodes.episodes.to_string(),
-                format!(
-                    "{}/{}",
-                    f1(s.sim.episodes.mean_arrival_spread()),
-                    f1(s.sim.episodes.mean_release_fanout())
-                ),
+                spec.workload.kind().to_string(),
+                mechanism_name(spec),
+                sim.cycles.to_string(),
+                sim.instructions.to_string(),
+                format!("{:#018x}", sim.stats_digest),
+                format!("{wall:.3}"),
             ]
         })
         .collect();
     out.push_str(&table(&header, &rows));
     outln!(out);
-    outln!(
-        out,
-        "whole suite: {:.3}s serial, {:.3}s at {} jobs ({:.2}x)",
-        serial.suite_wall_seconds,
-        parallel.suite_wall_seconds,
-        runner.jobs(),
-        serial.suite_wall_seconds / parallel.suite_wall_seconds.max(1e-9),
-    );
+    for ((workload, _), digest) in PINNED.into_iter().zip(digests) {
+        outln!(out, "{workload}: {digest:#018x}");
+    }
 
-    let doc = ThroughputDoc {
-        jobs: runner.jobs(),
-        host_threads,
-        serial_wall_seconds: serial.suite_wall_seconds,
-        parallel_wall_seconds: parallel.suite_wall_seconds,
-        samples,
-    };
-    write_doc(out_path, &crate::throughput::to_json(&doc))?;
+    let records = specs
+        .iter()
+        .zip(&runs)
+        .map(|(spec, (run, wall))| run.record(spec).with("wall_s", *wall))
+        .collect();
+    let folds = Json::obj(
+        PINNED
+            .into_iter()
+            .zip(digests)
+            .map(|((workload, _), digest)| (workload, Json::hex(digest))),
+    );
+    write_doc(
+        out_path,
+        &runs_document("throughput", args, [("digests", folds)], records),
+    )?;
     outln!(out, "wrote {out_path}");
 
     if let Some(path) = args.trace.as_deref() {
-        let traced = viterbi_sample_traced(vit_bits, 16, path);
-        let untraced = doc
-            .samples
-            .iter()
-            .find(|s| s.workload.starts_with("viterbi"))
-            .expect("viterbi sample present");
-        if (traced.sim.cycles, traced.sim.stats_digest)
-            != (untraced.sim.cycles, untraced.sim.stats_digest)
-        {
+        let viterbi = specs.last().expect("the suite ends with the viterbi run");
+        let untraced = &runs.last().expect("one run per spec").0;
+        let trace = TraceConfig::ChromeJson {
+            path: path.to_string(),
+        };
+        let traced = kernels::run_with(viterbi, RunAttachments::traced(trace))
+            .map_err(|e| failed(viterbi, e))?
+            .outcome;
+        if traced.sim != untraced.outcome.sim {
             return Err(
                 "tracing changed simulated behaviour — sinks must be pure observers".into(),
             );
@@ -1115,15 +1038,10 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
 /// The chaos sweep: fault injection × barrier mechanism over the Viterbi
 /// and Livermore Loop 2 kernels (§3.3.3 recovery claims, measured). Every
 /// point must produce validated kernel output, quiescent filter tables and
-/// a bit-identical replay from the same seed — the sweep panics otherwise.
-/// `--faults N` sweeps `{0, N}` events per run instead of the default
-/// ladder; `--seed S` replays a specific schedule; `--check` asserts the
-/// zero-fault Viterbi/FilterD point against the committed digest (full
-/// sizes only).
+/// a bit-identical replay from the same seed — the experiment fails
+/// otherwise. `--faults N` sweeps `{0, N}` events per run instead of the
+/// default ladder; `--seed S` replays a specific schedule.
 fn chaos(args: &BenchArgs) -> Result<String, String> {
-    if args.quick && args.check {
-        return Err("--check asserts the full-workload digest; drop --quick".into());
-    }
     let levels: Vec<usize> = if args.faults > 0 {
         vec![0, args.faults]
     } else if args.quick {
@@ -1131,7 +1049,7 @@ fn chaos(args: &BenchArgs) -> Result<String, String> {
     } else {
         vec![0, 8, 32]
     };
-    let doc = crate::chaos::run_chaos(&args.runner, args.quick, &levels, args.seed);
+    let runs = run_chaos(&args.runner, args.quick, &levels, args.seed)?;
 
     let mut out = String::new();
     outln!(
@@ -1153,59 +1071,43 @@ fn chaos(args: &BenchArgs) -> Result<String, String> {
         "stats digest",
     ]
     .map(String::from);
-    let rows: Vec<Vec<String>> = doc
-        .points
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|p| {
+        .map(|(spec, run)| {
+            let (r, sim) = (&run.faults, &run.outcome.sim);
             vec![
-                p.workload.to_string(),
-                p.mechanism.to_string(),
-                p.faults.to_string(),
-                p.report.injected.to_string(),
-                p.report.skipped.to_string(),
-                p.report.violations.to_string(),
-                p.report.resumed.to_string(),
-                p.sim.episodes.cancellations.to_string(),
-                p.sim.episodes.reparks.to_string(),
-                format!("{:#018x}", p.sim.stats_digest),
+                spec.workload.kind().to_string(),
+                mechanism_name(spec),
+                spec.exec.faults.map_or(0, |f| f.count).to_string(),
+                r.injected.to_string(),
+                r.skipped.to_string(),
+                r.violations.to_string(),
+                r.resumed.to_string(),
+                sim.episodes.cancellations.to_string(),
+                sim.episodes.reparks.to_string(),
+                format!("{:#018x}", sim.stats_digest),
             ]
         })
         .collect();
     out.push_str(&table(&header, &rows));
     outln!(out);
-    let injected: usize = doc.points.iter().map(|p| p.report.injected).sum();
-    let violations: usize = doc.points.iter().map(|p| p.report.violations).sum();
+    let injected: usize = runs.iter().map(|(_, run)| run.faults.injected).sum();
+    let violations: usize = runs.iter().map(|(_, run)| run.faults.violations).sum();
     outln!(
         out,
         "{} points, {injected} faults injected, {violations} recoverable violations; \
          every run validated, quiescent, and replay-identical",
-        doc.points.len()
+        runs.len()
     );
 
-    if args.check {
-        let p = doc
-            .points
-            .iter()
-            .find(|p| {
-                p.workload == "viterbi" && p.mechanism == BarrierMechanism::FilterD && p.faults == 0
-            })
-            .expect("zero-fault viterbi FilterD point present");
-        if p.sim.stats_digest != EXPECTED_VITERBI_K5_16T_DIGEST {
-            return Err(format!(
-                "viterbi baseline digest {:#018x} != committed \
-                 {EXPECTED_VITERBI_K5_16T_DIGEST:#018x} — fault plumbing changed the \
-                 fault-free path",
-                p.sim.stats_digest
-            ));
-        }
-        outln!(
-            out,
-            "digest check passed: zero-fault viterbi matches the committed digest"
-        );
-    }
-
     let path = args.out.as_deref().expect("--out has a default");
-    write_doc(path, &crate::chaos::to_json(&doc))?;
+    let doc = runs_document(
+        "chaos",
+        args,
+        [("seed", Json::hex(args.seed))],
+        records(&runs),
+    );
+    write_doc(path, &doc)?;
     outln!(out, "wrote {path}");
     Ok(out)
 }
@@ -1214,25 +1116,14 @@ fn chaos(args: &BenchArgs) -> Result<String, String> {
 /// mechanism grid, written as `BENCH_verify.json`. Every cell must come
 /// back clean — no static `Error`, no dynamic race and (with `--mc`) no
 /// model-checker counterexample — or the experiment fails with each dirty
-/// cell's findings. `--check` also replays the two committed throughput
-/// samples against their pinned digests; `--json` reports every finding
-/// as one JSON object per line instead of the tables.
+/// cell's findings. `--json` reports every finding as one JSON object per
+/// line instead of the tables.
 fn verify(args: &BenchArgs) -> Result<String, String> {
     let out_path = args.out.as_deref().expect("--out has a default");
     let json_mode = args.switch("--json");
     let with_mc = args.switch("--mc");
     let threads = 4;
     let mut out = String::new();
-
-    if args.check {
-        check_pinned_digests().map_err(|e| format!("digest check failed: {e}"))?;
-        if !json_mode {
-            outln!(
-                out,
-                "digest check: both committed samples match their pinned digests"
-            );
-        }
-    }
 
     let doc = run_verify(&args.runner, threads, args.quick, with_mc)
         .map_err(|e| format!("sweep failed: {e}"))?;
@@ -1256,13 +1147,14 @@ fn verify(args: &BenchArgs) -> Result<String, String> {
             .cases
             .iter()
             .map(|c| {
+                let exec = &c.spec.exec;
                 vec![
-                    c.kernel.to_string(),
-                    c.mechanism.to_string(),
-                    if c.clusters > 1 {
-                        format!("{}/{}cl", c.threads, c.clusters)
+                    c.spec.workload.kind().to_string(),
+                    c.mechanism().to_string(),
+                    if exec.clusters > 1 {
+                        format!("{}/{}cl", exec.threads, exec.clusters)
                     } else {
-                        c.threads.to_string()
+                        exec.threads.to_string()
                     },
                     c.errors().to_string(),
                     c.warnings().to_string(),
@@ -1321,7 +1213,20 @@ fn verify(args: &BenchArgs) -> Result<String, String> {
         }
     }
 
-    write_doc(out_path, &crate::verify::to_json(&doc))?;
+    let json = runs_document(
+        "verify",
+        args,
+        [
+            ("threads", threads.into()),
+            ("passed", doc.passed().into()),
+            (
+                "mc",
+                Json::Arr(doc.mc.iter().map(|c| c.to_json()).collect()),
+            ),
+        ],
+        doc.cases.iter().map(|c| c.record()).collect(),
+    );
+    write_doc(out_path, &json)?;
     if !json_mode {
         outln!(out);
         outln!(out, "wrote {out_path}");
@@ -1333,10 +1238,10 @@ fn verify(args: &BenchArgs) -> Result<String, String> {
             outln!(
                 findings,
                 "{} × {} ({}t/{}c):",
-                c.kernel,
-                c.mechanism,
-                c.threads,
-                c.clusters
+                c.spec.workload.kind(),
+                c.mechanism(),
+                c.spec.exec.threads,
+                c.spec.exec.clusters
             );
             for d in c
                 .diagnostics

@@ -1,6 +1,6 @@
 //! Per-stage engine cost profiler (the `fastbar hotpath` experiment).
 //!
-//! The throughput suite reports one number per workload; when it stalls,
+//! The end-to-end benchmark reports one number per workload; when it stalls,
 //! the next perf PR starts from a blind profile. This module isolates the
 //! engine's per-instruction cost *stages* with differential microbenches:
 //! single-core straight-line loops whose bodies exercise exactly one
@@ -17,9 +17,10 @@ use std::time::Instant;
 
 use barrier_filter::BarrierMechanism;
 use cmp_sim::{Machine, MachineBuilder, SimConfig, DATA_BASE};
+use kernels::{RunAttachments, RunSpec};
 use sim_isa::{Asm, Reg};
 
-use crate::latency::build_latency_machine;
+use crate::latency::fig4_machine_with;
 
 /// Ops per loop iteration in each microbench body (plus 2 loop-control
 /// instructions: `addi` + `bne`).
@@ -184,7 +185,9 @@ pub fn profile() -> HotpathReport {
     let mut total_instr = 0u64;
     let mut total_wall = 0f64;
     for mechanism in BarrierMechanism::ALL {
-        let mut m = build_latency_machine(mechanism, 16, 64, 64);
+        let spec = RunSpec::fig4(mechanism, 16, 64, 64);
+        let mut m = fig4_machine_with(&spec, &mut RunAttachments::default())
+            .unwrap_or_else(|e| panic!("hotpath fig4 {mechanism}: {e}"));
         let t0 = Instant::now();
         let summary = m
             .run()

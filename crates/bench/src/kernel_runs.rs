@@ -7,11 +7,13 @@
 //! each cell into a [`RunSpec`], runs the cells as independent jobs on a
 //! [`SweepRunner`] through [`kernels::run`], and reassembles them in
 //! row-major, [`BarrierMechanism::ALL`]-column order no matter which job
-//! finishes first.
+//! finishes first. The sweeps that write result documents run their
+//! specs through this module's `run_specs`, which keeps each spec with
+//! its whole output.
 
 use crate::sweep::SweepRunner;
 use barrier_filter::BarrierMechanism;
-use kernels::{RunSpec, WorkloadSpec};
+use kernels::{RunOutput, RunSpec, WorkloadSpec};
 
 /// Sequential baseline plus one parallel measurement per mechanism.
 #[derive(Debug, Clone)]
@@ -118,6 +120,46 @@ pub fn sweep_grid(
                 .collect(),
         })
         .collect())
+}
+
+/// The K=5 Viterbi decoder over `data_bits` bits at 1% symbol noise
+/// (what `Viterbi::new(data_bits)` builds).
+pub(crate) fn viterbi(data_bits: usize) -> WorkloadSpec {
+    WorkloadSpec::Viterbi {
+        constraint: 5,
+        data_bits,
+        noise_per_mille: 10,
+    }
+}
+
+/// Run every spec on `runner` through [`kernels::run`], returning each
+/// spec with its output in input order — the runs a result document
+/// records.
+///
+/// # Errors
+///
+/// Collects every failed run (kernel error or captured panic), labelled
+/// with its spec, into one report; any failure fails the sweep.
+pub(crate) fn run_specs(
+    runner: &SweepRunner,
+    specs: &[RunSpec],
+) -> Result<Vec<(RunSpec, RunOutput)>, String> {
+    let outputs = runner.run_all(specs, |_, spec| {
+        kernels::run(spec).map_err(|e| format!("{}: {e}", spec.canonical_json()))
+    })?;
+    let mut runs = Vec::with_capacity(specs.len());
+    let mut failures = Vec::new();
+    for (spec, output) in specs.iter().zip(outputs) {
+        match output {
+            Ok(out) => runs.push((*spec, out)),
+            Err(e) => failures.push(e),
+        }
+    }
+    if failures.is_empty() {
+        Ok(runs)
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// Render rows as a speedup table (columns: workload, sequential cycles,

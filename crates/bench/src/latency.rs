@@ -1,21 +1,19 @@
-//! The Figure 4 micro-benchmark: average time per barrier over a loop of
-//! consecutive barriers with no work between them (the methodology of §4.2,
-//! following Culler/Singh/Gupta).
+//! The Figure 4 micro-benchmark machine: average time per barrier over a
+//! loop of consecutive barriers with no work between them (the
+//! methodology of §4.2, following Culler/Singh/Gupta).
 //!
-//! The workload itself lives in the kernels crate as
-//! [`Fig4`], addressed — like every other workload — by a
-//! serializable [`RunSpec`]. This module is the measurement view: it maps
-//! a finished run onto [`LatencyPoint`] (cycles/barrier plus the bus
-//! saturation signal) and keeps the two legacy-shaped helpers the
-//! wall-clock benchmark and fixtures still want.
+//! The workload itself lives in the kernels crate as [`Fig4`], addressed
+//! — like every other workload — by a serializable [`RunSpec`]; a run
+//! through [`kernels::run_with`] reports cycles per barrier as its
+//! `cycles_per_rep`. This module only splits the build from the run, for
+//! callers that time or step the simulation on its own.
 
-use barrier_filter::BarrierMechanism;
-use cmp_sim::{Machine, Measurement};
+use cmp_sim::Machine;
 use kernels::{Fig4, KernelError, RunAttachments, RunSpec, WorkloadSpec};
 
 /// Build (but do not run) the Figure 4 machine described by `spec`, with
-/// attachments (trace selection, observer hooks). Split from the run so
-/// the wall-clock throughput benchmark can time only the simulation.
+/// attachments (trace selection, observer hooks, engine choice). Split
+/// from the run so a benchmark can time only the simulation.
 ///
 /// # Errors
 ///
@@ -35,122 +33,26 @@ pub fn fig4_machine_with(
     }
 }
 
-/// [`fig4_machine_with`] with no attachments.
-///
-/// # Errors
-///
-/// Same as [`fig4_machine_with`].
-pub fn fig4_machine(spec: &RunSpec) -> Result<Machine, KernelError> {
-    fig4_machine_with(spec, &mut RunAttachments::default())
-}
-
-/// Legacy-shaped sugar over [`fig4_machine`]: `inner` consecutive barriers
-/// of `mechanism` across `cores` threads, repeated `outer` times.
-///
-/// # Panics
-///
-/// Panics on spec/assembler/build failures (static construction bugs).
-pub fn build_latency_machine(
-    mechanism: BarrierMechanism,
-    cores: usize,
-    inner: u64,
-    outer: u64,
-) -> Machine {
-    fig4_machine(&RunSpec::fig4(mechanism, cores, inner, outer))
-        .unwrap_or_else(|e| panic!("fig4 machine {mechanism} @ {cores}: {e}"))
-}
-
-/// One measured point of the Figure 4 sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyPoint {
-    /// Barrier mechanism measured.
-    pub mechanism: BarrierMechanism,
-    /// Cores (= threads) participating.
-    pub cores: usize,
-    /// Average cycles per barrier.
-    pub cycles_per_barrier: f64,
-    /// Mean interconnect queueing delay per transaction, max over the
-    /// address and data networks (saturation signal).
-    pub bus_mean_wait: f64,
-    /// The simulated-run record shared with every other measurement layer
-    /// (cycles, instructions, digest, episode metrics).
-    pub sim: Measurement,
-}
-
-/// Run the Figure 4 workload described by `spec` and report it as a
-/// latency point. Attachments (tracing, observers) are digest-invariant.
-///
-/// # Errors
-///
-/// [`KernelError::Spec`] if the workload is not `fig4`; simulation
-/// failures otherwise.
-pub fn run_latency_with(
-    spec: &RunSpec,
-    att: RunAttachments<'_>,
-) -> Result<LatencyPoint, KernelError> {
-    let WorkloadSpec::Fig4 { .. } = spec.workload else {
-        return Err(KernelError::Spec(format!(
-            "latency measurement wants a fig4 workload, got {}",
-            spec.workload.kind()
-        )));
-    };
-    let mechanism = spec.exec.mechanism.ok_or_else(|| {
-        KernelError::Spec("a latency point needs a barrier mechanism".to_string())
-    })?;
-    let out = kernels::run_with(spec, att)?;
-    Ok(LatencyPoint {
-        mechanism,
-        cores: spec.exec.threads,
-        cycles_per_barrier: out.outcome.cycles_per_rep,
-        bus_mean_wait: out.outcome.bus_mean_wait,
-        sim: out.outcome.sim,
-    })
-}
-
-/// [`run_latency_with`] with no attachments.
-///
-/// # Errors
-///
-/// Same as [`run_latency_with`].
-pub fn run_latency(spec: &RunSpec) -> Result<LatencyPoint, KernelError> {
-    run_latency_with(spec, RunAttachments::default())
-}
-
-/// Measure average cycles/barrier: `inner` consecutive barriers, repeated
-/// `outer` times (the paper uses 64 × 64). Sugar over [`run_latency`] on
-/// the flat topology.
-///
-/// # Errors
-///
-/// Propagates build and simulator errors.
-pub fn barrier_latency(
-    mechanism: BarrierMechanism,
-    cores: usize,
-    inner: u64,
-    outer: u64,
-) -> Result<LatencyPoint, KernelError> {
-    run_latency(&RunSpec::fig4(mechanism, cores, inner, outer))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use barrier_filter::BarrierMechanism;
 
     #[test]
-    fn latency_point_is_positive_and_scales() {
-        let p4 = barrier_latency(BarrierMechanism::FilterD, 4, 8, 2).unwrap();
-        let p16 = barrier_latency(BarrierMechanism::FilterD, 16, 8, 2).unwrap();
-        assert!(p4.cycles_per_barrier > 0.0);
-        assert!(
-            p16.cycles_per_barrier > p4.cycles_per_barrier,
-            "more threads -> more work per episode"
-        );
+    fn latency_is_positive_and_scales() {
+        let cycles_per_barrier = |cores| {
+            let spec = RunSpec::fig4(BarrierMechanism::FilterD, cores, 8, 2);
+            kernels::run(&spec).unwrap().outcome.cycles_per_rep
+        };
+        let (c4, c16) = (cycles_per_barrier(4), cycles_per_barrier(16));
+        assert!(c4 > 0.0);
+        assert!(c16 > c4, "more threads -> more work per episode");
     }
 
     #[test]
     fn non_fig4_specs_are_rejected() {
         let spec = RunSpec::parallel(WorkloadSpec::Loop1 { n: 64 }, 4, BarrierMechanism::FilterD);
-        assert!(matches!(run_latency(&spec), Err(KernelError::Spec(_))));
-        assert!(matches!(fig4_machine(&spec), Err(KernelError::Spec(_))));
+        let built = fig4_machine_with(&spec, &mut RunAttachments::default());
+        assert!(matches!(built, Err(KernelError::Spec(_))));
     }
 }

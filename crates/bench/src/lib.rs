@@ -18,9 +18,15 @@
 //! | `ablations` | design ablations called out in DESIGN.md |
 //! | `fig_scale` | scaling sweep 16→1024 cores → `BENCH_scale.json` |
 //! | `hotpath` | engine per-stage cost profile → `results/hotpath.txt` |
-//! | `throughput` | host-side simulator throughput → `BENCH_throughput.json` |
+//! | `throughput` | pinned-digest gate on both engines → `BENCH_throughput.json` |
 //! | `chaos` | fault-injection recovery sweep → `BENCH_chaos.json` |
 //! | `verify` | verifier + race detector + model checker → `BENCH_verify.json` |
+//!
+//! Every JSON document has one schema, [`experiments::RUNS_SCHEMA`]: a
+//! header, the experiment's own fields, and a `runs` list holding one
+//! [`RunOutput::record`](kernels::RunOutput::record) per simulated run
+//! (plus only what is not a property of the run, such as verify's
+//! findings).
 //!
 //! The library holds the registry and the shared runners, so integration
 //! tests (and the `perfbench` benchmark) reuse exactly the code the binary
@@ -38,22 +44,17 @@ pub mod sweep;
 pub mod throughput;
 pub mod verify;
 
-pub use chaos::{run_chaos, ChaosDoc, ChaosPoint, ChaosWorkload};
+pub use chaos::{run_chaos, ChaosWorkload};
 pub use cli::{BenchArgs, Cli};
 pub use hotpath::{profile, HotpathPoint, HotpathReport};
 pub use kernel_runs::{speedup_table, sweep_grid, SpeedupRow};
-pub use latency::{
-    barrier_latency, build_latency_machine, fig4_machine, fig4_machine_with, run_latency,
-    run_latency_with, LatencyPoint,
-};
+pub use latency::fig4_machine_with;
 pub use scale::{
     run_scale, scale_clusters, scale_config, scale_grid, scale_mechanisms, scale_reps,
-    to_scale_json, ScaleDoc, ScalePoint, SCALE_CORE_COUNTS,
+    SCALE_CORE_COUNTS,
 };
 pub use sweep::{JobPanic, SweepRunner};
 pub use throughput::{
-    fig4_sample, fig4_sample_with, fig4_specs, fold_fig4_digests, run_suite, to_json,
-    viterbi_sample, viterbi_sample_traced, SuiteResult, ThroughputDoc, ThroughputSample,
-    EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
+    fig4_specs, fold_fig4_digests, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
 };
 pub use verify::{run_verify, verify_case, VerifyCase, VerifyDoc, VerifyKernel};

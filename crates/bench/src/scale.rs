@@ -5,10 +5,9 @@
 //! The paper's evaluation stops at 16 cores on a single shared bus; the
 //! hierarchical-topology extension asks how each mechanism behaves when
 //! the interconnect is no longer flat. Every point reuses the Figure 4
-//! micro-benchmark loop ([`run_latency`] on a clustered
-//! [`RunSpec`]) — `inner` consecutive barriers repeated `outer` times
-//! with no work between them — on the preset machine for that core
-//! count:
+//! micro-benchmark loop (a clustered `fig4` [`RunSpec`]) — `inner`
+//! consecutive barriers repeated `outer` times with no work between
+//! them — on the preset machine for that core count:
 //!
 //! | cores | machine |
 //! |---|---|
@@ -30,12 +29,11 @@
 //! point still averages over enough episodes to be stable — the engine
 //! is deterministic, so repetitions smooth pipeline warm-up, not noise.
 
-use crate::cli::BenchArgs;
-use crate::latency::{run_latency, LatencyPoint};
+use crate::kernel_runs::run_specs;
 use crate::sweep::SweepRunner;
 use barrier_filter::BarrierMechanism;
-use cmp_sim::{json_escape, SimConfig};
-use kernels::RunSpec;
+use cmp_sim::SimConfig;
+use kernels::{RunOutput, RunSpec};
 
 /// Core counts of the full sweep, smallest first.
 pub const SCALE_CORE_COUNTS: [usize; 4] = [16, 64, 256, 1024];
@@ -93,20 +91,6 @@ pub fn scale_reps(cores: usize, mechanism: BarrierMechanism, quick: bool) -> (u6
     }
 }
 
-/// One measured point of the scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalePoint {
-    /// Clusters in the machine (1 = the flat bus).
-    pub clusters: usize,
-    /// Inner barrier count of the measurement loop.
-    pub inner: u64,
-    /// Outer repetition count of the measurement loop.
-    pub outer: u64,
-    /// The Figure 4 measurement (mechanism, cores, cycles/barrier,
-    /// saturation signal, simulated-run record).
-    pub point: LatencyPoint,
-}
-
 /// The sweep grid as `(cores, mechanism)` pairs, in report order.
 /// `quick` restricts to the CI smoke: the 64-core clustered machine
 /// under the centralized baseline and one hierarchical variant.
@@ -127,94 +111,27 @@ pub fn scale_grid(quick: bool) -> Vec<(usize, BarrierMechanism)> {
         .collect()
 }
 
-/// Run the scaling sweep on `runner`, honouring `args.quick`.
+/// Run the scaling sweep on `runner` (`quick` selects the smoke grid
+/// and its short loops), returning each point's spec and output in grid
+/// order.
 ///
 /// # Errors
 ///
-/// Reports the sweep jobs that panicked (a simulation failure is a
-/// harness bug, not a measurement).
-pub fn run_scale(runner: &SweepRunner, args: &BenchArgs) -> Result<Vec<ScalePoint>, String> {
-    let grid = scale_grid(args.quick);
-    runner.run_all(&grid, |_, &(cores, mechanism)| {
-        let clusters = scale_clusters(cores);
-        let (inner, outer) = scale_reps(cores, mechanism, args.quick);
-        let spec = RunSpec::fig4(mechanism, cores, inner, outer).clustered(clusters);
-        let point =
-            run_latency(&spec).unwrap_or_else(|e| panic!("{mechanism} @ {cores} cores: {e}"));
-        ScalePoint {
-            clusters,
-            inner,
-            outer,
-            point,
-        }
-    })
-}
-
-/// The `BENCH_scale.json` document.
-pub struct ScaleDoc {
-    /// Worker count the sweep ran with.
-    pub jobs: usize,
-    /// Whether this was the `--quick` smoke grid.
-    pub quick: bool,
-    /// Measured points, in grid order.
-    pub points: Vec<ScalePoint>,
-}
-
-/// Serialize the document as `BENCH_scale.json` (std-only, hand-rolled
-/// JSON — the repo builds with no registry access).
-///
-/// Schema `fastbar-scale/v1`: per point the machine shape (`cores`,
-/// `clusters`), the loop (`inner`, `outer`), the headline
-/// `cycles_per_barrier`, the interconnect saturation signal
-/// (`bus_mean_wait`), and the simulated-run record (`sim_cycles`,
-/// `sim_instructions`, `stats_digest`, `episodes`).
-pub fn to_scale_json(doc: &ScaleDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-scale/v1\",\n");
-    out.push_str(&format!("  \"jobs\": {},\n", doc.jobs));
-    out.push_str(&format!("  \"quick\": {},\n", doc.quick));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in doc.points.iter().enumerate() {
-        let l = &p.point;
-        out.push_str("    {");
-        out.push_str(&format!("\"cores\": {}, ", l.cores));
-        out.push_str(&format!("\"clusters\": {}, ", p.clusters));
-        out.push_str(&format!(
-            "\"mechanism\": \"{}\", ",
-            json_escape(l.mechanism.name())
-        ));
-        out.push_str(&format!("\"inner\": {}, ", p.inner));
-        out.push_str(&format!("\"outer\": {}, ", p.outer));
-        out.push_str(&format!(
-            "\"cycles_per_barrier\": {:.1}, ",
-            l.cycles_per_barrier
-        ));
-        out.push_str(&format!("\"bus_mean_wait\": {:.3}, ", l.bus_mean_wait));
-        out.push_str(&format!("\"sim_cycles\": {}, ", l.sim.cycles));
-        out.push_str(&format!("\"sim_instructions\": {}, ", l.sim.instructions));
-        out.push_str(&format!(
-            "\"stats_digest\": \"{:#018x}\", ",
-            l.sim.stats_digest
-        ));
-        let e = &l.sim.episodes;
-        out.push_str(&format!(
-            "\"episodes\": {{\"count\": {}, \"parks\": {}, \"releases\": {}, \
-             \"serviced\": {}}}",
-            e.episodes, e.parks, e.releases, e.serviced,
-        ));
-        out.push('}');
-        if i + 1 < doc.points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Reports every point that failed to run.
+pub fn run_scale(runner: &SweepRunner, quick: bool) -> Result<Vec<(RunSpec, RunOutput)>, String> {
+    let specs: Vec<RunSpec> = scale_grid(quick)
+        .into_iter()
+        .map(|(cores, mechanism)| {
+            let (inner, outer) = scale_reps(cores, mechanism, quick);
+            RunSpec::fig4(mechanism, cores, inner, outer).clustered(scale_clusters(cores))
+        })
+        .collect();
+    run_specs(runner, &specs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmp_sim::{EpisodeStats, Measurement};
 
     #[test]
     fn full_grid_covers_every_core_count_with_a_hierarchical_variant() {
@@ -249,38 +166,5 @@ mod tests {
         assert_eq!(config, SimConfig::with_cores(16));
         assert_eq!(scale_config(256).topology.clusters, 16);
         assert_eq!(scale_config(1024).cores_per_cluster(), 64);
-    }
-
-    #[test]
-    fn json_document_has_schema_and_all_points() {
-        let point = LatencyPoint {
-            mechanism: BarrierMechanism::SwHier,
-            cores: 64,
-            cycles_per_barrier: 123.45,
-            bus_mean_wait: 0.5,
-            sim: Measurement {
-                cycles: 2000,
-                instructions: 900,
-                stats_digest: 0xabcd,
-                episodes: EpisodeStats::default(),
-            },
-        };
-        let doc = ScaleDoc {
-            jobs: 2,
-            quick: false,
-            points: vec![ScalePoint {
-                clusters: 4,
-                inner: 8,
-                outer: 2,
-                point,
-            }],
-        };
-        let json = to_scale_json(&doc);
-        assert!(json.contains("\"schema\": \"fastbar-scale/v1\""));
-        assert!(json.contains("\"mechanism\": \"sw-hier\""));
-        assert!(json.contains("\"clusters\": 4"));
-        assert!(json.contains("\"cycles_per_barrier\": 123.5"));
-        assert!(json.contains("\"stats_digest\": \"0x000000000000abcd\""));
-        assert!(json.ends_with("}\n"));
     }
 }

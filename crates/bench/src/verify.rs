@@ -27,8 +27,8 @@ use analyze::{
     analyze_program, model_check, Diagnostic, McConfig, RaceDetectorSink, RaceReport, Severity,
 };
 use barrier_filter::{BarrierMechanism, BarrierSystem};
-use cmp_sim::{json_escape, AddressSpace, SimConfig};
-use kernels::{RunAttachments, RunSpec, WorkloadSpec};
+use cmp_sim::{AddressSpace, Json, SimConfig};
+use kernels::{RunAttachments, RunOutput, RunSpec, WorkloadSpec};
 use sim_isa::Asm;
 
 use crate::sweep::SweepRunner;
@@ -131,27 +131,27 @@ impl VerifyKernel {
 /// The verdict for one kernel × mechanism cell.
 #[derive(Debug, Clone)]
 pub struct VerifyCase {
-    /// Workload label ([`VerifyKernel::name`]).
-    pub kernel: &'static str,
-    /// Barrier mechanism the kernel ran under.
-    pub mechanism: BarrierMechanism,
-    /// Core/thread count of the run.
-    pub threads: usize,
-    /// Topology preset the run used (1 = flat Table-2 machine).
-    pub clusters: usize,
-    /// Content address of the exact [`RunSpec`] this cell executed.
-    pub spec_digest: u64,
+    /// The exact run this cell executed (kernel, mechanism, threads,
+    /// topology preset).
+    pub spec: RunSpec,
+    /// The observed run (its stats digest must equal the unobserved
+    /// one's).
+    pub out: RunOutput,
     /// Every static finding, sorted by program counter.
     pub diagnostics: Vec<Diagnostic>,
     /// The dynamic pass's happens-before report.
     pub races: RaceReport,
-    /// Simulated cycles of the observed run.
-    pub cycles: u64,
-    /// Stats digest of the observed run (must equal the unobserved one).
-    pub stats_digest: u64,
 }
 
 impl VerifyCase {
+    /// The barrier mechanism the kernel ran under.
+    pub fn mechanism(&self) -> BarrierMechanism {
+        self.spec
+            .exec
+            .mechanism
+            .expect("verify cells are parallel runs")
+    }
+
     /// Static findings at `Error` severity.
     pub fn errors(&self) -> usize {
         self.count(Severity::Error)
@@ -172,6 +172,20 @@ impl VerifyCase {
     /// No static `Error` and no dynamic race.
     pub fn clean(&self) -> bool {
         self.errors() == 0 && !self.races.racy()
+    }
+
+    /// The run's [`RunOutput::record`] plus this cell's verdict: finding
+    /// counts, the race detector's counters and every static finding.
+    pub fn record(&self) -> Json {
+        self.out
+            .record(&self.spec)
+            .with("errors", self.errors())
+            .with("warnings", self.warnings())
+            .with("races", self.races.total_races)
+            .with("reads_checked", self.races.reads_checked)
+            .with("writes_checked", self.races.writes_checked)
+            .with("sync_accesses", self.races.sync_accesses)
+            .with("findings", findings_json(&self.diagnostics))
     }
 }
 
@@ -203,6 +217,24 @@ impl McCase {
     /// Fully explored with no counterexample (or legitimately skipped).
     pub fn clean(&self) -> bool {
         self.skipped.is_some() || (!self.truncated && self.findings.is_empty())
+    }
+
+    /// This cell as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("mechanism", self.mechanism.name().into()),
+            ("cores", self.cores.into()),
+            ("fault", self.fault.into()),
+            (
+                "skipped",
+                self.skipped.clone().map_or(Json::Null, Json::from),
+            ),
+            ("states", self.states.into()),
+            ("transitions", self.transitions.into()),
+            ("truncated", self.truncated.into()),
+            ("clean", self.clean().into()),
+            ("findings", findings_json(&self.findings)),
+        ])
     }
 }
 
@@ -264,15 +296,10 @@ pub fn verify_case(
     let handle = handle.expect("observe hook always installs the detector");
     let diagnostics = analyze_program(&out.program, std::slice::from_ref(&protocol));
     Ok(VerifyCase {
-        kernel: kernel.name(),
-        mechanism,
-        threads,
-        clusters,
-        spec_digest: spec.digest(),
+        spec,
+        out,
         diagnostics,
         races: handle.report(),
-        cycles: out.outcome.sim.cycles,
-        stats_digest: out.outcome.sim.stats_digest,
     })
 }
 
@@ -392,99 +419,26 @@ pub fn run_verify(
     })
 }
 
-fn findings_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (j, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"severity\": \"{}\", \"rule\": \"{}\", \"message\": \"{}\"",
-            d.severity,
-            json_escape(d.rule),
-            json_escape(&d.message)
-        ));
-        if let Some(pc) = d.pc {
-            out.push_str(&format!(", \"pc\": \"{pc:#x}\""));
-        }
-        out.push('}');
-        if j + 1 < diags.len() {
-            out.push_str(", ");
-        }
-    }
-    out.push(']');
-    out
+/// `obj` with the fields of the static or model-checker finding `d`
+/// appended.
+fn with_finding(obj: Json, d: &Diagnostic) -> Json {
+    let obj = obj
+        .with("severity", d.severity.to_string())
+        .with("rule", d.rule);
+    let obj = match d.pc {
+        Some(pc) => obj.with("pc", format!("{pc:#x}")),
+        None => obj,
+    };
+    obj.with("message", d.message.as_str())
 }
 
-/// Render the sweep as the machine-readable `BENCH_verify.json` document.
-pub fn to_json(doc: &VerifyDoc) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fastbar-verify/v2\",\n");
-    out.push_str(&format!("  \"threads\": {},\n", doc.threads));
-    out.push_str(&format!("  \"quick\": {},\n", doc.quick));
-    out.push_str(&format!("  \"passed\": {},\n", doc.passed()));
-    out.push_str("  \"cases\": [\n");
-    for (i, c) in doc.cases.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"kernel\": \"{}\", ", json_escape(c.kernel)));
-        out.push_str(&format!(
-            "\"mechanism\": \"{}\", ",
-            json_escape(&c.mechanism.to_string())
-        ));
-        out.push_str(&format!("\"threads\": {}, ", c.threads));
-        out.push_str(&format!("\"clusters\": {}, ", c.clusters));
-        out.push_str(&format!("\"spec_digest\": \"{:#018x}\", ", c.spec_digest));
-        out.push_str(&format!("\"errors\": {}, ", c.errors()));
-        out.push_str(&format!("\"warnings\": {}, ", c.warnings()));
-        out.push_str(&format!("\"races\": {}, ", c.races.total_races));
-        out.push_str(&format!("\"reads_checked\": {}, ", c.races.reads_checked));
-        out.push_str(&format!("\"writes_checked\": {}, ", c.races.writes_checked));
-        out.push_str(&format!("\"sync_accesses\": {}, ", c.races.sync_accesses));
-        out.push_str(&format!("\"cycles\": {}, ", c.cycles));
-        out.push_str(&format!("\"stats_digest\": \"{:#018x}\", ", c.stats_digest));
-        out.push_str(&format!(
-            "\"findings\": {}}}",
-            findings_json(&c.diagnostics)
-        ));
-        if i + 1 < doc.cases.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"mc\": [\n");
-    for (i, c) in doc.mc.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"mechanism\": \"{}\", ",
-            json_escape(&c.mechanism.to_string())
-        ));
-        out.push_str(&format!("\"cores\": {}, ", c.cores));
-        out.push_str(&format!("\"fault\": {}, ", c.fault));
-        match &c.skipped {
-            Some(why) => out.push_str(&format!("\"skipped\": \"{}\", ", json_escape(why))),
-            None => out.push_str("\"skipped\": null, "),
-        }
-        out.push_str(&format!("\"states\": {}, ", c.states));
-        out.push_str(&format!("\"transitions\": {}, ", c.transitions));
-        out.push_str(&format!("\"truncated\": {}, ", c.truncated));
-        out.push_str(&format!("\"clean\": {}, ", c.clean()));
-        out.push_str(&format!("\"findings\": {}}}", findings_json(&c.findings)));
-        if i + 1 < doc.mc.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn finding_line(prefix: &str, d: &Diagnostic) -> String {
-    let mut line = format!(
-        "{prefix}\"severity\": \"{}\", \"rule\": \"{}\"",
-        d.severity,
-        json_escape(d.rule)
-    );
-    if let Some(pc) = d.pc {
-        line.push_str(&format!(", \"pc\": \"{pc:#x}\""));
-    }
-    line.push_str(&format!(", \"message\": \"{}\"}}", json_escape(&d.message)));
-    line
+fn findings_json(diags: &[Diagnostic]) -> Json {
+    Json::Arr(
+        diags
+            .iter()
+            .map(|d| with_finding(Json::Obj(Vec::new()), d))
+            .collect(),
+    )
 }
 
 /// Render every finding of the sweep as one JSON object per line
@@ -492,50 +446,42 @@ fn finding_line(prefix: &str, d: &Diagnostic) -> String {
 /// order, then model-checker counterexamples. Deterministic: the grid
 /// order is fixed and each cell's findings are already sorted.
 pub fn stream_findings(doc: &VerifyDoc) -> String {
-    let mut out = String::new();
+    let mut lines = Vec::new();
     for c in &doc.cases {
-        let prefix = format!(
-            "{{\"layer\": \"static\", \"kernel\": \"{}\", \"mechanism\": \"{}\", \
-             \"threads\": {}, \"clusters\": {}, ",
-            json_escape(c.kernel),
-            json_escape(&c.mechanism.to_string()),
-            c.threads,
-            c.clusters
-        );
+        let cell = |layer: &str| {
+            Json::obj([
+                ("layer", layer.into()),
+                ("kernel", c.spec.workload.kind().into()),
+                ("mechanism", c.mechanism().name().into()),
+                ("threads", c.spec.exec.threads.into()),
+                ("clusters", c.spec.exec.clusters.into()),
+            ])
+        };
         for d in &c.diagnostics {
-            out.push_str(&finding_line(&prefix, d));
-            out.push('\n');
+            lines.push(with_finding(cell("static"), d));
         }
         for r in &c.races.races {
-            out.push_str(&format!(
-                "{{\"layer\": \"race\", \"kernel\": \"{}\", \"mechanism\": \"{}\", \
-                 \"threads\": {}, \"clusters\": {}, \"kind\": \"{}\", \"addr\": \"{:#x}\", \
-                 \"cores\": [{}, {}], \"cycle\": {}}}\n",
-                json_escape(c.kernel),
-                json_escape(&c.mechanism.to_string()),
-                c.threads,
-                c.clusters,
-                json_escape(r.kind.name()),
-                r.addr,
-                r.prev_core,
-                r.core,
-                r.cycle
-            ));
+            lines.push(
+                cell("race")
+                    .with("kind", r.kind.name())
+                    .with("addr", format!("{:#x}", r.addr))
+                    .with("cores", Json::Arr(vec![r.prev_core.into(), r.core.into()]))
+                    .with("cycle", r.cycle),
+            );
         }
     }
     for c in &doc.mc {
-        let prefix = format!(
-            "{{\"layer\": \"mc\", \"mechanism\": \"{}\", \"cores\": {}, \"fault\": {}, ",
-            json_escape(&c.mechanism.to_string()),
-            c.cores,
-            c.fault
-        );
+        let cell = Json::obj([
+            ("layer", "mc".into()),
+            ("mechanism", c.mechanism.name().into()),
+            ("cores", c.cores.into()),
+            ("fault", c.fault.into()),
+        ]);
         for d in &c.findings {
-            out.push_str(&finding_line(&prefix, d));
-            out.push('\n');
+            lines.push(with_finding(cell.clone(), d));
         }
     }
-    out
+    lines.iter().map(|line| line.dump() + "\n").collect()
 }
 
 #[cfg(test)]
@@ -549,7 +495,7 @@ mod tests {
         assert!(case.clean(), "shipped kernel must be clean: {case:#?}");
         assert!(case.races.reads_checked > 0);
         assert!(case.races.writes_checked > 0);
-        assert_ne!(case.spec_digest, 0);
+        assert_ne!(case.spec.digest(), 0);
     }
 
     #[test]
@@ -563,7 +509,7 @@ mod tests {
         )
         .expect("clustered cell runs");
         assert!(case.clean(), "clustered cell must be clean: {case:#?}");
-        assert_eq!(case.clusters, CLUSTERS);
+        assert_eq!(case.spec.exec.clusters, CLUSTERS);
     }
 
     #[test]
@@ -580,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn json_document_is_well_formed_enough() {
+    fn records_carry_the_run_and_the_verdict() {
         let case = verify_case(
             VerifyKernel::Autocorr,
             BarrierMechanism::HwDedicated,
@@ -589,23 +535,26 @@ mod tests {
             true,
         )
         .expect("cell runs");
-        let doc = VerifyDoc {
-            threads: 4,
-            quick: true,
-            cases: vec![case],
-            mc: vec![mc_case(BarrierMechanism::HwDedicated, 2, true)],
-        };
-        let json = to_json(&doc);
-        assert!(json.contains("\"schema\": \"fastbar-verify/v2\""));
-        assert!(json.contains("\"kernel\": \"autocorr\""));
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"mc\": ["));
-        assert!(json.contains("\"states\": "));
+        let record = Json::parse(&case.record().dump()).expect("record re-parses");
+        let field = |key: &str| record.get(key).and_then(Json::as_u64);
+        assert_eq!(field("spec_digest"), Some(case.spec.digest()));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
+            field("stats_digest"),
+            Some(case.out.outcome.sim.stats_digest)
         );
+        assert_eq!(field("errors"), Some(0));
+        assert_eq!(field("races"), Some(0));
+        assert_eq!(field("reads_checked"), Some(case.races.reads_checked));
+        assert_eq!(
+            record.get("findings").map(|f| f.items().len()),
+            Some(case.diagnostics.len())
+        );
+        let mc = mc_case(BarrierMechanism::HwDedicated, 2, true).to_json();
+        assert_eq!(mc.get("clean"), Some(&Json::Bool(true)));
+        assert!(mc
+            .get("states")
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n > 0));
     }
 
     #[test]
@@ -626,9 +575,8 @@ mod tests {
         let stream = stream_findings(&doc);
         assert!(!stream.is_empty());
         for line in stream.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-            assert!(line.contains("\"rule\": "));
+            let finding = Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(finding.get("rule").is_some(), "{line}");
         }
     }
 }

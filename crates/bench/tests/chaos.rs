@@ -13,11 +13,11 @@
 //!   the fault-free baseline.
 
 use barrier_filter::BarrierMechanism;
-use bench_suite::latency::build_latency_machine;
+use bench_suite::fig4_machine_with;
 use cmp_sim::{run_with_faults, FaultEvent, FaultKind, FaultPlan, FaultReport, Machine, RunState};
 use kernels::livermore::Loop2;
 use kernels::viterbi::Viterbi;
-use kernels::{ExecSpec, RunAttachments};
+use kernels::{RunAttachments, RunSpec, WorkloadSpec};
 
 const FILTERS: [BarrierMechanism; 2] = [BarrierMechanism::FilterD, BarrierMechanism::FilterI];
 const NON_PARKING: [BarrierMechanism; 2] =
@@ -26,8 +26,16 @@ const NON_PARKING: [BarrierMechanism; 2] =
 /// The shared fixture: an 8-core barrier loop long enough for faults to
 /// land mid-run.
 fn machine(mechanism: BarrierMechanism) -> Machine {
-    build_latency_machine(mechanism, 8, 8, 4)
+    let spec = RunSpec::fig4(mechanism, 8, 8, 4);
+    fig4_machine_with(&spec, &mut RunAttachments::default()).expect("fixture machine")
 }
+
+/// The K=5 Viterbi decoder over 24 bits (what `Viterbi::new(24)` builds).
+const VITERBI_24: WorkloadSpec = WorkloadSpec::Viterbi {
+    constraint: 5,
+    data_bits: 24,
+    noise_per_mille: 10,
+};
 
 /// Fault-free reference run of the fixture.
 fn baseline(mechanism: BarrierMechanism) -> (u64, u64) {
@@ -234,16 +242,17 @@ fn zero_fault_plans_are_digest_invariant() {
             "{mechanism}: an empty plan must be exactly Machine::run"
         );
     }
-    // Kernel level: the faulted entry point with an empty plan reproduces
-    // the plain API bit-for-bit.
-    let v = Viterbi::new(24);
-    let plain = v
+    // Kernel level: a spec with a zero-event fault plan reproduces the
+    // plain API bit-for-bit.
+    let plain = Viterbi::new(24)
         .run_parallel(4, BarrierMechanism::FilterD)
         .expect("plain viterbi");
-    let exec = ExecSpec::parallel(4, BarrierMechanism::FilterD);
-    let out = v
-        .run_with(&exec, RunAttachments::with_plan(&FaultPlan::none()))
-        .expect("zero-fault viterbi");
+    let spec = RunSpec::parallel(VITERBI_24, 4, BarrierMechanism::FilterD).with_faults(
+        0x1e7b,
+        0,
+        plain.sim.cycles,
+    );
+    let out = kernels::run(&spec).expect("zero-fault viterbi");
     assert_eq!(out.faults, FaultReport::default());
     assert_eq!(out.outcome.sim, plain.sim);
 }
@@ -266,13 +275,9 @@ fn faulted_kernels_still_validate_viterbi() {
         let probe = v
             .run_parallel(4, mechanism)
             .expect("probe run for the horizon");
-        let plan = FaultPlan::generate(0x1e7b, 16, probe.sim.cycles);
-        let out = v
-            .run_with(
-                &ExecSpec::parallel(4, mechanism),
-                RunAttachments::with_plan(&plan),
-            )
-            .expect("faulted viterbi must still validate");
+        let spec =
+            RunSpec::parallel(VITERBI_24, 4, mechanism).with_faults(0x1e7b, 16, probe.sim.cycles);
+        let out = kernels::run(&spec).expect("faulted viterbi must still validate");
         assert!(out.outcome.sim.cycles > 0);
         assert_eq!(out.faults.injected + out.faults.skipped, 16);
     }
@@ -285,13 +290,12 @@ fn faulted_kernels_still_validate_loop2() {
         let probe = k
             .run_parallel(4, mechanism)
             .expect("probe run for the horizon");
-        let plan = FaultPlan::generate(0x10072, 16, probe.sim.cycles);
-        let out = k
-            .run_with(
-                &ExecSpec::parallel(4, mechanism),
-                RunAttachments::with_plan(&plan),
-            )
-            .expect("faulted loop2 must still validate");
+        let spec = RunSpec::parallel(WorkloadSpec::Loop2 { n: 64 }, 4, mechanism).with_faults(
+            0x10072,
+            16,
+            probe.sim.cycles,
+        );
+        let out = kernels::run(&spec).expect("faulted loop2 must still validate");
         assert!(out.outcome.sim.cycles > 0);
         assert_eq!(out.faults.injected + out.faults.skipped, 16);
     }

@@ -11,24 +11,33 @@
 
 use analyze::RaceDetectorSink;
 use barrier_filter::BarrierMechanism;
-use bench_suite::latency::{barrier_latency, fig4_machine_with, run_latency};
+use bench_suite::latency::fig4_machine_with;
 use bench_suite::scale::scale_clusters;
 use bench_suite::throughput::{
-    fig4_sample_with, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
+    fig4_specs, fold_fig4_digests, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
 };
 use bench_suite::verify::{CLUSTERED_CORES, CLUSTERS};
-use bench_suite::{build_latency_machine, SweepRunner};
-use cmp_sim::{DecodeCacheStats, FusedMemStats, MachineStats, RunSummary, TraceConfig, TraceSink};
+use bench_suite::SweepRunner;
+use cmp_sim::{
+    DecodeCacheStats, FusedMemStats, Machine, MachineStats, RunSummary, TraceConfig, TraceSink,
+};
 use kernels::viterbi::Viterbi;
 use kernels::{ExecSpec, RunAttachments, RunSpec};
+
+/// The unrun Figure 4 machine: `inner` × `outer` barriers of `mechanism`
+/// across `cores` cores.
+fn fig4_machine(mechanism: BarrierMechanism, cores: usize, inner: u64, outer: u64) -> Machine {
+    let spec = RunSpec::fig4(mechanism, cores, inner, outer);
+    fig4_machine_with(&spec, &mut RunAttachments::default()).expect("fig4 machine")
+}
 
 /// Run the Figure 4 micro-benchmark twice from scratch and require the
 /// whole observable outcome — `RunSummary` and the full `MachineStats`
 /// snapshot (caches, directory, buses, per-core counters) — to match.
 fn assert_repeatable(mechanism: BarrierMechanism) {
     let (cores, inner, outer) = (8, 8, 2);
-    let mut a = build_latency_machine(mechanism, cores, inner, outer);
-    let mut b = build_latency_machine(mechanism, cores, inner, outer);
+    let mut a = fig4_machine(mechanism, cores, inner, outer);
+    let mut b = fig4_machine(mechanism, cores, inner, outer);
     let sa = a.run().expect("first run");
     let sb = b.run().expect("second run");
     assert_eq!(sa, sb, "{mechanism}: RunSummary must be identical");
@@ -61,33 +70,6 @@ fn filter_i_barrier_is_deterministic() {
     assert_repeatable(BarrierMechanism::FilterI);
 }
 
-/// The topology layer's degenerate case: `fig_scale` reaches the 16-core
-/// machine through a [`RunSpec`] clustered with `scale_clusters(16)` (the
-/// spec shape every clustered point uses), while the historical figures
-/// go through `barrier_latency`'s flat sugar. The two must be the same
-/// machine bit-for-bit — same `Measurement` (cycles, instructions, stats
-/// digest) — or the 1-cluster topology is not actually degenerate.
-#[test]
-fn the_scale_path_reproduces_the_flat_machine_bit_identically() {
-    let (inner, outer) = (8, 2);
-    for mechanism in [
-        BarrierMechanism::SwCentral,
-        BarrierMechanism::FilterD,
-        BarrierMechanism::SwHier,
-        BarrierMechanism::FilterDHier,
-    ] {
-        let flat = barrier_latency(mechanism, 16, inner, outer).expect("flat path");
-        let spec = RunSpec::fig4(mechanism, 16, inner, outer).clustered(scale_clusters(16));
-        let scaled = run_latency(&spec).expect("scale path");
-        assert_eq!(
-            flat.sim, scaled.sim,
-            "{mechanism}: the 1-cluster topology must be degenerate"
-        );
-        assert_eq!(flat.cycles_per_barrier, scaled.cycles_per_barrier);
-        assert!(flat.sim.cycles > 0);
-    }
-}
-
 /// Run-twice determinism beyond the old 64-core ceiling: a 256-core
 /// clustered machine (16 clusters x 16 cores) under both tree-combining
 /// variants must reproduce its whole `Measurement` from scratch.
@@ -95,14 +77,13 @@ fn the_scale_path_reproduces_the_flat_machine_bit_identically() {
 fn clustered_256_core_tree_barriers_are_deterministic() {
     for mechanism in [BarrierMechanism::SwHier, BarrierMechanism::FilterDHier] {
         let spec = RunSpec::fig4(mechanism, 256, 4, 2).clustered(scale_clusters(256));
-        let run = || run_latency(&spec).expect("256-core run");
+        let run = || kernels::run(&spec).expect("256-core run").outcome;
         let (a, b) = (run(), run());
         assert_eq!(
             a.sim, b.sim,
             "{mechanism}: 256-core measurement must be reproducible"
         );
-        assert_eq!(a.cycles_per_barrier, b.cycles_per_barrier);
-        assert_eq!(a.cores, 256);
+        assert_eq!(a.cycles_per_rep, b.cycles_per_rep);
         assert!(a.sim.cycles > 0);
     }
 }
@@ -141,10 +122,10 @@ fn trace_sinks_never_change_simulated_behaviour() {
         BarrierMechanism::SwCentral,
         BarrierMechanism::HwDedicated,
     ] {
-        let mut base = build_latency_machine(mechanism, cores, inner, outer);
+        let mut base = fig4_machine(mechanism, cores, inner, outer);
         let sum_base = base.run().expect("untraced run");
         let stats_base = base.stats();
-        for trace in [TraceConfig::ring(), TraceConfig::Metrics, chrome.clone()] {
+        for trace in [TraceConfig::ring(), chrome.clone()] {
             let label = format!("{mechanism} with {trace:?}");
             let spec = RunSpec::fig4(mechanism, cores, inner, outer);
             let mut m = fig4_machine_with(&spec, &mut RunAttachments::traced(trace))
@@ -177,15 +158,23 @@ fn race_detector_leaves_pinned_digests_bit_identical() {
     // fig4_16core: all seven mechanisms at 16 cores, 64 × 64 barriers,
     // one detector per mechanism run.
     let mut handles = Vec::new();
-    let fig4 = fig4_sample_with(16, 64, 64, false, |bar| {
-        let sink = RaceDetectorSink::new([bar.protocol()]);
-        handles.push(sink.handle());
-        Some(Box::new(sink) as Box<dyn TraceSink>)
-    });
+    let digests: Vec<u64> = fig4_specs(16, 64, 64)
+        .iter()
+        .map(|spec| {
+            let observe = RunAttachments::observed(|bar| {
+                let sink = RaceDetectorSink::new([bar.protocol()]);
+                handles.push(sink.handle());
+                Some(Box::new(sink) as Box<dyn TraceSink>)
+            });
+            let out = kernels::run_with(spec, observe).expect("observed fig4 run");
+            out.outcome.sim.stats_digest
+        })
+        .collect();
+    let fig4 = fold_fig4_digests(digests);
     assert_eq!(
-        fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST,
-        "fig4_16core digest moved under observation: {:#018x} != committed {:#018x}",
-        fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST
+        fig4, EXPECTED_FIG4_16CORE_DIGEST,
+        "fig4_16core digest moved under observation: {fig4:#018x} != committed \
+         {EXPECTED_FIG4_16CORE_DIGEST:#018x}"
     );
     assert_eq!(handles.len(), BarrierMechanism::ALL.len());
     let mut observed_traffic = 0;
@@ -235,7 +224,7 @@ fn race_detector_leaves_pinned_digests_bit_identical() {
 #[test]
 fn filter_d_episode_accounting_is_exact() {
     let (cores, inner, outer) = (8u64, 8u64, 2u64);
-    let mut m = build_latency_machine(BarrierMechanism::FilterD, cores as usize, inner, outer);
+    let mut m = fig4_machine(BarrierMechanism::FilterD, cores as usize, inner, outer);
     m.run().expect("FilterD loop");
     let e = m.stats().episodes;
     let episodes = inner * outer;
@@ -277,7 +266,7 @@ fn parallel_sweep_matches_serial_sweep() {
     let sweep = |jobs: usize| {
         SweepRunner::new(jobs)
             .run_all(&grid, |_, &(mechanism, cores)| {
-                let mut m = build_latency_machine(mechanism, cores, inner, outer);
+                let mut m = fig4_machine(mechanism, cores, inner, outer);
                 let summary = m.run().expect("grid point");
                 (summary, m.stats().clone())
             })
@@ -453,16 +442,22 @@ fn both_engines_reproduce_the_pinned_digests() {
         } else {
             "production"
         };
-        let fig4 = fig4_sample_with(16, 64, 64, reference_engine, |_| None);
-        assert_eq!(
-            fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST,
-            "fig4_16core digest moved on the {engine} engine: {:#018x} != committed {:#018x}",
-            fig4.sim.stats_digest, EXPECTED_FIG4_16CORE_DIGEST
-        );
-        let att = RunAttachments {
+        let engine_att = || RunAttachments {
             reference_engine,
             ..RunAttachments::default()
         };
+        let fig4_runs: Vec<_> = fig4_specs(16, 64, 64)
+            .iter()
+            .map(|spec| kernels::run_with(spec, engine_att()).expect("fig4 workload"))
+            .collect();
+        let fig4 = fold_fig4_digests(fig4_runs.iter().map(|out| out.outcome.sim.stats_digest));
+        assert_eq!(
+            fig4, EXPECTED_FIG4_16CORE_DIGEST,
+            "fig4_16core digest moved on the {engine} engine: {fig4:#018x} != committed \
+             {EXPECTED_FIG4_16CORE_DIGEST:#018x}"
+        );
+        let fig4_decode_hits: u64 = fig4_runs.iter().map(|out| out.outcome.decode.hits).sum();
+        let att = engine_att();
         let outcome = Viterbi::new(96)
             .run_with(&ExecSpec::parallel(16, BarrierMechanism::FilterD), att)
             .expect("viterbi workload")
@@ -473,12 +468,14 @@ fn both_engines_reproduce_the_pinned_digests() {
             outcome.sim.stats_digest, EXPECTED_VITERBI_K5_16T_DIGEST
         );
         if reference_engine {
-            assert_eq!(fig4.decode, Default::default());
+            assert!(fig4_runs
+                .iter()
+                .all(|out| out.outcome.decode == Default::default()));
             assert_eq!(outcome.decode, Default::default());
             assert_eq!(outcome.fused, Default::default());
         } else {
             assert!(
-                fig4.decode.hits > 0,
+                fig4_decode_hits > 0,
                 "fig4 decode cache never hit — vacuous"
             );
             assert!(outcome.decode.hits > 0, "viterbi decode cache never hit");

@@ -1,14 +1,18 @@
-//! A small tolerant JSON reader (std-only, no dependencies).
+//! A small JSON value type (std-only, no dependencies): the writer of
+//! every `fastbar` result document and the tolerant reader perfbench
+//! uses for its workload file.
 //!
-//! The repo's report writers hand-roll their JSON output; this is the
-//! matching *input* side, used to decode serialized run specs
-//! (`kernels::RunSpec::parse`). It is deliberately tolerant where a
-//! writer can reasonably vary — insignificant whitespace, object keys in
-//! any order, trailing commas, unknown fields — and deliberately strict
-//! where correctness demands it (strings must be properly escaped,
-//! numbers must be numbers).
+//! The writer side builds a [`Json`] from plain values (`From` for
+//! integers, floats, booleans and strings; [`Json::hex`] for full-width
+//! digests; [`Json::obj`] for objects) and serializes it compactly
+//! ([`Json::dump`]) or as a line-per-run document ([`Json::document`]).
+//! The reader ([`Json::parse`]) is deliberately tolerant where a writer
+//! can reasonably vary — insignificant whitespace, object keys in any
+//! order, trailing commas, unknown fields — and deliberately strict where
+//! correctness demands it (strings must be properly escaped, numbers must
+//! follow the JSON number grammar).
 //!
-//! Numbers are kept as their raw source token ([`Json::Num`]) rather than
+//! Numbers are kept as their raw token ([`Json::Num`]) rather than
 //! eagerly converted to `f64`: the simulator traffics in full-width `u64`
 //! cycle counts and digests, which `f64` would silently round. Convert at
 //! the access site with [`Json::as_u64`] / [`Json::as_f64`].
@@ -22,7 +26,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as its raw source token (see module docs).
+    /// A number, kept as its raw token (see module docs).
     Num(String),
     /// A string, unescaped.
     Str(String),
@@ -137,6 +141,36 @@ impl Json {
         matches!(self, Json::Null)
     }
 
+    /// A `u64` as the `"0x%016x"` string the documents use for digests
+    /// and seeds (read back by [`as_u64`](Json::as_u64)).
+    pub fn hex(value: u64) -> Json {
+        Json::Str(format!("{value:#018x}"))
+    }
+
+    /// An object of `fields`, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// This object with `key: value` appended (builder style).
+    ///
+    /// # Panics
+    ///
+    /// If `self` is not an object.
+    #[must_use]
+    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+        match &mut self {
+            Json::Obj(fields) => fields.push((key.to_string(), value.into())),
+            other => panic!("Json::with on a non-object: {}", other.dump()),
+        }
+        self
+    }
+
     /// Serialize back to compact JSON (keys in stored order, numbers as
     /// their original tokens). `parse(dump(v)) == v`.
     pub fn dump(&self) -> String {
@@ -145,16 +179,43 @@ impl Json {
         out
     }
 
+    /// Serialize as a result document: a top-level object's fields one
+    /// per line, each element of a top-level array compact on its own
+    /// line (so a committed document diffs per run), and a final newline.
+    /// Any other value is [`dump`](Json::dump)ed on one line.
+    pub fn document(&self) -> String {
+        let Json::Obj(fields) = self else {
+            return self.dump() + "\n";
+        };
+        let mut out = String::from("{\n");
+        for (i, (key, value)) in fields.iter().enumerate() {
+            out.push_str("  ");
+            dump_str(key, &mut out);
+            out.push_str(": ");
+            match value {
+                Json::Arr(items) if !items.is_empty() => {
+                    out.push_str("[\n");
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str("    ");
+                        item.dump_into(&mut out);
+                        out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    out.push_str("  ]");
+                }
+                _ => value.dump_into(&mut out),
+            }
+            out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
+        out
+    }
+
     fn dump_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(tok) => out.push_str(tok),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&crate::json_escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => dump_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -171,15 +232,85 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&crate::json_escape(k));
-                    out.push_str("\":");
+                    dump_str(k, out);
+                    out.push(':');
                     v.dump_into(out);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// Written with Rust's shortest round-trip `Display` (never an exponent,
+/// so always a valid JSON number); a non-finite value, which JSON cannot
+/// represent, is written as `null`.
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        if v.is_finite() {
+            Json::Num(v.to_string())
+        } else {
+            Json::Null
+        }
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+fn dump_str(s: &str, out: &mut String) {
+    out.push('"');
+    out.push_str(&json_escape(s));
+    out.push('"');
+}
+
+/// Escape a string for embedding in a JSON string literal (quotes,
+/// backslashes and control characters; everything else passes through).
+/// Shared by [`Json::dump`] and the Chrome trace sink.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Parse a `u64` written as decimal or `0x`-prefixed hex (the repo's
@@ -243,22 +374,41 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
+/// Parse a number token against the JSON grammar
+/// `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`. `f64::from_str` alone would
+/// also accept `+1`, `.5`, `1.` and `01`, which [`Json::dump`] would then
+/// write back verbatim as invalid JSON.
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(&b) = bytes.get(*pos) {
-        if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
+    let skip = |pos: &mut usize, set: &[u8]| {
+        if bytes.get(*pos).is_some_and(|b| set.contains(b)) {
             *pos += 1;
-        } else {
-            break;
         }
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    skip(pos, b"-");
+    let int_start = *pos;
+    let int = digits(pos);
+    let mut ok = int == 1 || (int > 1 && bytes[int_start] != b'0');
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        ok &= digits(pos) > 0;
     }
-    let tok = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number token");
-    if tok.is_empty() || tok.parse::<f64>().is_err() {
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        skip(pos, b"+-");
+        ok &= digits(pos) > 0;
+    }
+    if !ok {
         return err(format!("malformed number at byte {start}"));
     }
+    let tok = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number token");
     Ok(Json::Num(tok.to_string()))
 }
 
@@ -378,17 +528,17 @@ mod tests {
     #[test]
     fn parses_the_repo_report_shapes() {
         let j = Json::parse(
-            r#"{ "schema": "fastbar-throughput/v4", "jobs": 2,
-                 "samples": [ {"workload": "w1", "stats_digest": "0x0546812ccc90cd5e",
-                               "wall": 0.5, "ok": true, "note": null}, ] }"#,
+            r#"{ "schema": "fastbar-runs/v1", "jobs": 2,
+                 "runs": [ {"workload": "w1", "stats_digest": "0x0546812ccc90cd5e",
+                            "wall": 0.5, "ok": true, "note": null}, ] }"#,
         )
         .expect("parses");
         assert_eq!(
             j.get("schema").and_then(Json::as_str),
-            Some("fastbar-throughput/v4")
+            Some("fastbar-runs/v1")
         );
         assert_eq!(j.get("jobs").and_then(Json::as_u64), Some(2));
-        let s = &j.get("samples").expect("samples").items()[0];
+        let s = &j.get("runs").expect("runs").items()[0];
         assert_eq!(
             s.get("stats_digest").and_then(Json::as_u64),
             Some(0x0546_812c_cc90_cd5e),
@@ -428,6 +578,47 @@ mod tests {
         for bad in ["{", "[1", "\"abc", "{\"k\" 1}", "nul", "1 2", "{'k':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        // Numbers `f64::from_str` accepts but the JSON grammar does not.
+        for bad in ["+1", ".5", "1.", "01", "-01", "1.e5"] {
+            let e = Json::parse(bad).expect_err(bad);
+            assert!(e.0.contains("malformed number at byte 0"), "{bad:?}: {e}");
+            let e = Json::parse(&format!("[0, {bad}]")).expect_err(bad);
+            assert!(e.0.contains("at byte 4"), "{bad:?} in an array: {e}");
+        }
+        for good in ["0", "-0", "10", "-2.5e3", "1E+2", "0.5e-1"] {
+            assert_eq!(Json::parse(good).expect(good).dump(), good);
+        }
+    }
+
+    #[test]
+    fn values_convert_and_documents_put_one_run_per_line() {
+        let run = |n: u64| Json::obj([("n", n.into()), ("d", Json::hex(n))]);
+        let doc = Json::obj([
+            ("schema", "fastbar-runs/v1".into()),
+            ("quick", true.into()),
+            ("mean", 2.5.into()),
+            ("nan", f64::NAN.into()),
+            ("mc", Json::Arr(Vec::new())),
+            ("runs", Json::Arr(vec![run(1), run(42)])),
+        ])
+        .with("jobs", 2usize);
+        let text = doc.document();
+        assert_eq!(
+            text,
+            "{\n  \"schema\": \"fastbar-runs/v1\",\n  \"quick\": true,\n  \
+             \"mean\": 2.5,\n  \"nan\": null,\n  \"mc\": [],\n  \"runs\": [\n    \
+             {\"n\":1,\"d\":\"0x0000000000000001\"},\n    \
+             {\"n\":42,\"d\":\"0x000000000000002a\"}\n  ],\n  \"jobs\": 2\n}\n"
+        );
+        assert_eq!(Json::parse(&text).expect("document re-parses"), doc);
+        assert_eq!(
+            Json::from(0.1 + 0.2).as_f64(),
+            Some(0.1 + 0.2),
+            "round trip"
+        );
+        assert_eq!(Json::from(5.0).dump(), "5");
+        assert_eq!(Json::from(u64::MAX).as_u64(), Some(u64::MAX));
+        assert_eq!(Json::from(String::from("a\"b")).dump(), "\"a\\\"b\"");
     }
 
     #[test]
@@ -447,6 +638,14 @@ mod tests {
             let e = Json::parse(&hostile).expect_err("too deep to parse");
             assert!(e.0.contains("nesting deeper than 256"), "{e}");
         }
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l1\nl2\t"), "l1\\nl2\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

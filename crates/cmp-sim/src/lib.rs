@@ -91,12 +91,11 @@ pub use hook::{
     BankHook, FillDecision, HookOutcome, HookViolation, ParkToken, FILL_ERROR_SENTINEL,
 };
 pub use hwnet::{DedicatedNetwork, HwBarResult, HwNetStats};
-pub use json::{fnv64, parse_u64_flex, Json, JsonError};
+pub use json::{fnv64, json_escape, parse_u64_flex, Json, JsonError};
 pub use layout::{AddressSpace, LayoutError, BARRIER_BASE, BARRIER_END, DATA_BASE};
 pub use machine::{Machine, RunState};
 pub use mem::Memory;
 pub use stats::{MachineStats, Measurement, RunSummary};
 pub use trace::{
-    json_escape, ChromeTraceSink, EpisodeStats, MetricsSink, NullSink, RingSink, TraceConfig,
-    TraceEvent, TraceMetrics, TraceSink,
+    ChromeTraceSink, EpisodeStats, NullSink, RingSink, TraceConfig, TraceEvent, TraceSink,
 };

@@ -42,7 +42,7 @@ use crate::hook::{
 use crate::hwnet::{DedicatedNetwork, HwBarResult};
 use crate::mem::Memory;
 use crate::stats::{MachineStats, RunSummary};
-use crate::trace::{EpisodeTracker, TraceEvent, TraceMetrics, TraceSink};
+use crate::trace::{EpisodeTracker, TraceEvent, TraceSink};
 use crate::SimConfig;
 
 /// Outcome of `Machine::run_until`.
@@ -731,12 +731,6 @@ impl Machine {
     /// whole buffer per call.
     pub fn trace_snapshot(&mut self) -> &[(u64, TraceEvent)] {
         self.sink.snapshot()
-    }
-
-    /// Event-count metrics from the configured sink (present for
-    /// [`TraceConfig::Metrics`](crate::TraceConfig::Metrics)).
-    pub fn trace_metrics(&self) -> Option<TraceMetrics> {
-        self.sink.metrics()
     }
 
     /// Flush any buffered trace output (file sinks). Called automatically

@@ -33,9 +33,9 @@ impl RunSummary {
 }
 
 /// The simulated-outcome record shared by every measurement layer in the
-/// workspace: kernel harness outcomes, barrier-latency points and
-/// throughput samples all embed one `Measurement`, so "what the simulation
-/// did" has a single shape everywhere.
+/// workspace: every kernel harness outcome (and so every result-document
+/// record) embeds one `Measurement`, so "what the simulation did" has a
+/// single shape everywhere.
 ///
 /// The digest is the determinism fingerprint
 /// ([`MachineStats::digest`]); `episodes` carries the per-barrier-episode
@@ -115,7 +115,7 @@ impl MachineStats {
     /// Order-sensitive FNV-1a fingerprint over every counter in the
     /// snapshot. Two runs of the same machine must produce equal digests —
     /// this is the determinism contract the engine's event ordering
-    /// guarantees, and what the throughput benchmark checks across
+    /// guarantees, and what `fastbar throughput --check` pins across
     /// simulator optimizations (an optimization must not change *any*
     /// simulated behaviour, only host time).
     pub fn digest(&self) -> u64 {

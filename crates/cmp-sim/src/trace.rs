@@ -9,8 +9,6 @@
 //! * [`NullSink`] — discard everything (tracing disabled);
 //! * [`RingSink`] — keep the last *N* events in memory (bounded, for
 //!   tests and post-mortem inspection of long runs);
-//! * [`MetricsSink`] — count events by kind ([`TraceMetrics`]) without
-//!   storing them;
 //! * [`ChromeTraceSink`] — stream Chrome/Perfetto trace-event JSON to a
 //!   file, viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
@@ -27,6 +25,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 
 use crate::fastmap::FxHashMap;
+use crate::json::json_escape;
 
 /// Memory-system and barrier trace events, streamed to the configured
 /// [`TraceSink`] when tracing is enabled. Used by tests to assert
@@ -186,8 +185,6 @@ pub enum TraceConfig {
         /// Maximum events retained (oldest dropped first).
         capacity: usize,
     },
-    /// Count events by kind in a [`MetricsSink`]; nothing is stored.
-    Metrics,
     /// Stream Chrome trace-event JSON to the file at `path`
     /// ([`ChromeTraceSink`]).
     ChromeJson {
@@ -231,11 +228,6 @@ pub trait TraceSink {
     /// sinks may linearize their storage in place.
     fn snapshot(&mut self) -> &[(u64, TraceEvent)] {
         &[]
-    }
-
-    /// The event-count metrics, for sinks that keep them.
-    fn metrics(&self) -> Option<TraceMetrics> {
-        None
     }
 
     /// Flush any buffered output (file sinks).
@@ -298,120 +290,6 @@ impl TraceSink for RingSink {
     fn snapshot(&mut self) -> &[(u64, TraceEvent)] {
         self.buf.make_contiguous()
     }
-}
-
-/// Event counts by kind, kept by [`MetricsSink`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TraceMetrics {
-    /// Data-side misses.
-    pub d_misses: u64,
-    /// Instruction-side misses.
-    pub i_misses: u64,
-    /// `icbi`/`dcbi` invalidation messages.
-    pub invalidates: u64,
-    /// Fills parked at bank hooks.
-    pub parks: u64,
-    /// Parked fills released.
-    pub releases: u64,
-    /// Parked fills completed with the error sentinel.
-    pub errors: u64,
-    /// Upgrade invalidation rounds.
-    pub upgrades: u64,
-    /// Cache-to-cache dirty transfers.
-    pub cache_to_cache: u64,
-    /// Dedicated-network arrival signals.
-    pub hw_arrivals: u64,
-    /// Dedicated-network core releases.
-    pub hw_releases: u64,
-    /// Barrier episodes completed.
-    pub episodes: u64,
-    /// Data values read from memory.
-    pub data_reads: u64,
-    /// Data values written to memory.
-    pub data_writes: u64,
-    /// Fills serviced straight through an open hook without parking.
-    pub serviced: u64,
-}
-
-impl TraceMetrics {
-    /// Total events consumed.
-    pub fn total(&self) -> u64 {
-        self.d_misses
-            + self.i_misses
-            + self.invalidates
-            + self.parks
-            + self.releases
-            + self.errors
-            + self.upgrades
-            + self.cache_to_cache
-            + self.hw_arrivals
-            + self.hw_releases
-            + self.episodes
-            + self.data_reads
-            + self.data_writes
-            + self.serviced
-    }
-}
-
-/// Counting sink: O(1) memory, no storage.
-#[derive(Debug, Default)]
-pub struct MetricsSink {
-    metrics: TraceMetrics,
-}
-
-impl MetricsSink {
-    /// A sink with zeroed counters.
-    pub fn new() -> MetricsSink {
-        MetricsSink::default()
-    }
-}
-
-impl TraceSink for MetricsSink {
-    fn record(&mut self, _cycle: u64, ev: &TraceEvent) {
-        let m = &mut self.metrics;
-        match ev {
-            TraceEvent::DMiss { .. } => m.d_misses += 1,
-            TraceEvent::IMiss { .. } => m.i_misses += 1,
-            TraceEvent::Invalidate { .. } => m.invalidates += 1,
-            TraceEvent::Parked { .. } => m.parks += 1,
-            TraceEvent::Released { .. } => m.releases += 1,
-            TraceEvent::Errored { .. } => m.errors += 1,
-            TraceEvent::Upgrade { .. } => m.upgrades += 1,
-            TraceEvent::CacheToCache { .. } => m.cache_to_cache += 1,
-            TraceEvent::HwBarArrive { .. } => m.hw_arrivals += 1,
-            TraceEvent::HwBarRelease { .. } => m.hw_releases += 1,
-            TraceEvent::EpisodeEnd { .. } => m.episodes += 1,
-            TraceEvent::DataRead { .. } => m.data_reads += 1,
-            TraceEvent::DataWrite { .. } => m.data_writes += 1,
-            TraceEvent::Serviced { .. } => m.serviced += 1,
-        }
-    }
-
-    fn metrics(&self) -> Option<TraceMetrics> {
-        Some(self.metrics)
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal (quotes,
-/// backslashes and control characters; everything else passes through).
-/// Shared by the Chrome sink and the hand-rolled benchmark JSON writers —
-/// the workspace builds with no registry access, so there is no serde.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Streams events as Chrome trace-event JSON (the "JSON Array Format"),
@@ -593,7 +471,6 @@ pub(crate) fn build_sink(config: &TraceConfig) -> io::Result<Box<dyn TraceSink>>
     Ok(match config {
         TraceConfig::Off => Box::new(NullSink),
         TraceConfig::Ring { capacity } => Box::new(RingSink::new(*capacity)),
-        TraceConfig::Metrics => Box::new(MetricsSink::new()),
         TraceConfig::ChromeJson { path } => Box::new(ChromeTraceSink::create(path)?),
     })
 }
@@ -867,32 +744,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_counts_by_kind() {
-        let mut m = MetricsSink::new();
-        m.record(1, &EV);
-        m.record(2, &EV);
-        m.record(3, &TraceEvent::DMiss { core: 1, line: 0 });
-        let got = m.metrics().unwrap();
-        assert_eq!(got.parks, 2);
-        assert_eq!(got.d_misses, 1);
-        assert_eq!(got.total(), 3);
-        assert!(m.snapshot().is_empty(), "metrics sink stores nothing");
-    }
-
-    #[test]
     fn null_sink_stores_nothing() {
         let mut n = NullSink;
         n.record(0, &EV);
         assert!(n.snapshot().is_empty());
-        assert!(n.metrics().is_none());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("l1\nl2\t"), "l1\\nl2\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

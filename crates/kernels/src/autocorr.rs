@@ -157,7 +157,7 @@ impl Autocorr {
         let mut m = b.finish(move |mb| {
             mb.write_u64_slice(x, &xs);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_u64("r", &m.read_u64_slice(r, self.lags), &self.reference())?;
         Ok(RunOutput {
             outcome,

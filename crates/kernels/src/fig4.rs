@@ -2,14 +2,13 @@
 //! barriers with no work between them, repeated `outer` times (the
 //! methodology of §4.2, following Culler/Singh/Gupta).
 //!
-//! This used to live in the bench crate as the `build_latency_machine_*`
-//! variant family; as a [`WorkloadSpec`](crate::WorkloadSpec) workload it
-//! is addressable by the same [`RunSpec`](crate::RunSpec) value as every
-//! other kernel, so latency points, throughput samples and scaling points
-//! all share one description. The build sequence is kept exactly as the
-//! legacy builder emitted it (threads added before the barrier system
-//! installs, observer sink attached after) — the committed Figure 4
-//! digest is pinned against this path.
+//! As a [`WorkloadSpec`](crate::WorkloadSpec) workload it is addressable
+//! by the same [`RunSpec`](crate::RunSpec) value as every other kernel,
+//! so the Figure 4 table, the pinned `fig4_16core` workload and the
+//! scaling sweep all share one description. The build sequence is fixed
+//! (threads added before the barrier system installs, observer sink
+//! attached after) — the committed Figure 4 digest is pinned against this
+//! path.
 
 use cmp_sim::{Machine, MachineBuilder};
 use sim_isa::Reg;
@@ -38,8 +37,8 @@ impl Fig4 {
     }
 
     /// Build (but do not run) the micro-benchmark machine for `exec`.
-    /// Split out from [`run_with`](Fig4::run_with) so the wall-clock
-    /// throughput benchmark can time only the `run()` call.
+    /// Split out from [`run_with`](Fig4::run_with) so a benchmark can
+    /// time only the `run()` call.
     ///
     /// # Errors
     ///
@@ -106,7 +105,7 @@ impl Fig4 {
         mut att: RunAttachments<'_>,
     ) -> Result<RunOutput, KernelError> {
         let mut m = self.build(exec, &mut att)?;
-        let (outcome, faults) = crate::spec::run_spec_reps(&mut m, self.episodes(), exec, &att)?;
+        let (outcome, faults) = crate::spec::run_spec_reps(&mut m, self.episodes(), exec)?;
         Ok(RunOutput {
             outcome,
             faults,

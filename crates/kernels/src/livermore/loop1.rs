@@ -142,7 +142,7 @@ impl Loop1 {
             mb.write_f64_slice(y, &ys);
             mb.write_f64_slice(z, &zs);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_f64("x", &m.read_f64_slice(x, self.n), &self.reference(), 1e-9)?;
         Ok(RunOutput {
             outcome,

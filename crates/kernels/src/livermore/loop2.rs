@@ -194,7 +194,7 @@ impl Loop2 {
             mb.write_f64_slice(x, &xs);
             mb.write_f64_slice(v, &vs);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_f64(
             "x",
             &m.read_f64_slice(x, self.total()),

@@ -152,7 +152,7 @@ impl Loop3 {
             mb.write_f64_slice(x, &xs);
             mb.write_f64_slice(z, &zs);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_f64("q", &[m.read_f64(out)], &[expected], 1e-9)?;
         Ok(RunOutput {
             outcome,

@@ -188,7 +188,7 @@ impl Loop4 {
             mb.write_f64_slice(x, &xs);
             mb.write_f64_slice(y, &ys);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_f64("x", &m.read_f64_slice(x, self.x0.len()), &expected, 1e-9)?;
         Ok(RunOutput {
             outcome,

@@ -187,7 +187,7 @@ impl Loop6 {
             mb.write_f64_slice(w, &ws);
             mb.write_f64_slice(b, &bs);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_f64("w", &m.read_f64_slice(w, n), &expected, 1e-9)?;
         Ok(RunOutput {
             outcome,

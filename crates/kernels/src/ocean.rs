@@ -126,7 +126,7 @@ impl OceanProxy {
             mb.write_f64_slice(u, &us);
         })?;
         // One "rep" = the whole multi-sweep solve.
-        let (outcome, faults) = run_spec_reps(&mut m, 1, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, 1, exec)?;
         check_f64("u", &m.read_f64_slice(u, g * g), &self.reference(), 1e-9)?;
         Ok(RunOutput {
             outcome,

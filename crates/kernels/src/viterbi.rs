@@ -255,7 +255,7 @@ impl Viterbi {
             mb.write_u64_slice(recv0, &r0);
             mb.write_u64_slice(recv1, &r1);
         })?;
-        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec, &att)?;
+        let (outcome, faults) = run_spec_reps(&mut m, REPS, exec)?;
         check_u64(
             "decoded",
             &m.read_u64_slice(out, t_count),

@@ -169,7 +169,4 @@ fn clustered_topology_is_part_of_the_spec_surface() {
     );
     let out = run(&spec).unwrap();
     assert!(out.outcome.cycles_per_rep > 0.0);
-    // and it round-trips over the wire like every other field
-    let back = RunSpec::parse(&spec.canonical_json()).unwrap();
-    assert_eq!(back.canonical_json(), spec.canonical_json());
 }
