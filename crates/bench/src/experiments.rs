@@ -205,7 +205,7 @@ fn yes_or_mismatch(holds: bool) -> &'static str {
 }
 
 /// Schema tag of every JSON document an experiment writes.
-pub const RUNS_SCHEMA: &str = "fastbar-runs/v1";
+pub const RUNS_SCHEMA: &str = "fastbar-runs/v2";
 
 /// The [`RUNS_SCHEMA`] document of experiment `name`: the header
 /// (`schema`, `experiment`, `jobs`, `quick`), the experiment's own

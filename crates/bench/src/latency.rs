@@ -50,6 +50,13 @@ mod tests {
     }
 
     #[test]
+    fn fig4_machines_have_the_harness_cycle_limit() {
+        let spec = RunSpec::fig4(BarrierMechanism::SwCentral, 4, 2, 1);
+        let m = fig4_machine_with(&spec, &mut RunAttachments::default()).unwrap();
+        assert_eq!(m.config().cycle_limit, kernels::CYCLE_LIMIT);
+    }
+
+    #[test]
     fn non_fig4_specs_are_rejected() {
         let spec = RunSpec::parallel(WorkloadSpec::Loop1 { n: 64 }, 4, BarrierMechanism::FilterD);
         let built = fig4_machine_with(&spec, &mut RunAttachments::default());

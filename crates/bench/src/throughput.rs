@@ -15,6 +15,7 @@
 //! informational only; the gated timing is perfbench.
 
 use barrier_filter::BarrierMechanism;
+use cmp_sim::fnv64;
 use kernels::RunSpec;
 
 use crate::kernel_runs::viterbi;
@@ -51,14 +52,8 @@ pub fn fig4_specs(cores: usize, inner: u64, outer: u64) -> Vec<RunSpec> {
 /// so a harness that runs the per-mechanism specs itself can check them
 /// against the committed value.
 pub fn fold_fig4_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for d in digests {
-        for b in d.to_le_bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    digest
+    let bytes: Vec<u8> = digests.into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv64(&bytes)
 }
 
 /// The suite's runs: the seven fig4 specs at 16 cores, then the Viterbi
@@ -92,6 +87,13 @@ pub(crate) fn suite_digests(stats_digests: &[u64]) -> [u64; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_fold_is_fnv64_over_little_endian_digests() {
+        let (a, b) = (0x0123_4567_89ab_cdef_u64, 0xfedc_ba98_7654_3210_u64);
+        let bytes = [a.to_le_bytes(), b.to_le_bytes()].concat();
+        assert_eq!(fold_fig4_digests([a, b]), fnv64(&bytes));
+    }
 
     #[test]
     fn the_suite_is_the_fig4_specs_then_viterbi() {

@@ -85,12 +85,6 @@ pub struct Cache {
     set_mask: u64,
     latency: u64,
     tick: u64,
-    /// Placement generation: bumped whenever a line can appear, move, or
-    /// disappear (`insert`, `invalidate`) — NOT on `lookup`/`set_state`,
-    /// which leave every line in its slot. The fused-memory executor's
-    /// per-core line memo ([`crate::decode`]) caches `(line, slot, gen)`
-    /// and stays valid exactly while the generation matches.
-    generation: u64,
     stats: CacheStats,
 }
 
@@ -105,15 +99,8 @@ impl Cache {
             set_mask: sets as u64 - 1,
             latency: config.latency,
             tick: 0,
-            generation: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Current placement generation (see the field docs).
-    #[inline]
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Access latency in cycles.
@@ -136,52 +123,20 @@ impl Cache {
     /// position is refreshed and the state returned.
     #[inline]
     pub fn lookup(&mut self, line: u64) -> Option<LineState> {
-        self.lookup_slot(line)
-            .map(|slot| self.slots[slot as usize].state)
-    }
-
-    /// [`lookup`](Cache::lookup), additionally returning the hit slot's
-    /// arena index so the fused-memory executor can memoize it. Performs
-    /// *exactly* the same simulated mutations (tick, LRU refresh, hit/miss
-    /// counters) — `lookup` delegates here, so the two cannot drift.
-    #[inline]
-    pub(crate) fn lookup_slot(&mut self, line: u64) -> Option<u32> {
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(line);
-        let start = range.start;
-        match self.slots[range]
-            .iter_mut()
-            .enumerate()
-            .find(|(_, w)| w.line == line)
-        {
-            Some((i, w)) => {
+        match self.slots[range].iter_mut().find(|w| w.line == line) {
+            Some(w) => {
                 w.lru = tick;
                 self.stats.hits += 1;
-                Some((start + i) as u32)
+                Some(w.state)
             }
             None => {
                 self.stats.misses += 1;
                 None
             }
         }
-    }
-
-    /// Refresh an already-validated hit at `slot` — the fused-memory
-    /// executor's line-memo fast path. Mutates exactly what the hit arm of
-    /// [`lookup_slot`](Cache::lookup_slot) would (tick, that way's LRU,
-    /// the hit counter) without the set walk. Callers must hold a memo
-    /// validated against [`generation`](Cache::generation); the debug
-    /// assert pins the contract.
-    #[inline]
-    pub(crate) fn touch(&mut self, slot: u32, line: u64) {
-        debug_assert_eq!(
-            self.slots[slot as usize].line, line,
-            "stale fused-memory line memo"
-        );
-        self.tick += 1;
-        self.slots[slot as usize].lru = self.tick;
-        self.stats.hits += 1;
     }
 
     /// Check for presence without disturbing LRU or counting stats.
@@ -196,7 +151,6 @@ impl Cache {
     /// Insert (fill) `line` in `state`, returning the evicted victim, if
     /// any, as `(line, state)`.
     pub fn insert(&mut self, line: u64, state: LineState) -> Option<(u64, LineState)> {
-        self.generation += 1;
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(line);
@@ -235,7 +189,6 @@ impl Cache {
 
     /// Remove `line` if present, returning its state.
     pub fn invalidate(&mut self, line: u64) -> Option<LineState> {
-        self.generation += 1;
         let range = self.set_range(line);
         let w = self.slots[range].iter_mut().find(|w| w.line == line)?;
         let state = w.state;

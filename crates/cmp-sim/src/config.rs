@@ -250,20 +250,17 @@ pub struct SimConfig {
     /// Abort the simulation if it exceeds this many cycles (deadlock guard
     /// for tests and the harness).
     pub cycle_limit: u64,
-    /// Run the reference engine instead of the production one. The
-    /// production engine retires instructions out of the decoded-superblock
-    /// cache (with loads and stores fused onto a per-core L1D line memo)
-    /// and lets a core retire up to 64 consecutive instructions in place
-    /// while every queued event lies strictly later (see
-    /// `Machine::run_until`). The reference engine turns both off: every
-    /// instruction is fetched and decoded by the `step_core` interpreter
-    /// and round-trips the event queue. The pinned digests were minted on
-    /// the reference path, and the two engines must agree on every
-    /// simulated number — this switch exists only so tests can hold the
-    /// production engine to that. Host-side counters
-    /// ([`Machine::burst_retired`](crate::Machine::burst_retired),
-    /// [`DecodeCacheStats`](crate::DecodeCacheStats),
-    /// [`FusedMemStats`](crate::FusedMemStats)) stay zero on it.
+    /// Run the reference engine instead of the production one. Both
+    /// engines execute every instruction through the same interpreter; the
+    /// production engine also lets a core retire up to 64 consecutive
+    /// instructions in place while every queued event lies strictly later
+    /// (core-step bursts, see `Machine::run_until`). The reference engine
+    /// turns bursts off: every instruction round-trips the event queue.
+    /// The pinned digests were minted on the reference path, and the two
+    /// engines must agree on every simulated number — this switch exists
+    /// only so tests can hold the production engine to that.
+    /// [`Machine::burst_retired`](crate::Machine::burst_retired) stays zero
+    /// on it.
     pub reference_engine: bool,
     /// Trace-sink selection: where memory-system trace events stream to
     /// (off by default; sinks are observers and never change simulated

@@ -76,8 +76,8 @@ pub struct CoreStats {
 /// One core: architectural registers plus the blocking state the engine
 /// tracks for it.
 ///
-/// `repr(C)` with the per-step scalars (`pc`, flags, decoded-block cursor,
-/// fetch window, issue accumulator) declared first: every instruction the
+/// `repr(C)` with the per-step scalars (`pc`, flags, fetch window, issue
+/// accumulator) declared first: every instruction the
 /// engine steps touches exactly these, and clustering them keeps a step to
 /// a couple of host cache lines instead of scattering hot fields between
 /// the 512-byte register arrays. Purely a host-side layout choice.
@@ -88,20 +88,6 @@ pub(crate) struct Core {
     pub halted: bool,
     /// Whether a `StoreRetire` event is in flight for the buffer head.
     pub draining: bool,
-    /// Decoded-block cursor: next arena position to execute when the cursor
-    /// is live. Live iff `dec_pos < dec_end && dec_pc == pc && dec_gen`
-    /// matches the decode cache's generation; a live cursor implies the
-    /// ifetch window covers `pc` (blocks never cross lines), so
-    /// [`Core::clear_ifetch_window`] also resets the cursor and every
-    /// window invalidation (isync, icbi broadcast, migration) invalidates
-    /// both together.
-    pub dec_pos: u32,
-    /// One past the last arena position of the cursor's block.
-    pub dec_end: u32,
-    /// The pc the op at `dec_pos` was decoded from.
-    pub dec_pc: u64,
-    /// Decode-cache generation the cursor was stamped with.
-    pub dec_gen: u64,
     /// Fetch fast path: pcs in `ifetch_lo..ifetch_hi` (the bounds of the
     /// I-cache line the previous instruction decoded from) skip the L1I
     /// lookup. `(1, 0)` — an empty window — means no line is cached;
@@ -111,17 +97,6 @@ pub(crate) struct Core {
     pub ifetch_hi: u64,
     /// Fractional-cycle accumulator (twelfths) for superscalar issue.
     pub issue_frac: u64,
-    /// Fused-memory line memo: the L1D line the core's last fused load hit.
-    /// `u64::MAX` (never a valid line address) means no memo.
-    pub mem_line: u64,
-    /// The L1D slot `mem_line` occupied when the memo was taken.
-    pub mem_slot: u32,
-    /// [`Cache::generation`](crate::cache::Cache) stamp the memo was taken
-    /// at; the memo is valid only while the L1D's generation still matches
-    /// (insert/invalidate bump it, so a valid memo proves the line is still
-    /// resident in the same slot). Host-side only — the fused hit replays
-    /// exactly the interpreter's lookup mutations.
-    pub mem_gen: u64,
     pub waiting: Waiting,
     pub stats: CoreStats,
     pub regs: [u64; Reg::COUNT],
@@ -147,15 +122,8 @@ impl Core {
             waiting: Waiting::None,
             ifetch_lo: 1,
             ifetch_hi: 0,
-            dec_pos: 0,
-            dec_end: 0,
-            dec_pc: 0,
-            dec_gen: 0,
             mshr_used: 0,
             issue_frac: 0,
-            mem_line: u64::MAX,
-            mem_slot: 0,
-            mem_gen: 0,
             stats: CoreStats::default(),
         }
     }
@@ -211,14 +179,10 @@ impl Core {
         self.stats.mshr_peak = self.stats.mshr_peak.max(self.mshr_used);
     }
 
-    /// Invalidate the instruction-fetch fast-path window, and with it the
-    /// decoded-block cursor (a live cursor always lies inside the window's
-    /// line, so the two must drop together).
+    /// Invalidate the instruction-fetch fast-path window.
     pub fn clear_ifetch_window(&mut self) {
         self.ifetch_lo = 1;
         self.ifetch_hi = 0;
-        self.dec_pos = 0;
-        self.dec_end = 0;
     }
 }
 

@@ -62,7 +62,6 @@ mod cache;
 mod coherence;
 mod config;
 mod core;
-mod decode;
 mod error;
 mod event_queue;
 mod fastmap;
@@ -84,7 +83,6 @@ pub use config::{
     BusConfig, CacheConfig, CoreTiming, HopLatency, HwBarrierConfig, SimConfig, Topology, MAX_CORES,
 };
 pub use core::CoreStats;
-pub use decode::{DecodeCacheStats, FusedMemStats};
 pub use error::SimError;
 pub use faults::{run_with_faults, FaultEvent, FaultKind, FaultPlan, FaultReport, Lcg};
 pub use hook::{
@@ -95,7 +93,7 @@ pub use json::{fnv64, json_escape, parse_u64_flex, Json, JsonError};
 pub use layout::{AddressSpace, LayoutError, BARRIER_BASE, BARRIER_END, DATA_BASE};
 pub use machine::{Machine, RunState};
 pub use mem::Memory;
-pub use stats::{MachineStats, Measurement, RunSummary};
+pub use stats::{DecodeCacheStats, FusedMemStats, MachineStats, Measurement, RunSummary};
 pub use trace::{
     ChromeTraceSink, EpisodeStats, NullSink, RingSink, TraceConfig, TraceEvent, TraceSink,
 };

@@ -26,13 +26,12 @@
 //! deadlock detector below fires only when the queue is *empty*, so it has
 //! no ordering dependence at all: its report iterates cores by index.
 
-use sim_isa::{line_of, FReg, Instr, MemWidth, Program, Reg};
+use sim_isa::{line_of, Instr, MemWidth, Program, Reg};
 
 use crate::bus::{Interconnect, Resource};
 use crate::cache::{Cache, LineState};
 use crate::coherence::{Directory, ReadOutcome};
 use crate::core::{Continuation, Core, Waiting};
-use crate::decode::{DecodeCache, DecodeCacheStats, FusedMemStats, MemClass};
 use crate::error::SimError;
 use crate::event_queue::CalendarQueue;
 use crate::fastmap::FxHashMap;
@@ -41,7 +40,7 @@ use crate::hook::{
 };
 use crate::hwnet::{DedicatedNetwork, HwBarResult};
 use crate::mem::Memory;
-use crate::stats::{MachineStats, RunSummary};
+use crate::stats::{DecodeCacheStats, FusedMemStats, MachineStats, RunSummary};
 use crate::trace::{EpisodeTracker, TraceEvent, TraceSink};
 use crate::SimConfig;
 
@@ -187,9 +186,10 @@ impl ParkedSet {
     }
 }
 
-/// Per-instruction-class issue costs, pre-scaled to twelfths of a cycle
-/// (`cost * 12 / width`, the quantity `finish_units` accumulates). Computed
-/// once at build time so the retire path performs no division.
+/// The interpreter's cost table: per-instruction-class issue costs,
+/// pre-scaled to twelfths of a cycle (`cost * 12 / width`, the quantity
+/// `finish_units` accumulates). Computed once at build time so the retire
+/// path performs no division.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScaledCosts {
     int_op: u64,
@@ -222,9 +222,8 @@ impl ScaledCosts {
     /// The pre-scaled issue cost the retire path charges for `instr` (its
     /// `finish_units` argument). Instructions whose cost is decided
     /// elsewhere — control flow, fences, barriers, `sc`, `halt`, `nop` —
-    /// retire through whole-cycle paths and map to 0 here; the decoded
-    /// executor never reads the field for them.
-    pub(crate) fn units_of(&self, instr: &Instr) -> u64 {
+    /// retire through whole-cycle paths and map to 0 here.
+    fn units_of(&self, instr: &Instr) -> u64 {
         use Instr::*;
         match instr {
             Add(..) | Sub(..) | And(..) | Or(..) | Xor(..) | Sll(..) | Srl(..) | Sra(..)
@@ -313,17 +312,9 @@ pub struct Machine {
     /// deliberately not part of [`MachineStats`], which fingerprints
     /// simulated behaviour only).
     burst_retired: u64,
-    /// Decoded-superblock cache (see [`crate::decode`]): pre-decoded
-    /// straight-line runs with pre-scaled issue costs, so the hot path
-    /// skips `Program::fetch` and the cost tables entirely.
-    decode: DecodeCache,
-    /// Cached [`SimConfig::reference_engine`]: routes `CoreReady` stepping
-    /// through the reference interpreter, with no bursts, instead of the
-    /// decoded executor.
+    /// Cached [`SimConfig::reference_engine`]: dispatches every
+    /// `CoreReady` through the queue, with no bursts.
     reference: bool,
-    /// Memory-op-fused executor counters (host-side; see
-    /// [`FusedMemStats`]).
-    fused: FusedMemStats,
     /// Cores currently holding a LL reservation; lets the per-store
     /// [`clear_links`](Machine::clear_links) broadcast skip its all-cores
     /// scan in the (overwhelmingly common) no-reservation case.
@@ -331,7 +322,7 @@ pub struct Machine {
     /// Self-modifying-code patches staged by [`Machine::patch_code`],
     /// deduplicated by pc. A patch lands in the program image only when an
     /// `icbi` broadcast covers its line — until then every fetch
-    /// (windowed, decoded, or cold) architecturally sees the old word, so
+    /// (windowed or cold) architecturally sees the old word, so
     /// the stale-fetch window is deterministic and identical on the
     /// production and reference engines.
     pending_patches: Vec<(u64, Instr)>,
@@ -394,9 +385,7 @@ impl Machine {
             burst_core: usize::MAX,
             burst_ready: None,
             burst_retired: 0,
-            decode: DecodeCache::new(&program),
             reference: config.reference_engine,
-            fused: FusedMemStats::default(),
             live_links: 0,
             pending_patches: Vec::new(),
             config,
@@ -516,7 +505,7 @@ impl Machine {
                     // path's last event push, so pushing the `CoreReady`
                     // there directly assigns the identical `seq` the
                     // flush would have. The reference engine never bursts.
-                    Ev::CoreReady(c) => self.step_once(c as usize)?,
+                    Ev::CoreReady(c) => self.step_core(c as usize)?,
                     ev => self.dispatch(ev)?,
                 }
                 if self.live_cores == 0 {
@@ -552,7 +541,7 @@ impl Machine {
         let mut left = BURST_BUDGET;
         let result = loop {
             debug_assert!(self.burst_ready.is_none());
-            if let Err(e) = self.step_once(c) {
+            if let Err(e) = self.step_core(c) {
                 break Err(e);
             }
             let Some(at) = self.burst_ready.take() else {
@@ -626,22 +615,17 @@ impl Machine {
         self.burst_retired
     }
 
-    /// Decoded-superblock cache counters so far (hits/builds/invalidations).
-    ///
-    /// Host-side engine metrics like [`burst_retired`](Machine::burst_retired):
-    /// zero on the reference engine while every simulated number stays
-    /// bit-identical, so they are not part of [`MachineStats`] or its
-    /// digest. Tests use the hit counter to prove the decoded executor
-    /// actually engaged.
+    /// Always zero: the engine has no decode cache. Kept only so that the
+    /// repository benchmark (`perfbench/`), which reads it, builds.
     pub fn decode_stats(&self) -> DecodeCacheStats {
-        self.decode.stats()
+        DecodeCacheStats::default()
     }
 
-    /// Memory-op-fused executor counters so far (fused loads/stores, line-
-    /// memo hits). All zero on the reference engine. Host-side engine
-    /// metrics, not part of [`MachineStats`] or its digest.
+    /// Always zero: the engine has no fused memory executor. Kept only so
+    /// that the repository benchmark (`perfbench/`), which reads it,
+    /// builds.
     pub fn fused_stats(&self) -> FusedMemStats {
-        self.fused
+        FusedMemStats::default()
     }
 
     /// Stage a self-modifying-code patch: replace the instruction at `pc`
@@ -888,7 +872,7 @@ impl Machine {
 
     fn dispatch(&mut self, ev: Ev) -> Result<(), SimError> {
         match ev {
-            Ev::CoreReady(c) => self.step_once(c as usize),
+            Ev::CoreReady(c) => self.step_core(c as usize),
             Ev::StoreRetire(c) => self.store_retire(c as usize),
             Ev::FillReady {
                 core,
@@ -1534,21 +1518,9 @@ impl Machine {
         self.schedule(at, Ev::CoreReady(c as u32));
     }
 
-    /// Execute one instruction on core `c`, routed through the decoded
-    /// executor or, on the reference engine, the interpreter. Both produce
-    /// identical simulated behaviour (see [`crate::decode`]).
-    fn step_once(&mut self, c: usize) -> Result<(), SimError> {
-        if self.reference {
-            self.step_core(c)
-        } else {
-            self.step_core_fast(c)
-        }
-    }
-
-    /// Shared I-fetch front end: ensure the ifetch window covers `pc`,
-    /// going through the L1I (and on a miss, the fill machinery) exactly as
-    /// before. Returns `false` when the core blocked on an instruction
-    /// fill.
+    /// I-fetch front end: ensure the ifetch window covers `pc`, going
+    /// through the L1I (and on a miss, the fill machinery). Returns `false`
+    /// when the core blocked on an instruction fill.
     fn ifetch_window(&mut self, c: usize, pc: u64) -> Result<bool, SimError> {
         if pc < self.cores[c].ifetch_lo || pc >= self.cores[c].ifetch_hi {
             let fetch_line = line_of(pc);
@@ -1575,8 +1547,8 @@ impl Machine {
         Ok(true)
     }
 
-    /// Reference interpreter step: fetch from the program image, compute
-    /// the issue cost from the tables, execute.
+    /// Execute the next instruction on core `c`: fetch it from the program
+    /// image through the I-fetch window, then execute it.
     fn step_core(&mut self, c: usize) -> Result<(), SimError> {
         let core = &self.cores[c];
         if core.halted || !matches!(core.waiting, Waiting::None) {
@@ -1589,107 +1561,13 @@ impl Machine {
         let Some(instr) = self.program.fetch(pc) else {
             return Err(SimError::IllegalPc { core: c, pc });
         };
-        let units = self.scaled.units_of(&instr);
-        self.exec_instr(c, pc, instr, units)
-    }
-
-    /// Decoded-executor step: retire the next instruction straight out of
-    /// the decoded-superblock cache. The per-core cursor makes the common
-    /// case (straight-line code inside a block) a bounds-check and an
-    /// arena read — no window math, no block-table probe, no
-    /// `Program::fetch`, no cost lookup.
-    fn step_core_fast(&mut self, c: usize) -> Result<(), SimError> {
-        let core = &self.cores[c];
-        if core.halted || !matches!(core.waiting, Waiting::None) {
-            return Ok(());
-        }
-        let pc = core.pc;
-        if core.dec_pos < core.dec_end && core.dec_pc == pc && core.dec_gen == self.decode.gen {
-            // Cursor hit. A live cursor implies the ifetch window covers
-            // `pc` (blocks never cross lines and window invalidations
-            // clear the cursor), so the window check is skipped exactly
-            // when it would have passed.
-            let pos = core.dec_pos;
-            return self.exec_decoded(c, pc, pos);
-        }
-        if !self.ifetch_window(c, pc)? {
-            return Ok(());
-        }
-        let Some((start, end)) = self.decode.block_at(pc, &self.program, &self.scaled) else {
-            return Err(SimError::IllegalPc { core: c, pc });
-        };
-        let core = &mut self.cores[c];
-        core.dec_pos = start;
-        core.dec_end = end;
-        core.dec_pc = pc;
-        core.dec_gen = self.decode.gen;
-        self.exec_decoded(c, pc, start)
-    }
-
-    /// Execute the decoded op at arena position `pos`, advancing the
-    /// cursor to the fall-through successor first. The optimistic advance
-    /// is exact: ops that divert (branches, `jal`, `halt`) are always the
-    /// last op of their block, so the advanced cursor is already invalid
-    /// (`dec_pos == dec_end`); ops that block and later resume do so at
-    /// the fall-through pc; and an op that re-executes at the same pc
-    /// (store-buffer-full) misses the cursor and re-enters through the
-    /// block table.
-    fn exec_decoded(&mut self, c: usize, pc: u64, pos: u32) -> Result<(), SimError> {
-        let op = self.decode.op(pos);
-        let core = &mut self.cores[c];
-        core.dec_pos = pos + 1;
-        core.dec_pc = pc + sim_isa::INSTR_BYTES;
-        // Memory-op-fused dispatch. The fused arms perform exactly the
-        // interpreter arms' simulated actions in the same order (see each
-        // helper's digest argument); only the dispatch and the L1D set
-        // walk are elided.
-        let units = u64::from(op.units);
-        match op.mem {
-            MemClass::Other => self.exec_instr(c, pc, op.instr, units),
-            MemClass::Load {
-                rd,
-                base,
-                off,
-                width,
-                link,
-            } => self.exec_load_fused(c, pc, rd, base, i64::from(off), width, link, units),
-            MemClass::FLoad { fd, base, off } => {
-                self.exec_fload_fused(c, pc, fd, base, i64::from(off), units)
-            }
-            MemClass::Store {
-                src,
-                base,
-                off,
-                width,
-            } => {
-                self.fused.stores += 1;
-                let addr = self.cores[c].reg(base).wrapping_add(off as i64 as u64);
-                let v = self.cores[c].reg(src);
-                self.exec_store(c, pc, addr, width, v, units, pc + sim_isa::INSTR_BYTES)
-            }
-            MemClass::FStore { fs, base, off } => {
-                self.fused.stores += 1;
-                let addr = self.cores[c].reg(base).wrapping_add(off as i64 as u64);
-                let bits = self.cores[c].freg(fs).to_bits();
-                self.exec_store(
-                    c,
-                    pc,
-                    addr,
-                    MemWidth::D,
-                    bits,
-                    units,
-                    pc + sim_isa::INSTR_BYTES,
-                )
-            }
-        }
+        self.exec_instr(c, pc, instr)
     }
 
     /// Execute one already-fetched instruction at `pc` on core `c`.
-    /// `units` is the pre-scaled issue cost [`ScaledCosts::units_of`]
-    /// assigns the instruction — passed in so the decoded executor can
-    /// serve it from the block cache without a table lookup.
-    fn exec_instr(&mut self, c: usize, pc: u64, instr: Instr, units: u64) -> Result<(), SimError> {
+    fn exec_instr(&mut self, c: usize, pc: u64, instr: Instr) -> Result<(), SimError> {
         let now = self.now;
+        let units = self.scaled.units_of(&instr);
         let t = &self.config.timing;
         let next = pc + sim_isa::INSTR_BYTES;
 
@@ -2049,156 +1927,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Fused-executor integer load: [`exec_load`](Machine::exec_load) with
-    /// the L1D set walk memoized per core. Digest argument: the memo is
-    /// valid only while the L1D's generation is unchanged since it was
-    /// taken, and only inserts/invalidations bump the generation, so a
-    /// valid memo proves the line is still resident in the memoized slot —
-    /// exactly the case where `Cache::lookup` would hit. [`Cache::touch`]
-    /// then applies the identical tick/LRU/hit-counter mutations the
-    /// lookup's hit arm would, after the identical `loads` increment, so
-    /// every digest-covered number is bit-for-bit the interpreter's.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_load_fused(
-        &mut self,
-        c: usize,
-        pc: u64,
-        rd: Reg,
-        base: Reg,
-        off: i64,
-        width: MemWidth,
-        set_link: bool,
-        units: u64,
-    ) -> Result<(), SimError> {
-        let next = pc + sim_isa::INSTR_BYTES;
-        let addr = self.cores[c].reg(base).wrapping_add(off as u64);
-        self.check_aligned(c, pc, addr, width.bytes())?;
-        let line = line_of(addr);
-        self.fused.loads += 1;
-        self.cores[c].stats.loads += 1;
-        let hit = if self.cores[c].mem_line == line
-            && self.cores[c].mem_gen == self.l1d[c].generation()
-        {
-            self.fused.memo_hits += 1;
-            let slot = self.cores[c].mem_slot;
-            self.l1d[c].touch(slot, line);
-            true
-        } else if let Some(slot) = self.l1d[c].lookup_slot(line) {
-            let gen = self.l1d[c].generation();
-            let core = &mut self.cores[c];
-            core.mem_line = line;
-            core.mem_slot = slot;
-            core.mem_gen = gen;
-            true
-        } else {
-            false
-        };
-        if hit {
-            // Width-specialized read: `ldd`/`ll` dominate the kernels, and
-            // the constant-width call lets the 8-byte copy compile to one
-            // load instead of a variable-length move.
-            let v = if width == MemWidth::D {
-                self.mem.read_u64(addr)
-            } else {
-                self.mem.read_le(addr, width.bytes() as usize)
-            };
-            self.cores[c].set_reg(rd, v);
-            if set_link {
-                self.set_link(c, line);
-            }
-            self.trace(TraceEvent::DataRead {
-                core: c,
-                addr,
-                bytes: width.bytes(),
-            });
-            self.finish_units(c, units, next);
-            return Ok(());
-        }
-        let access = self.miss_path(
-            c,
-            line,
-            AccessKind::DRead,
-            self.now + self.config.timing.load,
-            FillPurpose::Resume,
-        )?;
-        self.cores[c].pc = next;
-        self.cores[c].stats.instructions += 1;
-        self.cores[c].waiting = Waiting::Fill {
-            line,
-            cont: Continuation::Load {
-                rd,
-                addr,
-                width,
-                set_link,
-            },
-            parked: matches!(access, Access::Parked),
-        };
-        Ok(())
-    }
-
-    /// Fused-executor floating-point load: the `Fld` interpreter arm with
-    /// the same per-core line memo as
-    /// [`exec_load_fused`](Machine::exec_load_fused).
-    fn exec_fload_fused(
-        &mut self,
-        c: usize,
-        pc: u64,
-        fd: FReg,
-        base: Reg,
-        off: i64,
-        units: u64,
-    ) -> Result<(), SimError> {
-        let next = pc + sim_isa::INSTR_BYTES;
-        let addr = self.cores[c].reg(base).wrapping_add(off as u64);
-        self.check_aligned(c, pc, addr, 8)?;
-        let line = line_of(addr);
-        self.fused.loads += 1;
-        self.cores[c].stats.loads += 1;
-        let hit = if self.cores[c].mem_line == line
-            && self.cores[c].mem_gen == self.l1d[c].generation()
-        {
-            self.fused.memo_hits += 1;
-            let slot = self.cores[c].mem_slot;
-            self.l1d[c].touch(slot, line);
-            true
-        } else if let Some(slot) = self.l1d[c].lookup_slot(line) {
-            let gen = self.l1d[c].generation();
-            let core = &mut self.cores[c];
-            core.mem_line = line;
-            core.mem_slot = slot;
-            core.mem_gen = gen;
-            true
-        } else {
-            false
-        };
-        if hit {
-            let v = self.mem.read_f64(addr);
-            self.cores[c].set_freg(fd, v);
-            self.trace(TraceEvent::DataRead {
-                core: c,
-                addr,
-                bytes: 8,
-            });
-            self.finish_units(c, units, next);
-            return Ok(());
-        }
-        let access = self.miss_path(
-            c,
-            line,
-            AccessKind::DRead,
-            self.now + self.config.timing.load,
-            FillPurpose::Resume,
-        )?;
-        self.cores[c].pc = next;
-        self.cores[c].stats.instructions += 1;
-        self.cores[c].waiting = Waiting::Fill {
-            line,
-            cont: Continuation::FLoad { fd, addr },
-            parked: matches!(access, Access::Parked),
-        };
-        Ok(())
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec_store(
         &mut self,
@@ -2255,18 +1983,14 @@ impl Machine {
             for i in 0..self.cores.len() {
                 self.l1i[i].invalidate(line);
                 if self.cores[i].ifetch_lo == line {
-                    // Also resets the core's decoded-block cursor: a live
-                    // cursor always lies inside the window's line.
                     self.cores[i].clear_ifetch_window();
                 }
             }
             if self.program.overlaps_code(line, sim_isa::LINE_BYTES) {
                 // The icbi broadcast is the architectural point where new
                 // code becomes fetchable: land any staged patches for this
-                // line, then drop the line's decoded blocks so they are
-                // rebuilt from the patched image. Gated on the code region
-                // so data-line icbis (the barrier-filter arrival protocol)
-                // stay off this path.
+                // line. Gated on the code region so data-line icbis (the
+                // barrier-filter arrival protocol) stay off this path.
                 self.apply_patches(line);
             }
         }
@@ -2305,12 +2029,10 @@ impl Machine {
     }
 
     /// Land every staged [`patch_code`](Machine::patch_code) patch on
-    /// `line` in the program image and invalidate the line's decoded
-    /// blocks. Called only from an `icbi` broadcast covering `line`, which
-    /// has already reset the ifetch window (and with it the decoded-block
-    /// cursor) of every core fetching from it.
+    /// `line` in the program image. Called only from an `icbi` broadcast
+    /// covering `line`, which has already reset the ifetch window of every
+    /// core fetching from it.
     fn apply_patches(&mut self, line: u64) {
-        let mut patched = false;
         let mut i = 0;
         while i < self.pending_patches.len() {
             let (pc, instr) = self.pending_patches[i];
@@ -2318,18 +2040,9 @@ impl Machine {
                 self.pending_patches.swap_remove(i);
                 let old = self.program.patch(pc, instr);
                 debug_assert!(old.is_some(), "patch_code validated the pc");
-                patched = true;
             } else {
                 i += 1;
             }
-        }
-        // Only an actually-patched line invalidates decoded blocks: a
-        // code-line icbi with nothing staged (the instruction-filter
-        // barrier's arrival protocol fires one per arrival) leaves the
-        // image unchanged, so its blocks are still exact. The reference
-        // engine never consults the cache, so it keeps its counters silent.
-        if patched && !self.reference {
-            self.decode.note_patched_line(line, &self.program);
         }
     }
 }

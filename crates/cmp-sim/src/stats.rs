@@ -5,6 +5,7 @@ use crate::cache::CacheStats;
 use crate::coherence::DirectoryStats;
 use crate::core::CoreStats;
 use crate::hwnet::HwNetStats;
+use crate::json::fnv64;
 use crate::trace::EpisodeStats;
 
 /// Result of a completed simulation.
@@ -119,41 +120,41 @@ impl MachineStats {
     /// simulator optimizations (an optimization must not change *any*
     /// simulated behaviour, only host time).
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.cycles);
+        let mut words = vec![self.cycles];
         for c in &self.cores {
-            h.u64(c.instructions);
-            h.u64(c.loads);
-            h.u64(c.stores);
-            h.u64(c.invalidates);
-            h.u64(c.fills_parked);
-            h.u64(c.halt_cycle.map_or(u64::MAX, |v| v));
-            h.u64(c.mshr_peak as u64);
+            words.extend([
+                c.instructions,
+                c.loads,
+                c.stores,
+                c.invalidates,
+                c.fills_parked,
+                c.halt_cycle.map_or(u64::MAX, |v| v),
+                c.mshr_peak as u64,
+            ]);
         }
-        for group in [&self.l1d, &self.l1i, &self.l2] {
-            for c in group.iter() {
-                h.cache(c);
-            }
+        for c in self.l1d.iter().chain(&self.l1i).chain(&self.l2) {
+            words.extend(cache_words(c));
         }
-        h.cache(&self.l3);
+        words.extend(cache_words(&self.l3));
         for r in [&self.addr_bus, &self.data_bus]
             .into_iter()
             .chain(self.hook_ports.iter())
         {
-            h.u64(r.grants);
-            h.u64(r.busy_cycles);
-            h.u64(r.wait_cycles);
+            words.extend([r.grants, r.busy_cycles, r.wait_cycles]);
         }
-        h.u64(self.directory.upgrade_invalidations);
-        h.u64(self.directory.copies_invalidated);
-        h.u64(self.directory.dirty_transfers);
-        h.u64(self.hw_network.arrivals);
-        h.u64(self.hw_network.episodes);
+        words.extend([
+            self.directory.upgrade_invalidations,
+            self.directory.copies_invalidated,
+            self.directory.dirty_transfers,
+            self.hw_network.arrivals,
+            self.hw_network.episodes,
+        ]);
         // NOTE: `self.episodes` and `CoreStats::fills_released` are
         // intentionally excluded — the digest fingerprints simulated
         // behaviour established before the observability layer existed,
         // and adding fields would break every recorded digest.
-        h.0
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        fnv64(&bytes)
     }
 
     /// Total L1D misses across cores.
@@ -167,28 +168,42 @@ impl MachineStats {
     }
 }
 
-/// 64-bit FNV-1a accumulator for [`MachineStats::digest`].
-struct Fnv(u64);
+/// The digest-covered counters of one cache, in digest order.
+fn cache_words(c: &CacheStats) -> [u64; 5] {
+    [
+        c.hits,
+        c.misses,
+        c.evictions,
+        c.dirty_evictions,
+        c.invalidations,
+    ]
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
+/// Decode-cache counters. Always zero: the engine has no decode cache.
+/// Kept only so that the repository benchmark (`perfbench/`), which reads
+/// [`Machine::decode_stats`](crate::Machine::decode_stats), builds.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeCacheStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub builds: u64,
+    /// Always zero.
+    pub invalidations: u64,
+}
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn cache(&mut self, c: &CacheStats) {
-        self.u64(c.hits);
-        self.u64(c.misses);
-        self.u64(c.evictions);
-        self.u64(c.dirty_evictions);
-        self.u64(c.invalidations);
-    }
+/// Fused-memory-executor counters. Always zero: the engine has no fused
+/// executor. Kept only so that the repository benchmark (`perfbench/`),
+/// which reads [`Machine::fused_stats`](crate::Machine::fused_stats),
+/// builds.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FusedMemStats {
+    /// Always zero.
+    pub loads: u64,
+    /// Always zero.
+    pub stores: u64,
+    /// Always zero.
+    pub memo_hits: u64,
 }
 
 #[cfg(test)]

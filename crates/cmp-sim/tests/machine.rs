@@ -799,12 +799,7 @@ fn build_smc_machine(with_icbi: bool, reference_engine: bool) -> (cmp_sim::Machi
 /// lands exactly at the first `icbi` broadcast covering its line. The
 /// first pass still executes the original payload (staging is invisible
 /// to fetch), every later pass executes the patched one — and the whole
-/// run is bit-identical on the production engine (decoded superblocks)
-/// and the reference interpreter, because the icbi both applies the patch
-/// and drops the line's decoded blocks. The decode counters pin
-/// non-vacuousness from both sides: the production engine must rebuild
-/// after exactly one patch invalidation and serve the *patched* block from
-/// cache on the third pass, while the reference engine stays silent.
+/// run is bit-identical on the production and the reference engine.
 #[test]
 fn staged_code_patch_lands_at_icbi_broadcast() {
     let mut reference = None;
@@ -818,14 +813,6 @@ fn staged_code_patch_lands_at_icbi_broadcast() {
             vec![111, 222, 222],
             "reference_engine={reference_engine}: patch must land at the first icbi"
         );
-        let d = m.decode_stats();
-        if reference_engine {
-            assert_eq!(d, Default::default(), "the reference engine never decodes");
-        } else {
-            assert_eq!(d.invalidations, 1, "exactly one pass lands a patch");
-            assert!(d.builds > 0, "payload line must be re-decoded");
-            assert!(d.hits > 0, "third pass reuses the patched block");
-        }
         match &reference {
             None => reference = Some((summary, m.stats().clone())),
             Some((ref_sum, ref_stats)) => {
@@ -842,8 +829,7 @@ fn staged_code_patch_lands_at_icbi_broadcast() {
 /// window a real weakly-ordered ISA permits between a code store and the
 /// `icbi`/`isync` sequence. The point of the test is that this staleness
 /// is *deterministic* — same result on every run, on the production and
-/// the reference engine — rather than dependent on which host execution
-/// strategy happened to have the line decoded.
+/// the reference engine.
 #[test]
 fn missing_icbi_keeps_stale_code_deterministic() {
     let mut reference = None;
@@ -858,13 +844,6 @@ fn missing_icbi_keeps_stale_code_deterministic() {
                 vec![111, 111, 111],
                 "reference_engine={reference_engine} run={run}: no icbi, no patch"
             );
-            let d = m.decode_stats();
-            if reference_engine {
-                assert_eq!(d, Default::default());
-            } else {
-                assert_eq!(d.invalidations, 0, "the staged patch never lands");
-                assert!(d.hits > 0, "later passes reuse the stale block");
-            }
             match &reference {
                 None => reference = Some((summary, m.stats().clone())),
                 Some((ref_sum, ref_stats)) => {

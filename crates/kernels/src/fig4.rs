@@ -5,12 +5,10 @@
 //! As a [`WorkloadSpec`](crate::WorkloadSpec) workload it is addressable
 //! by the same [`RunSpec`](crate::RunSpec) value as every other kernel,
 //! so the Figure 4 table, the pinned `fig4_16core` workload and the
-//! scaling sweep all share one description. The build sequence is fixed
-//! (threads added before the barrier system installs, observer sink
-//! attached after) — the committed Figure 4 digest is pinned against this
-//! path.
+//! scaling sweep all share one description, and it builds its machine
+//! through the same harness path as every other kernel.
 
-use cmp_sim::{Machine, MachineBuilder};
+use cmp_sim::Machine;
 use sim_isa::Reg;
 
 use crate::harness::KernelBuild;
@@ -74,22 +72,7 @@ impl Fig4 {
         asm.addi(Reg::S0, Reg::S0, -1);
         asm.bne(Reg::S0, Reg::ZERO, "outer");
         asm.halt();
-        let program = b.asm.assemble()?;
-        let entry = program.require_symbol("entry")?;
-        let mut cfg = b.config;
-        cfg.trace = b.trace;
-        cfg.cycle_limit = cfg.cycle_limit.max(2_000_000_000);
-        let mut mb = MachineBuilder::new(cfg, program)?;
-        for _ in 0..b.threads {
-            mb.add_thread(entry);
-        }
-        if let Some(sys) = b.sys {
-            sys.install(&mut mb)?;
-        }
-        if let Some(sink) = b.sink {
-            mb.with_trace_sink(sink);
-        }
-        Ok(mb.build()?)
+        b.finish(|_| {})
     }
 
     /// Build and run under `exec`, with per-repetition cost reported per

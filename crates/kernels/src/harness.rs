@@ -15,6 +15,11 @@ use crate::KernelError;
 /// steady-state cost must dominate cold misses).
 pub const REPS: u64 = 24;
 
+/// The cycle limit of every kernel machine: a livelocked barrier fails
+/// with [`SimError::CycleLimitExceeded`](cmp_sim::SimError) instead of
+/// spinning forever.
+pub const CYCLE_LIMIT: u64 = 20_000_000_000;
+
 /// Result of one validated kernel run: the shared [`Measurement`] record
 /// (cycles, instructions, digest, episode metrics) plus the kernel-level
 /// per-repetition figure.
@@ -24,14 +29,18 @@ pub struct KernelOutcome {
     pub sim: Measurement,
     /// Cycles per kernel repetition.
     pub cycles_per_rep: f64,
-    /// Decoded-superblock cache counters for the run. Host-side engine
-    /// metrics: they are zero on the reference engine
+    /// Instructions the run retired through core-step bursts
+    /// ([`Machine::burst_retired`]). A host-side engine metric: it is zero
+    /// on the reference engine
     /// ([`SimConfig::reference_engine`](cmp_sim::SimConfig::reference_engine))
-    /// while `sim` stays bit-identical, so they live outside
+    /// while `sim` stays bit-identical, so it lives outside
     /// [`Measurement`].
+    pub bursts: u64,
+    /// Always zero. Kept only so that the repository benchmark
+    /// (`perfbench/`), which reads it, builds.
     pub decode: DecodeCacheStats,
-    /// Memory-op-fused executor counters (all zero on the reference
-    /// engine). Host-side engine metrics, like `decode`.
+    /// Always zero. Kept only so that the repository benchmark
+    /// (`perfbench/`), which reads it, builds.
     pub fused: FusedMemStats,
     /// Mean wait on the more contended of the two shared buses
     /// (address/data), in cycles per access — the Figure 4 saturation
@@ -81,7 +90,7 @@ impl KernelBuild {
         let program = self.asm.assemble()?;
         let entry = program.require_symbol("entry")?;
         let mut config = self.config;
-        config.cycle_limit = 20_000_000_000;
+        config.cycle_limit = CYCLE_LIMIT;
         config.trace = self.trace;
         let mut mb = MachineBuilder::new(config, program)?;
         init(&mut mb);
@@ -123,8 +132,9 @@ pub(crate) fn run_reps_faulted(
         KernelOutcome {
             sim: Measurement::new(&summary, &stats),
             cycles_per_rep: summary.cycles as f64 / reps as f64,
-            decode: machine.decode_stats(),
-            fused: machine.fused_stats(),
+            bursts: machine.burst_retired(),
+            decode: DecodeCacheStats::default(),
+            fused: FusedMemStats::default(),
             bus_mean_wait: stats.addr_bus.mean_wait().max(stats.data_bus.mean_wait()),
         },
         report,

@@ -52,7 +52,7 @@ pub mod viterbi;
 pub use autocorr::Autocorr;
 pub use error::KernelError;
 pub use fig4::Fig4;
-pub use harness::{KernelOutcome, REPS};
+pub use harness::{KernelOutcome, CYCLE_LIMIT, REPS};
 pub use ocean::OceanProxy;
 pub use spec::{
     run, run_with, ExecSpec, FaultSpec, RunAttachments, RunOutput, RunSpec, WorkloadSpec,

@@ -322,9 +322,14 @@ impl ExecSpec {
         }
         if self.clusters > 1 {
             let cpc = self.threads / self.clusters;
-            if cpc == 0 || cpc * self.clusters != self.threads || !cpc.is_power_of_two() {
+            if !self.clusters.is_power_of_two()
+                || cpc == 0
+                || cpc * self.clusters != self.threads
+                || !cpc.is_power_of_two()
+            {
                 return Err(KernelError::Spec(format!(
-                    "clusters {} must evenly split threads {} into power-of-two slices",
+                    "clusters {} must be a power of two that evenly splits threads {} \
+                     into power-of-two slices",
                     self.clusters, self.threads
                 )));
             }
@@ -522,12 +527,12 @@ impl RunOutput {
     /// document: the spec and its digest, the simulated totals and stats
     /// digest, every [`EpisodeStats`](cmp_sim::EpisodeStats) counter by
     /// name, the per-repetition figures, the fault report and the
-    /// host-side engine counters.
+    /// host-side burst counter.
     pub fn record(&self, spec: &RunSpec) -> Json {
         let spec_json = spec.to_json();
         let spec_digest = fnv64(spec_json.dump().as_bytes());
         let (sim, e) = (&self.outcome.sim, &self.outcome.sim.episodes);
-        let (f, d, u) = (&self.faults, &self.outcome.decode, &self.outcome.fused);
+        let f = &self.faults;
         Json::obj([
             ("spec", spec_json),
             ("spec_digest", Json::hex(spec_digest)),
@@ -563,22 +568,7 @@ impl RunOutput {
                     ("resumed", f.resumed.into()),
                 ]),
             ),
-            (
-                "decode",
-                Json::obj([
-                    ("hits", d.hits.into()),
-                    ("builds", d.builds.into()),
-                    ("invalidations", d.invalidations.into()),
-                ]),
-            ),
-            (
-                "fused",
-                Json::obj([
-                    ("loads", u.loads.into()),
-                    ("stores", u.stores.into()),
-                    ("memo_hits", u.memo_hits.into()),
-                ]),
-            ),
+            ("bursts", self.outcome.bursts.into()),
         ])
     }
 }
@@ -809,9 +799,14 @@ mod tests {
             record.get("cycles_per_rep").and_then(Json::as_f64),
             Some(out.outcome.cycles_per_rep)
         );
-        for key in ["bus_mean_wait", "faults", "decode", "fused"] {
+        for key in ["bus_mean_wait", "faults"] {
             assert!(record.get(key).is_some(), "{key}");
         }
+        assert_eq!(
+            record.get("bursts").and_then(Json::as_u64),
+            Some(out.outcome.bursts)
+        );
+        assert!(out.outcome.bursts > 0, "the production engine bursts");
         assert_eq!(Json::parse(&record.dump()).expect("re-parses"), record);
     }
 
@@ -852,6 +847,14 @@ mod tests {
                 "split",
             ),
             (
+                RunSpec::fig4(BarrierMechanism::SwHier, 12, 2, 1).clustered(3),
+                "three clusters of four",
+            ),
+            (
+                RunSpec::fig4(BarrierMechanism::SwHier, 6, 2, 1).clustered(3),
+                "three clusters of two",
+            ),
+            (
                 RunSpec::parallel(
                     WorkloadSpec::Autocorr { n: 8, lags: 9 },
                     4,
@@ -866,6 +869,30 @@ mod tests {
         let mut seq = RunSpec::sequential(WorkloadSpec::Loop5 { n: 64 });
         seq.exec.threads = 4;
         assert!(seq.validate().is_err(), "sequential with 4 threads");
+    }
+
+    /// Every clustered shape `validate` accepts must build: its preset
+    /// passes [`SimConfig::validate`] instead of panicking in
+    /// [`SimConfig::clustered`].
+    #[test]
+    fn every_accepted_topology_has_a_valid_config() {
+        let mut accepted = 0;
+        for threads in 1..=cmp_sim::MAX_CORES {
+            for clusters in 1..=64 {
+                let spec =
+                    RunSpec::fig4(BarrierMechanism::SwHier, threads, 2, 1).clustered(clusters);
+                if spec.validate().is_ok() {
+                    accepted += 1;
+                    let config = spec.exec.config();
+                    assert_eq!(
+                        config.validate(),
+                        Ok(()),
+                        "{threads} threads, {clusters} clusters"
+                    );
+                }
+            }
+        }
+        assert!(accepted > 1024, "the grid covers clustered shapes");
     }
 
     #[test]

@@ -77,14 +77,10 @@ fn every_kernel_reaches_the_reference_engine_and_keeps_its_digest() {
     for spec in parallel_grid() {
         let kind = spec.workload.kind();
         let base = run(&spec).unwrap();
-        assert!(
-            base.outcome.decode.hits + base.outcome.decode.builds > 0,
-            "{kind}: baseline run should exercise the decode cache"
-        );
+        assert!(base.outcome.bursts > 0, "{kind}: baseline run should burst");
         let oracle = run_with(&spec, RunAttachments::reference()).unwrap();
         assert_eq!(
-            oracle.outcome.decode.hits + oracle.outcome.decode.builds,
-            0,
+            oracle.outcome.bursts, 0,
             "{kind}: the reference-engine attachment was silently ignored"
         );
         assert_eq!(
@@ -151,8 +147,8 @@ fn sequential_runs_reach_the_reference_engine_too() {
     let spec = RunSpec::sequential(WorkloadSpec::Loop5 { n: 64 });
     let base = run(&spec).unwrap();
     let oracle = run_with(&spec, RunAttachments::reference()).unwrap();
-    assert!(base.outcome.decode.hits + base.outcome.decode.builds > 0);
-    assert_eq!(oracle.outcome.decode.hits + oracle.outcome.decode.builds, 0);
+    assert!(base.outcome.bursts > 0);
+    assert_eq!(oracle.outcome.bursts, 0);
     assert_eq!(base.outcome.sim, oracle.outcome.sim);
 }
 

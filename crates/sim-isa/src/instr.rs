@@ -404,28 +404,6 @@ impl Instr {
         }
     }
 
-    /// Whether a decoded superblock must end *after* this instruction.
-    ///
-    /// Superblock caches (the simulator's decoded-trace execution layer)
-    /// pre-decode straight-line runs of instructions. A run cannot continue
-    /// past an instruction whose successor is not statically `pc + 4`
-    /// (control flow, `halt`) or that interacts with instruction fetch or
-    /// synchronization state (`isync`, `icbi`, `dcbi`, `sync`, `hwbar`,
-    /// store-conditional), so those terminate the block.
-    pub fn ends_decode_block(&self) -> bool {
-        self.is_control()
-            || matches!(
-                self,
-                Instr::Sync
-                    | Instr::Isync
-                    | Instr::Icbi(..)
-                    | Instr::Dcbi(..)
-                    | Instr::HwBar(..)
-                    | Instr::Sc(..)
-                    | Instr::Halt
-            )
-    }
-
     /// The statically-known control-flow target of this instruction:
     /// conditional branches and `jal`. `jalr` is indirect and returns `None`.
     pub fn branch_target(&self) -> Option<u64> {
@@ -508,33 +486,6 @@ mod tests {
         assert!(sc.kind.is_write());
         assert_eq!(sc.bytes, 8);
         assert!(Instr::Sync.mem_ref().is_none());
-    }
-
-    #[test]
-    fn decode_block_enders() {
-        for ender in [
-            Instr::Beq(Reg::T0, Reg::T1, Target(0)),
-            Instr::Jal(Reg::RA, Target(0)),
-            Instr::Jalr(Reg::ZERO, Reg::RA, 0),
-            Instr::Sync,
-            Instr::Isync,
-            Instr::Icbi(Reg::K0, 0),
-            Instr::Dcbi(Reg::K0, 0),
-            Instr::HwBar(1),
-            Instr::Sc(Reg::T0, Reg::T1, Reg::T2, 0),
-            Instr::Halt,
-        ] {
-            assert!(ender.ends_decode_block(), "{ender} must end a block");
-        }
-        for straight in [
-            Instr::Addi(Reg::T0, Reg::T0, 1),
-            Instr::Ld(Reg::T0, Reg::T1, 0, MemWidth::D),
-            Instr::Ll(Reg::T0, Reg::T1, 0),
-            Instr::St(Reg::T0, Reg::T1, 0, MemWidth::D),
-            Instr::Nop,
-        ] {
-            assert!(!straight.ends_decode_block(), "{straight} is straight-line");
-        }
     }
 
     #[test]

@@ -41,10 +41,6 @@ impl std::error::Error for MissingSymbol {}
 pub struct Program {
     code: Vec<Instr>,
     symbols: BTreeMap<String, u64>,
-    /// FNV-1a fingerprint of `code`, maintained across [`Program::patch`].
-    /// Decoded-instruction caches key on `(pc, code digest)`; any image
-    /// mutation must change this value so stale decodes cannot be served.
-    digest: u64,
 }
 
 impl Default for Program {
@@ -55,12 +51,7 @@ impl Default for Program {
 
 impl Program {
     pub(crate) fn from_parts(code: Vec<Instr>, symbols: BTreeMap<String, u64>) -> Program {
-        let digest = compute_code_digest(&code);
-        Program {
-            code,
-            symbols,
-            digest,
-        }
+        Program { code, symbols }
     }
 
     /// Number of instructions in the image.
@@ -90,26 +81,14 @@ impl Program {
     /// This is the self-modifying-code primitive: the simulator stages
     /// patches and applies them here when the owning cache line is
     /// invalidated (`icbi`), the point at which the architecture makes a
-    /// code write visible to instruction fetch. The code digest is
-    /// recomputed so decoded-instruction caches keyed on
-    /// [`code_digest`](Program::code_digest) observe the change.
+    /// code write visible to instruction fetch.
     pub fn patch(&mut self, pc: u64, instr: Instr) -> Option<Instr> {
         if pc < CODE_BASE || !(pc - CODE_BASE).is_multiple_of(INSTR_BYTES) {
             return None;
         }
         let idx = ((pc - CODE_BASE) / INSTR_BYTES) as usize;
         let slot = self.code.get_mut(idx)?;
-        let old = std::mem::replace(slot, instr);
-        self.digest = compute_code_digest(&self.code);
-        Some(old)
-    }
-
-    /// Order-sensitive FNV-1a fingerprint of the code image. Two programs
-    /// with different instruction sequences produce different digests (up
-    /// to hash collision); [`patch`](Program::patch) recomputes it. Decoded
-    /// superblock caches use `(pc, code_digest)` as their key.
-    pub fn code_digest(&self) -> u64 {
-        self.digest
+        Some(std::mem::replace(slot, instr))
     }
 
     /// The program counter of a label defined during assembly.
@@ -166,30 +145,6 @@ impl Program {
         let end = addr.saturating_add(bytes);
         addr < self.code_end() && end > CODE_BASE
     }
-}
-
-/// Order-sensitive FNV-1a hash over the textual form of each instruction
-/// (index-tagged, so swapped instructions hash differently). The textual
-/// form is injective enough for cache keying: any visible difference
-/// between two instructions produces different text, and the digest only
-/// needs to *change* when the image changes.
-fn compute_code_digest(code: &[Instr]) -> u64 {
-    use std::fmt::Write;
-    struct Fnv(u64);
-    impl Write for Fnv {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            for &b in s.as_bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for (i, instr) in code.iter().enumerate() {
-        let _ = write!(h, "{i}:{instr};");
-    }
-    h.0
 }
 
 impl fmt::Display for Program {
@@ -288,43 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn patch_replaces_instruction_and_changes_digest() {
+    fn patch_replaces_instruction() {
         let mut p = small();
-        let before = p.code_digest();
+        let before: Vec<_> = p.iter().collect();
         let old = p.patch(CODE_BASE, Instr::Nop).unwrap();
         assert_eq!(old, Instr::Li(Reg::T0, 5));
         assert_eq!(p.fetch(CODE_BASE), Some(Instr::Nop));
-        assert_ne!(p.code_digest(), before, "patch must change the digest");
 
-        // Patching back restores the original digest (pure function of the
-        // image).
+        // Patching back restores the original image.
         p.patch(CODE_BASE, old).unwrap();
-        assert_eq!(p.code_digest(), before);
+        assert_eq!(p.iter().collect::<Vec<_>>(), before);
     }
 
     #[test]
     fn patch_rejects_out_of_range_and_misaligned_pcs() {
         let mut p = small();
-        let digest = p.code_digest();
+        let before: Vec<_> = p.iter().collect();
         assert_eq!(p.patch(CODE_BASE - INSTR_BYTES, Instr::Nop), None);
         assert_eq!(p.patch(CODE_BASE + 1, Instr::Nop), None);
         assert_eq!(p.patch(p.code_end(), Instr::Nop), None);
-        assert_eq!(p.code_digest(), digest, "failed patches leave the image");
-    }
-
-    #[test]
-    fn digest_distinguishes_programs_and_instruction_order() {
-        let two = |a: i64, b: i64| {
-            let mut asm = Asm::new();
-            asm.li(Reg::T0, a).li(Reg::T1, b).halt();
-            asm.assemble().unwrap()
-        };
-        assert_eq!(two(1, 2).code_digest(), two(1, 2).code_digest());
-        assert_ne!(two(1, 2).code_digest(), two(2, 1).code_digest());
-        assert_ne!(
-            small().code_digest(),
-            Program::default().code_digest(),
-            "empty program must not collide with a real one"
+        assert_eq!(
+            p.iter().collect::<Vec<_>>(),
+            before,
+            "failed patches leave the image"
         );
     }
 

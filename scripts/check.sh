@@ -41,8 +41,8 @@ echo "==> pinned-digest gate (--jobs 2, committed digests, both engines)"
 # committed stats digests — catches both host-parallelism regressions
 # (sweep jobs leaking state into each other) and engine changes that
 # silently alter simulated behaviour. --check re-runs both workloads on
-# the reference engine (interpreter, no bursts), which must reproduce the
-# same digests.
+# the reference engine (no bursts), which must reproduce the same
+# digests.
 "$fastbar" throughput --check --jobs 2 \
     --out "$(mktemp -t fastbar_check_throughput.XXXXXX.json)"
 
@@ -69,5 +69,13 @@ echo "==> scaling sweep smoke (quick grid)"
 # sw-hier.
 "$fastbar" fig_scale --quick --jobs 2 \
     --out "$(mktemp -t fastbar_check_scale.XXXXXX.json)"
+
+echo "==> committed figures reproduce byte for byte (--jobs 2)"
+# Simulated results are deterministic and independent of --jobs, so each
+# regenerated figure must equal its committed copy under results/.
+# fig_scale (a six-minute sweep) and hotpath (host timing) stay out.
+for name in table1 fig4 fig5 fig6 fig7 fig8 fig10 ocean ablations; do
+    "$fastbar" "$name" --jobs 2 | cmp - "results/$name.txt"
+done
 
 echo "==> all checks passed"
