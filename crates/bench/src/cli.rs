@@ -18,6 +18,8 @@
 //! assert_eq!(args.runner.jobs(), 2);
 //! ```
 
+use cmp_sim::parse_u64_flex;
+
 use crate::sweep::SweepRunner;
 
 /// Default fault-plan seed for `--seed` (an arbitrary committed constant:
@@ -273,7 +275,7 @@ impl Cli {
                 }
                 "--seed" if self.faults => {
                     let v = value("--seed")?;
-                    parsed.seed = parse_seed(&v)
+                    parsed.seed = parse_u64_flex(&v)
                         .ok_or_else(|| format!("--seed: expected decimal or 0x hex, got {v:?}"))?;
                 }
                 _ => {
@@ -291,15 +293,6 @@ impl Cli {
             }
         }
         Ok(Parse::Run(parsed))
-    }
-}
-
-/// Parse a seed as decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Option<u64> {
-    if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        v.parse().ok()
     }
 }
 
@@ -409,6 +402,8 @@ mod tests {
             (&["--jobs", "many"], "--jobs"),
             (&["--faults", "-1"], "--faults"),
             (&["--seed", "0xZZ"], "--seed"),
+            (&["--seed", "0x+1f"], "--seed"),
+            (&["--seed", "+7"], "--seed"),
             (&["--seed"], "--seed"),
             // Boolean flags take no inline value: `--quick=false` must not
             // quietly mean `--quick`.

@@ -27,8 +27,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use barrier_filter::{BarrierMechanism, BarrierSystem};
-use cmp_sim::{AddressSpace, Json, MachineBuilder, SimConfig, TraceConfig};
+use barrier_filter::{Barrier, BarrierMechanism, BarrierSystem};
+use cmp_sim::{AddressSpace, ChromeTraceSink, Json, MachineBuilder, SimConfig, TraceSink};
 use kernels::{OceanProxy, RunAttachments, RunOutput, RunSpec, WorkloadSpec};
 use sim_isa::{Asm, Reg};
 
@@ -571,6 +571,16 @@ fn ocean(args: &BenchArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Attachments that stream a parallel run's trace events to a Chrome
+/// trace file at `path`, created (or truncated) now.
+fn chrome_traced(path: &str) -> Result<RunAttachments<'static>, String> {
+    let sink = ChromeTraceSink::create(path)
+        .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
+    Ok(RunAttachments::observed(move |_: &Barrier| {
+        Some(Box::new(sink) as Box<dyn TraceSink>)
+    }))
+}
+
 // --- Figure 4, ablations and the scaling sweep --------------------------
 
 /// The core count whose Figure 4 points are traced under `--trace`: a
@@ -604,12 +614,12 @@ fn fig4(args: &BenchArgs) -> Result<String, String> {
     let points = args
         .runner
         .run_all(&grid, |_, &(mechanism, cores)| {
-            let trace = match trace_path(mechanism) {
-                Some(path) if cores == TRACED_CORES => TraceConfig::ChromeJson { path },
-                _ => TraceConfig::Off,
+            let att = match trace_path(mechanism) {
+                Some(path) if cores == TRACED_CORES => chrome_traced(&path)?,
+                _ => RunAttachments::default(),
             };
             let spec = RunSpec::fig4(mechanism, cores, inner, outer);
-            kernels::run_with(&spec, RunAttachments::traced(trace))
+            kernels::run_with(&spec, att)
                 .map(|out| out.outcome)
                 .map_err(|e| format!("{mechanism} @ {cores} cores: {e}"))
         })?
@@ -1012,10 +1022,7 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
     if let Some(path) = args.trace.as_deref() {
         let viterbi = specs.last().expect("the suite ends with the viterbi run");
         let untraced = &runs.last().expect("one run per spec").0;
-        let trace = TraceConfig::ChromeJson {
-            path: path.to_string(),
-        };
-        let traced = kernels::run_with(viterbi, RunAttachments::traced(trace))
+        let traced = kernels::run_with(viterbi, chrome_traced(path)?)
             .map_err(|e| failed(viterbi, e))?
             .outcome;
         if traced.sim != untraced.outcome.sim {

@@ -12,7 +12,7 @@ use cmp_sim::Machine;
 use kernels::{Fig4, KernelError, RunAttachments, RunSpec, WorkloadSpec};
 
 /// Build (but do not run) the Figure 4 machine described by `spec`, with
-/// attachments (trace selection, observer hooks, engine choice). Split
+/// attachments (an observer hook, the engine choice). Split
 /// from the run so a benchmark can time only the simulation.
 ///
 /// # Errors

@@ -18,7 +18,7 @@ use bench_suite::throughput::{
 };
 use bench_suite::verify::{CLUSTERED_CORES, CLUSTERS};
 use bench_suite::SweepRunner;
-use cmp_sim::{Machine, MachineStats, RunSummary, TraceConfig, TraceSink};
+use cmp_sim::{ChromeTraceSink, Machine, MachineStats, RingSink, RunSummary, TraceSink};
 use kernels::viterbi::Viterbi;
 use kernels::{ExecSpec, RunAttachments, RunSpec};
 
@@ -104,7 +104,7 @@ fn viterbi_kernel_is_deterministic_end_to_end() {
     );
 }
 
-/// The sink-invariance contract: enabling ANY trace sink must leave
+/// The sink-invariance contract: attaching ANY trace sink must leave
 /// `MachineStats::digest()` and cycle counts bit-identical to the
 /// untraced run. Sinks are observers; if one ever acquires a simulated
 /// resource or perturbs event order, this fails.
@@ -112,9 +112,7 @@ fn viterbi_kernel_is_deterministic_end_to_end() {
 fn trace_sinks_never_change_simulated_behaviour() {
     let (cores, inner, outer) = (8, 8, 2);
     let tmp = std::env::temp_dir().join("fastbar_determinism_sink.trace.json");
-    let chrome = TraceConfig::ChromeJson {
-        path: tmp.to_str().expect("utf-8 temp path").to_string(),
-    };
+    let path = tmp.to_str().expect("utf-8 temp path");
     for mechanism in [
         BarrierMechanism::FilterD,
         BarrierMechanism::SwCentral,
@@ -123,11 +121,18 @@ fn trace_sinks_never_change_simulated_behaviour() {
         let mut base = fig4_machine(mechanism, cores, inner, outer);
         let sum_base = base.run().expect("untraced run");
         let stats_base = base.stats();
-        for trace in [TraceConfig::ring(), chrome.clone()] {
-            let label = format!("{mechanism} with {trace:?}");
+        let sinks: [(&str, Box<dyn TraceSink>); 2] = [
+            ("ring", Box::new(RingSink::new(1 << 16))),
+            (
+                "chrome",
+                Box::new(ChromeTraceSink::create(path).expect("trace file")),
+            ),
+        ];
+        for (kind, sink) in sinks {
+            let label = format!("{mechanism} with the {kind} sink");
             let spec = RunSpec::fig4(mechanism, cores, inner, outer);
-            let mut m = fig4_machine_with(&spec, &mut RunAttachments::traced(trace))
-                .expect("traced machine");
+            let mut att = RunAttachments::observed(move |_| Some(sink));
+            let mut m = fig4_machine_with(&spec, &mut att).expect("traced machine");
             let sum = m.run().expect("traced run");
             assert_eq!(sum, sum_base, "{label}: RunSummary diverged");
             let stats = m.stats();

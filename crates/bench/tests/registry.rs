@@ -1,9 +1,11 @@
 //! The `fastbar` experiment registry: unique names, a parsable `--help`
 //! for every entry, reports and documents that do not depend on the host
-//! job count, and the binary's exit-code contract.
+//! job count, the Chrome traces `--trace` writes, and the binary's
+//! exit-code contract.
 
 use std::process::Command;
 
+use barrier_filter::BarrierMechanism;
 use bench_suite::cli::Parse;
 use bench_suite::experiments::{find, EXPERIMENTS, RUNS_SCHEMA};
 use cmp_sim::{fnv64, Json};
@@ -104,6 +106,41 @@ fn documents_are_run_records_identical_across_job_counts() {
             "{}",
             record.dump()
         );
+    }
+}
+
+/// `fig4 --trace PREFIX` leaves the report as it is and then lists one
+/// Chrome trace per mechanism's 16-core point. Every trace is a JSON
+/// array, and a filter or dedicated-network trace holds one `barrier
+/// episode` span per barrier: 16 x 4 under `--quick`.
+#[test]
+fn fig4_trace_writes_one_loadable_chrome_trace_per_mechanism() {
+    let prefix = std::env::temp_dir().join(format!("fastbar_registry_fig4_{}", std::process::id()));
+    let prefix = prefix.to_str().expect("utf-8 temp path");
+    let plain = run("fig4", &["--quick", "--jobs", "2"]);
+    let traced = run("fig4", &["--quick", "--jobs", "2", "--trace", prefix]);
+    let paths: Vec<String> = BarrierMechanism::ALL
+        .iter()
+        .map(|m| format!("{prefix}.{m}.trace.json"))
+        .collect();
+    let listing: String = paths.iter().map(|p| format!("  {p}\n")).collect();
+    assert_eq!(
+        traced,
+        format!("{plain}\nChrome traces written (16-core points):\n{listing}")
+    );
+    for (m, path) in BarrierMechanism::ALL.into_iter().zip(&paths) {
+        let text = std::fs::read_to_string(path).expect("trace written");
+        std::fs::remove_file(path).ok();
+        let trace = Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(!trace.items().is_empty(), "{path}: not an array of events");
+        let episodes = trace
+            .items()
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("barrier episode"))
+            .count();
+        if m.is_filter() || m == BarrierMechanism::HwDedicated {
+            assert_eq!(episodes, 64, "{path}");
+        }
     }
 }
 

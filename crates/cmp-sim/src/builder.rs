@@ -9,7 +9,7 @@ use crate::hook::BankHook;
 use crate::hwnet::DedicatedNetwork;
 use crate::machine::Machine;
 use crate::mem::Memory;
-use crate::trace::{build_sink, TraceSink};
+use crate::trace::TraceSink;
 use crate::SimConfig;
 
 /// Errors detected while assembling a machine.
@@ -17,9 +17,6 @@ use crate::SimConfig;
 pub enum BuildError {
     /// The configuration failed validation.
     InvalidConfig(String),
-    /// The trace sink could not be constructed (e.g. the Chrome-trace
-    /// output file could not be created).
-    TraceSink(String),
     /// More threads were added than the machine has cores.
     TooManyThreads {
         /// Threads requested.
@@ -48,7 +45,6 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
-            BuildError::TraceSink(why) => write!(f, "cannot construct trace sink: {why}"),
             BuildError::TooManyThreads { threads, cores } => {
                 write!(
                     f,
@@ -88,7 +84,7 @@ pub struct MachineBuilder {
     threads: Vec<ThreadSpec>,
     hooks: Vec<Option<Box<dyn BankHook>>>,
     hw_groups: Vec<(u16, Vec<usize>)>,
-    sink_override: Option<Box<dyn TraceSink>>,
+    sink: Option<Box<dyn TraceSink>>,
 }
 
 impl fmt::Debug for MachineBuilder {
@@ -116,7 +112,7 @@ impl MachineBuilder {
             threads: Vec::new(),
             hooks: (0..banks).map(|_| None).collect(),
             hw_groups: Vec::new(),
-            sink_override: None,
+            sink: None,
         })
     }
 
@@ -217,11 +213,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Install a custom trace sink, overriding whatever
-    /// [`SimConfig::trace`](crate::SimConfig) selects. Sinks are pure
-    /// observers; installing one never changes simulated behaviour.
+    /// Attach a trace sink; the machine streams every trace event to it.
+    /// Sinks are pure observers; attaching one never changes simulated
+    /// behaviour.
     pub fn with_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> &mut MachineBuilder {
-        self.sink_override = Some(sink);
+        self.sink = Some(sink);
         self
     }
 
@@ -259,13 +255,6 @@ impl MachineBuilder {
         for (id, members) in self.hw_groups {
             hwnet.configure_group(id, members);
         }
-        let (sink, trace_on) = match self.sink_override {
-            Some(s) => (s, true),
-            None => (
-                build_sink(&self.config.trace).map_err(|e| BuildError::TraceSink(e.to_string()))?,
-                !self.config.trace.is_off(),
-            ),
-        };
         Ok(Machine::from_builder(
             self.config,
             self.program,
@@ -273,8 +262,7 @@ impl MachineBuilder {
             cores,
             self.hooks,
             hwnet,
-            sink,
-            trace_on,
+            self.sink,
         ))
     }
 }

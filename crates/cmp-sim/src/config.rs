@@ -262,10 +262,6 @@ pub struct SimConfig {
     /// [`Machine::burst_retired`](crate::Machine::burst_retired) stays zero
     /// on it.
     pub reference_engine: bool,
-    /// Trace-sink selection: where memory-system trace events stream to
-    /// (off by default; sinks are observers and never change simulated
-    /// behaviour).
-    pub trace: crate::trace::TraceConfig,
     /// Hierarchical cluster topology. The default ([`Topology::flat`])
     /// reproduces the paper's flat shared-bus machine bit-identically.
     pub topology: Topology,
@@ -467,7 +463,6 @@ impl Default for SimConfig {
             hw_barrier: HwBarrierConfig::default(),
             cycle_limit: u64::MAX,
             reference_engine: false,
-            trace: crate::trace::TraceConfig::Off,
             topology: Topology::flat(),
         }
     }

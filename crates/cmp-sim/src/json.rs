@@ -314,13 +314,17 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Parse a `u64` written as decimal or `0x`-prefixed hex (the repo's
-/// reports and CLIs accept both spellings for seeds and digests).
+/// reports and CLIs accept both spellings for seeds and digests). Only
+/// ASCII digits are accepted, hex digits after `0x`: no sign, no spaces.
 pub fn parse_u64_flex(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
+    let (digits, radix) = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (s, 10),
+    };
+    if !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
     }
+    u64::from_str_radix(digits, radix).ok()
 }
 
 /// The 64-bit FNV-1a hash of `bytes` — the content-addressing hash of
@@ -442,10 +446,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos..*pos + 4)
                             .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| JsonError("bad \\u".into()))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError(format!("bad \\u escape `{hex}`")))?;
+                        // Exactly four ASCII hex digits: no sign.
+                        let cp = hex
+                            .iter()
+                            .try_fold(0u32, |cp, &b| Some(cp << 4 | (b as char).to_digit(16)?))
+                            .ok_or_else(|| {
+                                let hex = String::from_utf8_lossy(hex);
+                                JsonError(format!("bad \\u escape `{hex}`"))
+                            })?;
                         *pos += 4;
                         // Basic-plane only; the repo's own writers never
                         // emit surrogate pairs.
@@ -578,6 +586,16 @@ mod tests {
         for bad in ["{", "[1", "\"abc", "{\"k\" 1}", "nul", "1 2", "{'k':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        // A `\u` escape is exactly four hex digits; `u32::from_str_radix`
+        // would also take a sign.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u00g1""#, r#""\u04""#] {
+            let e = Json::parse(bad).expect_err(bad);
+            assert!(e.0.contains("\\u escape"), "{bad:?}: {e}");
+        }
+        assert_eq!(
+            Json::parse(r#""\u0041\u00e9""#),
+            Ok(Json::Str("A\u{e9}".into()))
+        );
         // Numbers `f64::from_str` accepts but the JSON grammar does not.
         for bad in ["+1", ".5", "1.", "01", "-01", "1.e5"] {
             let e = Json::parse(bad).expect_err(bad);
@@ -656,5 +674,10 @@ mod tests {
         assert_eq!(parse_u64_flex("0x2a"), Some(42));
         assert_eq!(parse_u64_flex("42"), Some(42));
         assert_eq!(parse_u64_flex("zz"), None);
+        // Digits only: `from_str_radix` and `str::parse` also take a sign.
+        for bad in ["0x+ff", "+42", "-0", "0x", "", " 1", "0x-1"] {
+            assert_eq!(parse_u64_flex(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_u64_flex("0XfF"), Some(255));
     }
 }

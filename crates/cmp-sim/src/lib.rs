@@ -94,6 +94,4 @@ pub use layout::{AddressSpace, LayoutError, BARRIER_BASE, BARRIER_END, DATA_BASE
 pub use machine::{Machine, RunState};
 pub use mem::Memory;
 pub use stats::{DecodeCacheStats, FusedMemStats, MachineStats, Measurement, RunSummary};
-pub use trace::{
-    ChromeTraceSink, EpisodeStats, NullSink, RingSink, TraceConfig, TraceEvent, TraceSink,
-};
+pub use trace::{ChromeTraceSink, EpisodeStats, RingSink, TraceEvent, TraceSink};

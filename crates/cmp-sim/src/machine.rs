@@ -287,12 +287,12 @@ pub struct Machine {
     /// line cost a round trip per successful read-modify-write.
     line_busy: FxHashMap<u64, u64>,
     scheduled_deadlines: Vec<Option<u64>>,
-    /// Streaming trace consumer ([`SimConfig::trace`] selects which).
+    /// Streaming trace consumer attached by
+    /// [`MachineBuilder::with_trace_sink`](crate::MachineBuilder::with_trace_sink),
+    /// if any; without one the hot path pays one branch per event site.
     /// Sinks are pure observers: they never acquire a simulated resource,
-    /// so enabling one cannot change cycle counts or the stats digest.
-    sink: Box<dyn TraceSink>,
-    /// Cached `!config.trace.is_off()` so the hot path pays one branch.
-    trace_on: bool,
+    /// so attaching one cannot change cycle counts or the stats digest.
+    sink: Option<Box<dyn TraceSink>>,
     /// Always-on per-barrier-episode accounting (events on the barrier
     /// path are rare next to instruction retirement).
     tracker: EpisodeTracker,
@@ -349,8 +349,7 @@ impl Machine {
         cores: Vec<Core>,
         hooks: Vec<Option<Box<dyn BankHook>>>,
         hwnet: DedicatedNetwork,
-        sink: Box<dyn TraceSink>,
-        trace_on: bool,
+        sink: Option<Box<dyn TraceSink>>,
     ) -> Machine {
         let n = config.num_cores;
         let banks = config.l2_banks;
@@ -378,7 +377,6 @@ impl Machine {
             line_busy: FxHashMap::default(),
             scheduled_deadlines: vec![None; banks],
             sink,
-            trace_on,
             tracker: EpisodeTracker::new(banks),
             scaled: ScaledCosts::new(&config),
             live_cores: cores.iter().filter(|c| !c.halted).count(),
@@ -407,8 +405,8 @@ impl Machine {
     }
 
     fn trace(&mut self, ev: TraceEvent) {
-        if self.trace_on {
-            self.sink.record(self.now, &ev);
+        if let Some(sink) = &mut self.sink {
+            sink.record(self.now, &ev);
         }
     }
 
@@ -708,20 +706,24 @@ impl Machine {
         }
     }
 
-    /// Events retained by the configured sink as `(cycle, event)` pairs,
-    /// oldest first (empty unless [`SimConfig::trace`] selects a storing
-    /// sink such as [`TraceConfig::Ring`](crate::TraceConfig::Ring)).
-    /// Borrows the sink's storage — the old `trace_events()` cloned the
-    /// whole buffer per call.
+    /// Events retained by the attached sink as `(cycle, event)` pairs,
+    /// oldest first (empty unless a storing sink such as
+    /// [`RingSink`](crate::RingSink) is attached). Borrows the sink's
+    /// storage.
     pub fn trace_snapshot(&mut self) -> &[(u64, TraceEvent)] {
-        self.sink.snapshot()
+        match &mut self.sink {
+            Some(sink) => sink.snapshot(),
+            None => &[],
+        }
     }
 
     /// Flush any buffered trace output (file sinks). Called automatically
     /// when the machine is dropped; call it earlier to inspect a trace
     /// file while the machine is still alive.
     pub fn flush_trace(&mut self) {
-        self.sink.flush();
+        if let Some(sink) = &mut self.sink {
+            sink.flush();
+        }
     }
 
     /// Borrow a bank hook for inspection (tests).

@@ -3,10 +3,11 @@
 //! The paper's entire argument rests on seeing *inside* barrier episodes:
 //! Figure 4 is a latency decomposition and Table 1 an event-cost budget,
 //! both observability artifacts. This module supplies that layer for the
-//! simulator, replacing the original grow-forever `Vec<TraceEvent>` test
-//! buffer with a streaming [`TraceSink`] the engine pushes events through:
+//! simulator: a streaming [`TraceSink`] that the caller constructs and
+//! attaches with [`MachineBuilder::with_trace_sink`](crate::MachineBuilder::with_trace_sink),
+//! and that the engine pushes events through. A machine with no sink
+//! attached records nothing. Two sinks ship here:
 //!
-//! * [`NullSink`] — discard everything (tracing disabled);
 //! * [`RingSink`] — keep the last *N* events in memory (bounded, for
 //!   tests and post-mortem inspection of long runs);
 //! * [`ChromeTraceSink`] — stream Chrome/Perfetto trace-event JSON to a
@@ -27,8 +28,8 @@ use std::io::{self, BufWriter, Write};
 use crate::fastmap::FxHashMap;
 use crate::json::json_escape;
 
-/// Memory-system and barrier trace events, streamed to the configured
-/// [`TraceSink`] when tracing is enabled. Used by tests to assert
+/// Memory-system and barrier trace events, streamed to the attached
+/// [`TraceSink`], if any. Used by tests to assert
 /// *mechanisms* (e.g. "spinning generates no bus traffic", "the filter
 /// parked exactly one fill per thread per barrier") and by the Chrome
 /// sink to render timelines.
@@ -170,48 +171,6 @@ pub enum TraceEvent {
     },
 }
 
-/// Sink selection, carried by [`SimConfig`](crate::SimConfig). The default
-/// is [`TraceConfig::Off`]; everything else is an opt-in observer.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub enum TraceConfig {
-    /// No tracing (a [`NullSink`]); the hot path skips event construction
-    /// entirely.
-    #[default]
-    Off,
-    /// Keep the most recent `capacity` events in a [`RingSink`]. This is
-    /// the bounded replacement for the old grow-forever test buffer:
-    /// long traced runs now use O(capacity) memory, not O(events).
-    Ring {
-        /// Maximum events retained (oldest dropped first).
-        capacity: usize,
-    },
-    /// Stream Chrome trace-event JSON to the file at `path`
-    /// ([`ChromeTraceSink`]).
-    ChromeJson {
-        /// Output path, created (truncated) at machine build time.
-        path: String,
-    },
-}
-
-impl TraceConfig {
-    /// Default ring capacity used by [`TraceConfig::ring`] — roomy enough
-    /// for every unit test while keeping worst-case memory bounded.
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-    /// A ring sink with the default capacity (what tests use where they
-    /// previously set the old `trace: bool` flag).
-    pub fn ring() -> TraceConfig {
-        TraceConfig::Ring {
-            capacity: TraceConfig::DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Whether this configuration records anything at all.
-    pub fn is_off(&self) -> bool {
-        matches!(self, TraceConfig::Off)
-    }
-}
-
 /// A streaming consumer of [`TraceEvent`]s.
 ///
 /// Sinks are observers only: a `record` implementation must not fail and
@@ -232,14 +191,6 @@ pub trait TraceSink {
 
     /// Flush any buffered output (file sinks).
     fn flush(&mut self) {}
-}
-
-/// Discards every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _cycle: u64, _ev: &TraceEvent) {}
 }
 
 /// Bounded in-memory sink: keeps the most recent `capacity` events and
@@ -460,19 +411,6 @@ impl Drop for ChromeTraceSink {
         let _ = self.w.write_all(b"{}\n]\n");
         let _ = self.w.flush();
     }
-}
-
-/// Build the sink selected by `config`.
-///
-/// # Errors
-///
-/// File-creation failures for [`TraceConfig::ChromeJson`].
-pub(crate) fn build_sink(config: &TraceConfig) -> io::Result<Box<dyn TraceSink>> {
-    Ok(match config {
-        TraceConfig::Off => Box::new(NullSink),
-        TraceConfig::Ring { capacity } => Box::new(RingSink::new(*capacity)),
-        TraceConfig::ChromeJson { path } => Box::new(ChromeTraceSink::create(path)?),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -744,13 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_stores_nothing() {
-        let mut n = NullSink;
-        n.record(0, &EV);
-        assert!(n.snapshot().is_empty());
-    }
-
-    #[test]
     fn episode_tracker_aggregates_bank_episodes() {
         let mut t = EpisodeTracker::new(2);
         t.note_park(0, 100);
@@ -854,18 +785,5 @@ mod tests {
                 "malformed line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn trace_config_default_is_off() {
-        assert!(TraceConfig::default().is_off());
-        assert!(!TraceConfig::ring().is_off());
-        let r = TraceConfig::ring();
-        assert_eq!(
-            r,
-            TraceConfig::Ring {
-                capacity: TraceConfig::DEFAULT_RING_CAPACITY
-            }
-        );
     }
 }

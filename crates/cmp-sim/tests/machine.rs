@@ -4,7 +4,7 @@
 
 use cmp_sim::{
     AddressSpace, BankHook, FillDecision, HookOutcome, HookViolation, MachineBuilder, ParkToken,
-    RunState, SimConfig, SimError, TraceConfig, TraceEvent,
+    RingSink, RunState, SimConfig, SimError, TraceEvent,
 };
 use sim_isa::{line_of, Asm, FReg, Program, Reg};
 
@@ -299,9 +299,12 @@ fn icbi_invalidates_instruction_cache_everywhere() {
     a.addi(Reg::T0, Reg::T0, -1);
     a.bne(Reg::T0, Reg::ZERO, "loop");
     a.halt();
-    let mut cfg_t = cfg;
-    cfg_t.trace = TraceConfig::ring();
-    let (mut m, _) = build(cfg_t, a.assemble().unwrap(), 1);
+    let program = a.assemble().unwrap();
+    let entry = program.require_symbol("entry").unwrap();
+    let mut b = MachineBuilder::new(cfg, program).unwrap();
+    b.add_thread(entry);
+    b.with_trace_sink(Box::new(RingSink::new(1 << 16)));
+    let mut m = b.build().unwrap();
     m.run().unwrap();
     let stats = m.stats();
     // first fetch misses; after each icbi the loop line must miss again
@@ -318,8 +321,7 @@ fn icbi_invalidates_instruction_cache_everywhere() {
 
 #[test]
 fn spinning_on_a_cached_flag_generates_no_bus_traffic() {
-    let mut cfg = SimConfig::with_cores(1);
-    cfg.trace = TraceConfig::ring();
+    let cfg = SimConfig::with_cores(1);
     let mut space = AddressSpace::new(&cfg);
     let flag = space.alloc_u64(1).unwrap();
     let mut a = Asm::new();
@@ -336,6 +338,7 @@ fn spinning_on_a_cached_flag_generates_no_bus_traffic() {
     let stats = m.stats();
     assert_eq!(stats.l1d[0].misses, 1, "only the first spin load misses");
     assert_eq!(stats.l1d[0].hits, 99);
+    assert!(m.trace_snapshot().is_empty(), "no sink attached");
 }
 
 #[test]
@@ -548,8 +551,7 @@ impl BankHook for MockHook {
 
 #[test]
 fn parked_fill_starves_until_release_invalidate() {
-    let mut cfg = SimConfig::with_cores(2);
-    cfg.trace = TraceConfig::ring();
+    let cfg = SimConfig::with_cores(2);
     let mut space = AddressSpace::new(&cfg);
     let watched = space.alloc_bank_lines(0, 1).unwrap();
     let release = space.alloc_bank_lines(0, 1).unwrap();
@@ -591,6 +593,7 @@ fn parked_fill_starves_until_release_invalidate() {
         }),
     )
     .unwrap();
+    b.with_trace_sink(Box::new(RingSink::new(1 << 16)));
     let mut m = b.build().unwrap();
     let summary = m.run().unwrap();
     assert_eq!(m.read_u64(out), 1, "thread 0 completed after release");

@@ -4,9 +4,7 @@
 //! violations, hardware timeout) must be observable.
 
 use barrier_filter::{Barrier, BarrierMechanism, BarrierSystem, FilterCapacity};
-use cmp_sim::{
-    AddressSpace, Machine, MachineBuilder, SimConfig, SimError, TraceConfig, FILL_ERROR_SENTINEL,
-};
+use cmp_sim::{AddressSpace, Machine, MachineBuilder, SimConfig, SimError, FILL_ERROR_SENTINEL};
 use sim_isa::{Asm, Reg};
 
 /// Emit a phase-consistency kernel: each thread publishes its phase number,
@@ -412,11 +410,7 @@ fn filter_barriers_generate_no_coherence_upgrades() {
     // traffic", unlike software barriers that update shared state.
     let threads = 8;
     let run = |mechanism| {
-        let config = {
-            let mut c = SimConfig::with_cores(threads);
-            c.trace = TraceConfig::ring();
-            c
-        };
+        let config = SimConfig::with_cores(threads);
         let mut space = AddressSpace::new(&config);
         let mut asm = Asm::new();
         let mut sys = BarrierSystem::new(&config, threads, &mut space).unwrap();

@@ -103,8 +103,8 @@ impl Autocorr {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The integer
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The integer
     /// results are exact, so both shapes validate against the same host
     /// reference; attachments are digest-invariant.
     ///

@@ -3,7 +3,7 @@
 use barrier_filter::BarrierSystem;
 use cmp_sim::{
     run_with_faults, AddressSpace, DecodeCacheStats, FaultPlan, FaultReport, FusedMemStats,
-    Machine, MachineBuilder, Measurement, SimConfig, TraceConfig, TraceSink,
+    Machine, MachineBuilder, Measurement, SimConfig, TraceSink,
 };
 use sim_isa::{Asm, Reg};
 
@@ -55,11 +55,8 @@ pub(crate) struct KernelBuild {
     pub space: AddressSpace,
     pub asm: Asm,
     pub sys: Option<BarrierSystem>,
-    /// Trace-sink selection for the built machine (default off). Sinks
+    /// The trace sink to attach, if any (e.g. the race detector). Sinks
     /// are observers: tracing a kernel never changes its outcome.
-    pub trace: TraceConfig,
-    /// An explicit sink instance to attach (e.g. the race detector);
-    /// overrides `trace` when set. Still a pure observer.
     pub sink: Option<Box<dyn TraceSink>>,
     pub threads: usize,
 }
@@ -74,7 +71,6 @@ impl KernelBuild {
             space,
             asm: Asm::new(),
             sys: None,
-            trace: TraceConfig::Off,
             sink: None,
             threads: 1,
         }
@@ -91,7 +87,6 @@ impl KernelBuild {
         let entry = program.require_symbol("entry")?;
         let mut config = self.config;
         config.cycle_limit = CYCLE_LIMIT;
-        config.trace = self.trace;
         let mut mb = MachineBuilder::new(config, program)?;
         init(&mut mb);
         if let Some(sink) = self.sink {

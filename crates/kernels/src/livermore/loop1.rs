@@ -109,8 +109,8 @@ impl Loop1 {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The output
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The output
     /// vector is always validated against the host reference; attachments are
     /// digest-invariant.
     ///

@@ -149,8 +149,8 @@ impl Loop2 {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The output is
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The output is
     /// always validated against the host reference, and after a faulted run the
     /// filter tables must end quiescent (§3.3.3). Attachments are
     /// digest-invariant.

@@ -98,8 +98,8 @@ impl Loop3 {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The inner
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The inner
     /// product is validated against the host reference in the matching
     /// accumulation order; attachments are digest-invariant.
     ///

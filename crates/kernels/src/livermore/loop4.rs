@@ -129,8 +129,8 @@ impl Loop4 {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The banded
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The banded
     /// solve is validated against the host reference in the matching
     /// accumulation order; attachments are digest-invariant.
     ///

@@ -126,8 +126,8 @@ impl Loop6 {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The recurrence
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The recurrence
     /// output is validated against the host reference in the matching
     /// evaluation order; attachments are digest-invariant.
     ///

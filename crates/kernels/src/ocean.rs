@@ -103,8 +103,8 @@ impl OceanProxy {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The relaxed
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The relaxed
     /// grid is always validated against the host reference; attachments are
     /// digest-invariant.
     ///

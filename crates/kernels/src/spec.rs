@@ -1,9 +1,8 @@
 //! `RunSpec`: one serializable description of a kernel run.
 //!
-//! Every orthogonal run option (fault plans, trace sinks, race-detector
-//! observers, clustered topologies) is a field of one value rather than
-//! its own run-function variant, so a run configuration is *data* and a
-//! figure is a grid of runs:
+//! Every orthogonal run option (fault plans, clustered topologies) is a
+//! field of one value rather than its own run-function variant, so a run
+//! configuration is *data* and a figure is a grid of runs:
 //!
 //! * [`WorkloadSpec`] — which kernel, at what size (the paper's eight
 //!   workloads plus the Figure 4 barrier micro-benchmark);
@@ -15,10 +14,11 @@
 //!   address.
 //!
 //! A figure's grid cell, a verify verdict's `spec_digest` and an
-//! in-process call are now the same value: [`run`] consumes a spec, [`run_with`] additionally takes the
-//! non-serializable [`RunAttachments`] (trace sinks, observer hooks,
-//! the reference-engine switch) that only make sense in-process. A
-//! finished run's one result body is [`RunOutput::record`].
+//! in-process call are now the same value: [`run`] consumes a spec, and
+//! [`run_with`] additionally takes the non-serializable
+//! [`RunAttachments`] (an observer hook that may attach a trace sink, the
+//! reference-engine switch) that only make sense in-process. A finished
+//! run's one result body is [`RunOutput::record`].
 //!
 //! A spec holds only what changes the simulated run. Host-side choices
 //! live in the attachments and must leave the run's
@@ -27,9 +27,7 @@
 //! Figure 4 and Viterbi digests through this path.
 
 use barrier_filter::{Barrier, BarrierMechanism, BarrierSystem};
-use cmp_sim::{
-    fnv64, AddressSpace, FaultPlan, FaultReport, Json, SimConfig, TraceConfig, TraceSink,
-};
+use cmp_sim::{fnv64, AddressSpace, FaultPlan, FaultReport, Json, SimConfig, TraceSink};
 use sim_isa::{Asm, Program};
 
 use crate::fig4::Fig4;
@@ -461,18 +459,18 @@ impl RunSpec {
     }
 }
 
-/// The in-process-only side channel of a run: trace sinks, observer
-/// hooks and the engine choice. None of these belong in the serializable
-/// [`RunSpec`] — they hold host closures and file handles, or pick how
-/// the host computes an identical result — and attaching them never
-/// changes the run's measurement digest.
+/// The in-process-only side channel of a run: an observer hook and the
+/// engine choice. Neither belongs in the serializable [`RunSpec`] — the
+/// hook is a host closure whose sink may hold a file handle, and the
+/// engine choice picks how the host computes an identical result — and
+/// attaching them never changes the run's measurement digest.
 #[derive(Default)]
 pub struct RunAttachments<'a> {
-    /// Trace-sink selection for the built machine (default off).
-    pub trace: TraceConfig,
-    /// A hook invoked once the barrier is registered; may attach an
-    /// explicit sink instance (e.g. the race detector). Not invoked for
-    /// sequential runs (there is no barrier to observe).
+    /// A hook invoked once the barrier is registered; may return the
+    /// trace sink to attach (e.g. the race detector or a
+    /// [`ChromeTraceSink`](cmp_sim::ChromeTraceSink)). Not invoked for
+    /// sequential runs (there is no barrier to observe), so a sequential
+    /// run is never traced.
     #[allow(clippy::type_complexity)]
     pub observe: Option<Box<dyn FnOnce(&Barrier) -> Option<Box<dyn TraceSink>> + 'a>>,
     /// Run on the reference engine
@@ -482,14 +480,6 @@ pub struct RunAttachments<'a> {
 }
 
 impl<'a> RunAttachments<'a> {
-    /// Attachments carrying only a trace selection.
-    pub fn traced(trace: TraceConfig) -> RunAttachments<'a> {
-        RunAttachments {
-            trace,
-            ..RunAttachments::default()
-        }
-    }
-
     /// Attachments carrying only an observer hook.
     pub fn observed(
         observe: impl FnOnce(&Barrier) -> Option<Box<dyn TraceSink>> + 'a,
@@ -583,7 +573,7 @@ pub fn run(spec: &RunSpec) -> Result<RunOutput, KernelError> {
     run_with(spec, RunAttachments::default())
 }
 
-/// Run `spec` with in-process attachments (traces, observers, the
+/// Run `spec` with in-process attachments (an observer hook, the
 /// reference engine). The attachments are observers: the outcome is
 /// bit-identical to [`run`]`(spec)`.
 ///
@@ -624,19 +614,15 @@ pub(crate) fn run_spec_reps(
 
 impl KernelBuild {
     /// Build state for `exec`: the topology preset's machine, the barrier
-    /// (when a mechanism is set), trace/engine/observer wiring — in exactly
-    /// the order the legacy variants applied them, so the digest path is
-    /// unchanged.
+    /// (when a mechanism is set) and the engine and observer wiring.
     pub(crate) fn from_exec(
         exec: &ExecSpec,
         att: &mut RunAttachments<'_>,
     ) -> Result<(KernelBuild, Option<Barrier>), KernelError> {
         exec.check()?;
-        let trace = std::mem::replace(&mut att.trace, TraceConfig::Off);
         match exec.mechanism {
             None => {
                 let mut b = KernelBuild::sequential();
-                b.trace = trace;
                 b.config.reference_engine = att.reference_engine;
                 Ok((b, None))
             }
@@ -651,7 +637,6 @@ impl KernelBuild {
                     space,
                     asm,
                     sys: Some(sys),
-                    trace,
                     sink: None,
                     threads: exec.threads,
                 };

@@ -197,8 +197,8 @@ impl Viterbi {
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
-    /// faults) with optional in-process [`RunAttachments`] (trace sinks,
-    /// observer hooks, hand-built plans, the reference engine). The decoded
+    /// faults) with optional in-process [`RunAttachments`] (an observer
+    /// hook that may attach a trace sink, the reference engine). The decoded
     /// output is always validated against the host decoder, and after a faulted
     /// run the filter tables must end quiescent — the §3.3.3
     /// graceful-degradation contract. Attachments are digest-invariant: the

@@ -111,6 +111,108 @@ mod tests {
         assert_eq!(Instr::Sync.to_string(), "sync");
     }
 
+    /// Every [`Instr`] variant, with boundary operands, prints a listing
+    /// line of its own: no two of these instructions disassemble alike.
+    #[test]
+    fn every_instruction_has_a_distinct_listing() {
+        use Instr as I;
+        use MemWidth as W;
+        let (z, ra, sp, tls) = (Reg::ZERO, Reg::RA, Reg::SP, Reg::TLS);
+        let (t0, t9, k0, k1) = (Reg::T0, Reg::T9, Reg::K0, Reg::K1);
+        let (tid, ntid) = (Reg::TID, Reg::NTID);
+        let (f0, f1, f2, f31) = (FReg::F0, FReg::F1, FReg::F2, FReg::new(31));
+        let code = [
+            // integer register-register (all 15)
+            I::Add(t0, z, ntid),
+            I::Sub(Reg::A0, t9, t0),
+            I::Mul(k0, k1, tid),
+            I::Div(t0, t0, t0),
+            I::Rem(Reg::S5, Reg::S0, Reg::A7),
+            I::And(t0, t9, z),
+            I::Or(Reg::A1, Reg::A2, Reg::A3),
+            I::Xor(t9, t9, t9),
+            I::Sll(t0, t9, k0),
+            I::Srl(t0, t9, k0),
+            I::Sra(t0, t9, k0),
+            I::Slt(t0, tid, ntid),
+            I::Sltu(t0, tid, ntid),
+            I::Min(t0, t9, k0),
+            I::Max(t0, t9, k0),
+            // integer register-immediate, boundary immediates
+            I::Addi(t0, t9, i64::MIN),
+            I::Andi(t0, t9, -1),
+            I::Ori(t0, t9, i64::MAX),
+            I::Xori(t0, t9, 0),
+            I::Slli(t0, t9, 0),
+            I::Srli(t0, t9, 63),
+            I::Srai(t0, t9, 63),
+            I::Slti(t0, t9, -1),
+            I::Li(t0, i64::MIN),
+            I::Li(t9, i64::MAX),
+            // floating point, boundary values
+            I::Fadd(f0, f1, f2),
+            I::Fsub(f0, f1, f2),
+            I::Fmul(f0, f1, f2),
+            I::Fdiv(f0, f1, f2),
+            I::Fmadd(f0, f1, f2, f31),
+            I::Fneg(f0, f31),
+            I::Fmov(f31, f0),
+            I::Fli(f0, 0.0),
+            I::Fli(f1, -2.5),
+            I::Fli(f2, f64::MAX),
+            I::Fli(f2, f64::MIN_POSITIVE),
+            I::Fli(f31, f64::INFINITY),
+            I::Fli(f31, f64::NEG_INFINITY),
+            I::Fcvtif(f0, t0),
+            I::Fcvtfi(t0, f0),
+            I::Feq(t0, f0, f1),
+            I::Flt(t0, f0, f1),
+            I::Fle(t0, f0, f1),
+            // memory, every width, boundary offsets
+            I::Ld(t0, sp, i64::MIN, W::B),
+            I::Ld(t0, sp, -1, W::H),
+            I::Ld(t0, sp, 0, W::W),
+            I::Ld(t0, sp, i64::MAX, W::D),
+            I::St(t0, sp, i64::MIN, W::B),
+            I::St(t0, sp, 1, W::H),
+            I::St(t0, sp, -8, W::W),
+            I::St(t0, sp, i64::MAX, W::D),
+            I::Fld(f0, tls, -16),
+            I::Fst(f31, tls, i64::MAX),
+            I::Ll(t9, k0, 0),
+            I::Sc(k1, t9, k0, -64),
+            // control flow, boundary targets
+            I::Beq(t0, z, Target(0)),
+            I::Bne(t0, z, Target(u64::MAX)),
+            I::Blt(t0, z, Target(crate::CODE_BASE)),
+            I::Bge(t0, z, Target(crate::CODE_BASE + 4)),
+            I::Bltu(t0, z, Target(1)),
+            I::Bgeu(t0, z, Target(0x1_0040)),
+            I::Jal(ra, Target(u64::MAX)),
+            I::Jal(z, Target(0)),
+            I::Jalr(z, ra, 0),
+            I::Jalr(t0, k1, i64::MIN),
+            // synchronization & cache management
+            I::Sync,
+            I::Isync,
+            I::Icbi(k0, 0),
+            I::Dcbi(k0, i64::MIN),
+            I::HwBar(0),
+            I::HwBar(u16::MAX),
+            // misc
+            I::Halt,
+            I::Nop,
+        ];
+        let mut seen = std::collections::BTreeMap::new();
+        for (idx, instr) in code.iter().enumerate() {
+            let text = instr.to_string();
+            if let Some(prev) = seen.insert(text.clone(), idx) {
+                panic!("instructions {prev} and {idx} both disassemble as `{text}`");
+            }
+        }
+        assert_eq!(seen.len(), 73);
+    }
+
     #[test]
     fn debug_is_never_empty() {
         assert!(!format!("{:?}", Instr::Nop).is_empty());

@@ -45,13 +45,11 @@
 mod asm;
 mod disasm;
 mod instr;
-mod parse;
 mod program;
 mod reg;
 
 pub use asm::{Asm, AsmError, Label};
 pub use instr::{Instr, MemRef, MemRefKind, MemWidth, Target};
-pub use parse::{parse_asm, ParseAsmError};
 pub use program::{MissingSymbol, Program, CODE_BASE, INSTR_BYTES};
 pub use reg::{FReg, Reg};
 
