@@ -27,10 +27,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use barrier_filter::{Barrier, BarrierMechanism, BarrierSystem};
-use cmp_sim::{AddressSpace, ChromeTraceSink, Json, MachineBuilder, SimConfig, TraceSink};
-use kernels::{OceanProxy, RunAttachments, RunOutput, RunSpec, WorkloadSpec};
-use sim_isa::{Asm, Reg};
+use barrier_filter::{Barrier, BarrierMechanism};
+use cmp_sim::{ChromeTraceSink, Json, SimConfig, TraceSink};
+use kernels::{ExecSpec, Fig4, OceanProxy, RunAttachments, RunOutput, RunSpec, WorkloadSpec};
 
 use crate::chaos::run_chaos;
 use crate::cli::{BenchArgs, Cli};
@@ -667,40 +666,17 @@ fn fig4(args: &BenchArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Average barrier latency of `mechanism` under a custom machine
-/// configuration (the ablations vary latencies and bandwidths that no
-/// [`RunSpec`] topology preset exposes).
-fn latency_with(config: SimConfig, mechanism: BarrierMechanism, inner: u64, outer: u64) -> f64 {
-    let cores = config.num_cores;
-    let mut space = AddressSpace::new(&config);
-    let mut asm = Asm::new();
-    let mut sys = BarrierSystem::new(&config, cores, &mut space).expect("barrier system");
-    let barrier = sys
-        .create_barrier(&mut asm, &mut space, mechanism, cores)
-        .expect("barrier");
-    asm.label("entry").expect("fresh assembler");
-    asm.li(Reg::S0, outer as i64);
-    asm.label("outer").expect("unique");
-    asm.li(Reg::S1, inner as i64);
-    asm.label("inner").expect("unique");
-    barrier.emit_call(&mut asm);
-    asm.addi(Reg::S1, Reg::S1, -1);
-    asm.bne(Reg::S1, Reg::ZERO, "inner");
-    asm.addi(Reg::S0, Reg::S0, -1);
-    asm.bne(Reg::S0, Reg::ZERO, "outer");
-    asm.halt();
-    let program = asm.assemble().expect("assemble");
-    let entry = program
-        .require_symbol("entry")
-        .expect("entry label defined above");
-    let mut mb = MachineBuilder::new(config, program).expect("builder");
-    for _ in 0..cores {
-        mb.add_thread(entry);
-    }
-    sys.install(&mut mb).expect("install");
-    let mut m = mb.build().expect("build");
-    let cycles = m.run().expect("run").cycles;
-    cycles as f64 / (inner * outer) as f64
+/// Average `filter-d` barrier latency over every core of `config` (the
+/// ablations vary latencies and bandwidths that no [`RunSpec`] topology
+/// preset exposes).
+fn filter_d_latency_on(config: SimConfig, inner: u64, outer: u64) -> Result<f64, String> {
+    let fig4 = Fig4::new(inner, outer);
+    let exec = ExecSpec::parallel(config.num_cores, BarrierMechanism::FilterD);
+    let mut m = fig4
+        .build_on(config, &exec, &mut RunAttachments::default())
+        .map_err(|e| e.to_string())?;
+    let cycles = m.run().map_err(|e| e.to_string())?.cycles;
+    Ok(cycles as f64 / fig4.episodes() as f64)
 }
 
 /// Design ablations called out in DESIGN.md:
@@ -762,11 +738,14 @@ fn ablations(args: &BenchArgs) -> Result<String, String> {
         ("L3-like (38 cy)", 38),
         ("memory-side (138 cy)", 138),
     ];
-    let lats = runner.run_all(&placements, |_, &(_, l2_latency)| {
-        let mut config = SimConfig::with_cores(16);
-        config.l2.latency = l2_latency;
-        latency_with(config, BarrierMechanism::FilterD, inner, outer)
-    })?;
+    let lats = runner
+        .run_all(&placements, |_, &(name, l2_latency)| {
+            let mut config = SimConfig::with_cores(16);
+            config.l2.latency = l2_latency;
+            filter_d_latency_on(config, inner, outer).map_err(|e| format!("{name}: {e}"))
+        })?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let rows: Vec<Vec<String>> = placements
         .iter()
         .zip(&lats)
@@ -790,11 +769,15 @@ fn ablations(args: &BenchArgs) -> Result<String, String> {
         .iter()
         .flat_map(|&(_, d)| bw_cores.iter().map(move |&c| (d, c)))
         .collect();
-    let bw_lats = runner.run_all(&bw_grid, |_, &(data_cycles, cores)| {
-        let mut config = SimConfig::with_cores(cores);
-        config.bus.data_cycles = data_cycles;
-        latency_with(config, BarrierMechanism::FilterD, inner, outer)
-    })?;
+    let bw_lats = runner
+        .run_all(&bw_grid, |_, &(data_cycles, cores)| {
+            let mut config = SimConfig::with_cores(cores);
+            config.bus.data_cycles = data_cycles;
+            filter_d_latency_on(config, inner, outer)
+                .map_err(|e| format!("64B/{data_cycles}cy @ {cores}: {e}"))
+        })?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let rows: Vec<Vec<String>> = bandwidths
         .iter()
         .zip(bw_lats.chunks(bw_cores.len()))

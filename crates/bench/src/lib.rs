@@ -53,7 +53,7 @@ pub use scale::{
     run_scale, scale_clusters, scale_config, scale_grid, scale_mechanisms, scale_reps,
     SCALE_CORE_COUNTS,
 };
-pub use sweep::{JobPanic, SweepRunner};
+pub use sweep::SweepRunner;
 pub use throughput::{
     fig4_specs, fold_fig4_digests, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
 };

@@ -11,38 +11,20 @@
 //! * **Job = one closure call.** The runner never splits or reorders work
 //!   inside a job; parallelism is purely across jobs.
 //! * **Results are returned in item order**, regardless of which worker
-//!   finished first. `run(items, f)[i]` is always the result of
+//!   finished first. `run_all(items, f)?[i]` is always the result of
 //!   `f(i, &items[i])`.
 //! * **Panics are captured per job**, not propagated to the pool: one
-//!   diverging sweep point reports as [`JobPanic`] in its own slot while
-//!   the remaining jobs still complete.
+//!   diverging sweep point is caught in its own slot while the remaining
+//!   jobs still complete, and the error names every job that panicked.
 //!
 //! The pool is built on `std::thread::scope` (std-only, no extra
 //! dependencies): workers claim job indices from a shared atomic cursor,
-//! write results into per-slot mailboxes, and join before `run` returns.
+//! write results into per-slot mailboxes, and join before `run_all`
+//! returns.
 
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A sweep job that panicked, captured in its result slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the job in the input slice.
-    pub job: usize,
-    /// The panic payload, if it was a string (the common case for
-    /// `panic!`/`assert!`); `"<non-string panic payload>"` otherwise.
-    pub message: String,
-}
-
-impl fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sweep job #{} panicked: {}", self.job, self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
 
 /// A bounded worker pool for embarrassingly parallel sweeps.
 #[derive(Debug, Clone, Copy)]
@@ -69,15 +51,16 @@ impl SweepRunner {
     }
 
     /// Run `f(i, &items[i])` for every item on the worker pool and return
-    /// the results in item order. Each job's panic (if any) is captured in
-    /// its own slot; the other jobs run to completion regardless.
-    pub fn run<I, T, F>(&self, items: &[I], f: F) -> Vec<Result<T, JobPanic>>
+    /// the results in item order, or a combined report of every job that
+    /// panicked. Each job's panic is captured in its own slot, so the other
+    /// jobs run to completion regardless.
+    pub fn run_all<I, T, F>(&self, items: &[I], f: F) -> Result<Vec<T>, String>
     where
         I: Sync,
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        let slots: Vec<Mutex<Option<Result<T, JobPanic>>>> =
+        let slots: Vec<Mutex<Option<Result<T, String>>>> =
             items.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let workers = self.jobs.min(items.len().max(1));
@@ -86,39 +69,26 @@ impl SweepRunner {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| JobPanic {
-                            job: i,
-                            message: panic_message(payload.as_ref()),
-                        });
+                    let result = catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| {
+                        format!(
+                            "sweep job #{i} panicked: {}",
+                            panic_message(payload.as_ref())
+                        )
+                    });
                     *slots[i].lock().expect("result slot poisoned") = Some(result);
                 });
             }
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every job index was claimed and completed")
-            })
-            .collect()
-    }
-
-    /// Like [`run`](SweepRunner::run), but unwrap: return all results in
-    /// item order, or a combined report of every job that panicked.
-    pub fn run_all<I, T, F>(&self, items: &[I], f: F) -> Result<Vec<T>, String>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
         let mut out = Vec::with_capacity(items.len());
         let mut failures = Vec::new();
-        for result in self.run(items, f) {
+        for slot in slots {
+            let result = slot
+                .into_inner()
+                .expect("result slot poisoned")
+                .expect("every job index was claimed and completed");
             match result {
                 Ok(v) => out.push(v),
-                Err(p) => failures.push(p.to_string()),
+                Err(panic) => failures.push(panic),
             }
         }
         if failures.is_empty() {
@@ -163,26 +133,17 @@ mod tests {
     #[test]
     fn panics_are_captured_per_job() {
         let items: Vec<u32> = (0..8).collect();
-        let results = SweepRunner::new(3).run(&items, |_, &x| {
-            assert!(x != 5, "job five exploded");
-            x + 1
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i == 5 {
-                let p = r.as_ref().expect_err("job 5 panicked");
-                assert_eq!(p.job, 5);
-                assert!(p.message.contains("job five exploded"), "{}", p.message);
-            } else {
-                assert_eq!(*r.as_ref().expect("other jobs complete"), i as u32 + 1);
-            }
-        }
+        let completed = Mutex::new(Vec::new());
         let err = SweepRunner::new(3)
             .run_all(&items, |_, &x| {
                 assert!(x != 5, "job five exploded");
-                x
+                completed.lock().expect("no job panics holding it").push(x);
             })
             .expect_err("run_all reports the panic");
-        assert!(err.contains("sweep job #5"), "{err}");
+        assert_eq!(err, "sweep job #5 panicked: job five exploded");
+        let mut completed = completed.into_inner().expect("not poisoned");
+        completed.sort_unstable();
+        assert_eq!(completed, [0, 1, 2, 3, 4, 6, 7], "the other jobs still ran");
     }
 
     #[test]

@@ -15,8 +15,6 @@
 use barrier_filter::BarrierMechanism;
 use bench_suite::fig4_machine_with;
 use cmp_sim::{run_with_faults, FaultEvent, FaultKind, FaultPlan, FaultReport, Machine, RunState};
-use kernels::livermore::Loop2;
-use kernels::viterbi::Viterbi;
 use kernels::{RunAttachments, RunSpec, WorkloadSpec};
 
 const FILTERS: [BarrierMechanism; 2] = [BarrierMechanism::FilterD, BarrierMechanism::FilterI];
@@ -243,16 +241,11 @@ fn zero_fault_plans_are_digest_invariant() {
         );
     }
     // Kernel level: a spec with a zero-event fault plan reproduces the
-    // plain API bit-for-bit.
-    let plain = Viterbi::new(24)
-        .run_parallel(4, BarrierMechanism::FilterD)
-        .expect("plain viterbi");
-    let spec = RunSpec::parallel(VITERBI_24, 4, BarrierMechanism::FilterD).with_faults(
-        0x1e7b,
-        0,
-        plain.sim.cycles,
-    );
-    let out = kernels::run(&spec).expect("zero-fault viterbi");
+    // unfaulted spec bit-for-bit.
+    let spec = RunSpec::parallel(VITERBI_24, 4, BarrierMechanism::FilterD);
+    let plain = kernels::run(&spec).expect("plain viterbi").outcome;
+    let out =
+        kernels::run(&spec.with_faults(0x1e7b, 0, plain.sim.cycles)).expect("zero-fault viterbi");
     assert_eq!(out.faults, FaultReport::default());
     assert_eq!(out.outcome.sim, plain.sim);
 }
@@ -270,13 +263,10 @@ fn seeded_chaos_replays_bit_identically() {
 
 #[test]
 fn faulted_kernels_still_validate_viterbi() {
-    let v = Viterbi::new(24);
     for mechanism in FILTERS {
-        let probe = v
-            .run_parallel(4, mechanism)
-            .expect("probe run for the horizon");
-        let spec =
-            RunSpec::parallel(VITERBI_24, 4, mechanism).with_faults(0x1e7b, 16, probe.sim.cycles);
+        let spec = RunSpec::parallel(VITERBI_24, 4, mechanism);
+        let probe = kernels::run(&spec).expect("probe run for the horizon");
+        let spec = spec.with_faults(0x1e7b, 16, probe.outcome.sim.cycles);
         let out = kernels::run(&spec).expect("faulted viterbi must still validate");
         assert!(out.outcome.sim.cycles > 0);
         assert_eq!(out.faults.injected + out.faults.skipped, 16);
@@ -285,16 +275,10 @@ fn faulted_kernels_still_validate_viterbi() {
 
 #[test]
 fn faulted_kernels_still_validate_loop2() {
-    let k = Loop2::new(64);
     for mechanism in FILTERS {
-        let probe = k
-            .run_parallel(4, mechanism)
-            .expect("probe run for the horizon");
-        let spec = RunSpec::parallel(WorkloadSpec::Loop2 { n: 64 }, 4, mechanism).with_faults(
-            0x10072,
-            16,
-            probe.sim.cycles,
-        );
+        let spec = RunSpec::parallel(WorkloadSpec::Loop2 { n: 64 }, 4, mechanism);
+        let probe = kernels::run(&spec).expect("probe run for the horizon");
+        let spec = spec.with_faults(0x10072, 16, probe.outcome.sim.cycles);
         let out = kernels::run(&spec).expect("faulted loop2 must still validate");
         assert!(out.outcome.sim.cycles > 0);
         assert_eq!(out.faults.injected + out.faults.skipped, 16);

@@ -20,7 +20,7 @@ use bench_suite::verify::{CLUSTERED_CORES, CLUSTERS};
 use bench_suite::SweepRunner;
 use cmp_sim::{ChromeTraceSink, Machine, MachineStats, RingSink, RunSummary, TraceSink};
 use kernels::viterbi::Viterbi;
-use kernels::{ExecSpec, RunAttachments, RunSpec};
+use kernels::{ExecSpec, RunAttachments, RunSpec, WorkloadSpec};
 
 /// The unrun Figure 4 machine: `inner` × `outer` barriers of `mechanism`
 /// across `cores` cores.
@@ -90,11 +90,16 @@ fn clustered_256_core_tree_barriers_are_deterministic() {
 fn viterbi_kernel_is_deterministic_end_to_end() {
     // A data-bearing kernel (not just the barrier loop): coherence traffic,
     // store buffers and parked fills all in play.
-    let run = || {
-        Viterbi::new(32)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .expect("viterbi run")
-    };
+    let spec = RunSpec::parallel(
+        WorkloadSpec::Viterbi {
+            constraint: 5,
+            data_bits: 32,
+            noise_per_mille: 10,
+        },
+        4,
+        BarrierMechanism::FilterD,
+    );
+    let run = || kernels::run(&spec).expect("viterbi run").outcome;
     let (a, b) = (run(), run());
     assert_eq!(a.sim, b.sim);
     assert!(a.sim.cycles > 0);

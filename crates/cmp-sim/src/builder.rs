@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sim_isa::{FReg, Program, Reg};
+use sim_isa::{Program, Reg};
 
 use crate::core::Core;
 use crate::hook::BankHook;
@@ -68,7 +68,6 @@ impl std::error::Error for BuildError {}
 struct ThreadSpec {
     entry: u64,
     regs: Vec<(Reg, u64)>,
-    fregs: Vec<(FReg, f64)>,
 }
 
 /// Builder for a [`Machine`]: program, initial memory image, threads, bank
@@ -144,25 +143,6 @@ impl MachineBuilder {
     /// Panics if `tid` has not been added.
     pub fn set_thread_reg(&mut self, tid: usize, r: Reg, v: u64) -> &mut MachineBuilder {
         self.threads[tid].regs.push((r, v));
-        self
-    }
-
-    /// Preset a floating-point register of thread `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` has not been added.
-    pub fn set_thread_freg(&mut self, tid: usize, r: FReg, v: f64) -> &mut MachineBuilder {
-        self.threads[tid].fregs.push((r, v));
-        self
-    }
-
-    /// Preset an integer register of *every* thread added so far (kernel
-    /// parameters shared by the whole gang).
-    pub fn set_all_threads_reg(&mut self, r: Reg, v: u64) -> &mut MachineBuilder {
-        for t in &mut self.threads {
-            t.regs.push((r, v));
-        }
         self
     }
 
@@ -246,9 +226,6 @@ impl MachineBuilder {
             core.set_reg(Reg::NTID, ntid);
             for &(r, v) in &spec.regs {
                 core.set_reg(r, v);
-            }
-            for &(r, v) in &spec.fregs {
-                core.set_freg(r, v);
             }
         }
         let mut hwnet = DedicatedNetwork::new(self.config.hw_barrier);

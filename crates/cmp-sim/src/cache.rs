@@ -54,22 +54,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-impl CacheStats {
-    /// Total lookups performed.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio in [0, 1]; zero when no accesses occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
-}
-
 /// A set-associative, true-LRU, timing-only cache.
 ///
 /// Storage is one flat way arena with a fixed per-set stride (no per-set

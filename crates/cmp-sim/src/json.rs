@@ -123,11 +123,6 @@ impl Json {
         }
     }
 
-    /// [`as_u64`](Json::as_u64) narrowed to `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// This value as an `f64` (number tokens only).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -242,11 +242,6 @@ impl AddressSpace {
             g += 1;
         }
     }
-
-    /// First unused data-region address (diagnostics).
-    pub fn data_watermark(&self) -> u64 {
-        self.data_cursor
-    }
 }
 
 #[cfg(test)]

@@ -717,15 +717,6 @@ impl Machine {
         }
     }
 
-    /// Flush any buffered trace output (file sinks). Called automatically
-    /// when the machine is dropped; call it earlier to inspect a trace
-    /// file while the machine is still alive.
-    pub fn flush_trace(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
-        }
-    }
-
     /// Borrow a bank hook for inspection (tests).
     pub fn hook(&self, bank: usize) -> Option<&dyn BankHook> {
         self.hooks[bank].as_deref()
@@ -801,17 +792,6 @@ impl Machine {
                 matches!(c.waiting, Waiting::Fill { parked: true, .. })
                     && self.parked.contains_core(i)
             })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Cores currently context-switched out (awaiting
-    /// [`resume_thread`](Machine::resume_thread)).
-    pub fn switched_out_cores(&self) -> Vec<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| matches!(c.waiting, Waiting::SwitchedOut { .. }))
             .map(|(i, _)| i)
             .collect()
     }

@@ -6,7 +6,7 @@ use cmp_sim::{
     AddressSpace, BankHook, FillDecision, HookOutcome, HookViolation, MachineBuilder, ParkToken,
     RingSink, RunState, SimConfig, SimError, TraceEvent,
 };
-use sim_isa::{line_of, Asm, FReg, Program, Reg};
+use sim_isa::{line_of, Asm, FReg, MemWidth, Program, Reg};
 
 fn build(config: SimConfig, program: Program, threads: usize) -> (cmp_sim::Machine, u64) {
     let entry = program.require_symbol("entry").unwrap();
@@ -428,6 +428,210 @@ fn unaligned_access_faults() {
         m.run(),
         Err(SimError::UnalignedAccess { width: 8, .. })
     ));
+}
+
+/// The words the narrow accesses load from and store into: every byte has
+/// its top bit set, so a sign-extending narrow load would show.
+const PATTERN: u64 = 0xf8f7_f6f5_f4f3_f2f1;
+
+/// `PATTERN` with `bytes` written from byte `at` on: the word a narrow
+/// store must leave behind.
+fn spliced(at: usize, bytes: &[u8]) -> u64 {
+    let mut word = PATTERN.to_le_bytes();
+    word[at..at + bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// `t2 = 1` if `branch a3, a4` jumps, `0` if it falls through.
+fn taken(a: &mut Asm, branch: fn(&mut Asm, Reg, Reg, u64) -> &mut Asm) -> &mut Asm {
+    a.li(Reg::T2, 1);
+    let over = a.here() + 2 * sim_isa::INSTR_BYTES;
+    branch(a, Reg::A3, Reg::A4, over).li(Reg::T2, 0)
+}
+
+/// A case's name, the instruction it runs and the result host Rust
+/// computes for the same operands.
+type Case<T> = (&'static str, fn(&mut Asm) -> &mut Asm, T);
+
+/// The instructions no kernel or barrier emits (`and`, `sra`, `slti`,
+/// `bltu`, `bgeu`, `fdiv`, `fneg`, `fmov`, both conversions and the three
+/// float compares) and loads and stores at byte, half and word width, each
+/// checked against host Rust arithmetic on both engines, and a misaligned
+/// narrow load. Every case reads the operands loaded below; integer cases
+/// leave their result in `t2`, float cases in `f2`. The byte load is the
+/// first memory access, so it completes on the fill; the others hit L1.
+#[test]
+fn rarely_emitted_instructions_match_host_arithmetic() {
+    let (mask, nan, minus_one) = (0x0ff0_1234_5678_9abc_u64, f64::NAN, -1i64 as u64);
+    let p = PATTERN.to_le_bytes();
+    let int_cases: &[Case<u64>] = &[
+        (
+            "byte load, a miss, zero-extends",
+            |a| a.ld(Reg::T2, Reg::S0, 1, MemWidth::B),
+            u64::from(p[1]),
+        ),
+        (
+            "half load zero-extends",
+            |a| a.ld(Reg::T2, Reg::S0, 2, MemWidth::H),
+            u64::from(u16::from_le_bytes([p[2], p[3]])),
+        ),
+        (
+            "word load zero-extends",
+            |a| a.ld(Reg::T2, Reg::S0, 4, MemWidth::W),
+            u64::from(u32::from_le_bytes([p[4], p[5], p[6], p[7]])),
+        ),
+        (
+            "and",
+            |a| a.and(Reg::T2, Reg::A5, Reg::A0),
+            mask & -1000i64 as u64,
+        ),
+        (
+            "sra of a negative operand",
+            |a| a.sra(Reg::T2, Reg::A0, Reg::A1),
+            (-1000i64 >> 3) as u64,
+        ),
+        (
+            "sra by 67, which shifts by 67 mod 64",
+            |a| a.sra(Reg::T2, Reg::A0, Reg::A2),
+            (-1000i64).wrapping_shr(67) as u64,
+        ),
+        (
+            "slti -1000 < -3",
+            |a| a.slti(Reg::T2, Reg::A0, -3),
+            u64::from(-1000 < -3),
+        ),
+        (
+            "slti 3 < -3 (true if unsigned)",
+            |a| a.slti(Reg::T2, Reg::A1, -3),
+            u64::from(3 < -3),
+        ),
+        (
+            "bltu -1, 1 (blt would jump)",
+            |a| taken(a, Asm::bltu),
+            u64::from(minus_one < 1),
+        ),
+        (
+            "bgeu -1, 1 (bge would not)",
+            |a| taken(a, Asm::bgeu),
+            u64::from(minus_one >= 1),
+        ),
+        (
+            "fcvt.l.d truncates -2.75",
+            |a| a.fcvtfi(Reg::T2, FReg::F3),
+            -2.75f64 as i64 as u64,
+        ),
+        (
+            "feq",
+            |a| a.feq(Reg::T2, FReg::F0, FReg::F0),
+            u64::from(1.0 == 1.0),
+        ),
+        (
+            "feq NaN, NaN",
+            |a| a.feq(Reg::T2, FReg::F4, FReg::F4),
+            u64::from(nan == nan),
+        ),
+        (
+            "flt",
+            |a| a.flt(Reg::T2, FReg::F1, FReg::F0),
+            u64::from(-3.0 < 1.0),
+        ),
+        (
+            "flt NaN, 1",
+            |a| a.flt(Reg::T2, FReg::F4, FReg::F0),
+            u64::from(nan < 1.0),
+        ),
+        (
+            "fle",
+            |a| a.fle(Reg::T2, FReg::F0, FReg::F0),
+            u64::from(1.0 <= 1.0),
+        ),
+        (
+            "fle 1, NaN",
+            |a| a.fle(Reg::T2, FReg::F0, FReg::F4),
+            u64::from(1.0 <= nan),
+        ),
+    ];
+    let float_cases: &[Case<f64>] = &[
+        ("fdiv", |a| a.fdiv(FReg::F2, FReg::F0, FReg::F1), 1.0 / -3.0),
+        ("fneg of zero", |a| a.fneg(FReg::F2, FReg::F5), -0.0),
+        ("fmov", |a| a.fmov(FReg::F2, FReg::F3), -2.75),
+        (
+            "fcvt.d.l",
+            |a| a.fcvtif(FReg::F2, Reg::A6),
+            (-(1i64 << 53) - 1) as f64,
+        ),
+    ];
+    // Each narrow store writes -1000's low bytes into its own PATTERN word.
+    let low = (-1000i64).to_le_bytes();
+    let stores = [
+        (MemWidth::B, 3, spliced(3, &low[..1])),
+        (MemWidth::H, 4, spliced(4, &low[..2])),
+        (MemWidth::W, 4, spliced(4, &low[..4])),
+    ];
+    for (reference_engine, engine) in [(false, "production"), (true, "reference")] {
+        let mut cfg = SimConfig::with_cores(1);
+        cfg.reference_engine = reference_engine;
+        // s0 points at the PATTERN word the loads read, then one PATTERN
+        // word per store, then one word per case result.
+        let words = 1 + stores.len() + int_cases.len() + float_cases.len();
+        let base = AddressSpace::new(&cfg).alloc_u64(words as u64).unwrap();
+        let result = |i: usize| 8 * (1 + stores.len() + i) as i64;
+        let mut a = Asm::new();
+        a.label("entry").unwrap();
+        a.li(Reg::S0, base as i64);
+        for (r, v) in [(Reg::A0, -1000), (Reg::A1, 3), (Reg::A2, 67), (Reg::A3, -1)] {
+            a.li(r, v);
+        }
+        a.li(Reg::A4, 1)
+            .li(Reg::A5, mask as i64)
+            .li(Reg::A6, -(1 << 53) - 1);
+        for (f, v) in [
+            (FReg::F0, 1.0),
+            (FReg::F1, -3.0),
+            (FReg::F3, -2.75),
+            (FReg::F4, nan),
+            (FReg::F5, 0.0),
+        ] {
+            a.fli(f, v);
+        }
+        for (i, (_, emit, _)) in int_cases.iter().enumerate() {
+            emit(&mut a).std(Reg::T2, Reg::S0, result(i));
+        }
+        for (i, (_, emit, _)) in float_cases.iter().enumerate() {
+            emit(&mut a).fst(FReg::F2, Reg::S0, result(int_cases.len() + i));
+        }
+        for (k, &(width, at, _)) in stores.iter().enumerate() {
+            a.st(Reg::A0, Reg::S0, 8 * (1 + k) as i64 + at, width);
+        }
+        // The run ends in a misaligned half load, after every result is in
+        // memory.
+        a.ld(Reg::T1, Reg::S0, 1, MemWidth::H);
+        let program = a.assemble().unwrap();
+        let entry = program.require_symbol("entry").unwrap();
+        let mut b = MachineBuilder::new(cfg, program).unwrap();
+        for k in 0..=stores.len() as u64 {
+            b.write_u64(base + 8 * k, PATTERN);
+        }
+        b.add_thread(entry);
+        let mut m = b.build().unwrap();
+        let err = m.run().expect_err("the misaligned load faults");
+        assert!(
+            matches!(err, SimError::UnalignedAccess { addr, width: 2, .. } if addr == base + 1),
+            "{err} ({engine})"
+        );
+        for (i, &(name, _, want)) in int_cases.iter().enumerate() {
+            let got = m.read_u64(base + result(i) as u64);
+            assert_eq!(got, want, "{name} ({engine})");
+        }
+        for (i, &(name, _, want)) in float_cases.iter().enumerate() {
+            let got = m.read_f64(base + result(int_cases.len() + i) as u64);
+            assert_eq!(got.to_bits(), want.to_bits(), "{name}: {got} ({engine})");
+        }
+        for (k, &(width, _, want)) in stores.iter().enumerate() {
+            let got = m.read_u64(base + 8 * (1 + k) as u64);
+            assert_eq!(got, want, "{width:?} store: {got:#x} ({engine})");
+        }
+    }
 }
 
 #[test]

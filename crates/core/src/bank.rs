@@ -31,16 +31,6 @@ impl FilterBank {
         }
     }
 
-    /// Number of tables programmed into this bank.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Stats of table `i`.
-    pub fn table_stats(&self, i: usize) -> FilterTableStats {
-        self.tables[i].stats()
-    }
-
     /// Aggregate stats across the bank's tables.
     pub fn total_stats(&self) -> FilterTableStats {
         let mut agg = FilterTableStats::default();
@@ -131,7 +121,7 @@ impl BankHook for FilterBank {
     fn reprogram(&mut self) -> Result<(), HookViolation> {
         for (i, table) in self.tables.iter_mut().enumerate() {
             let saved = table
-                .try_swap_out()
+                .swap_out()
                 .map_err(|v| HookViolation::new(format!("filter table {i}: {v}")))?;
             table.swap_in(saved);
         }

@@ -193,7 +193,6 @@ pub struct BarrierSystem {
     config: SimConfig,
     nthreads: usize,
     capacity: FilterCapacity,
-    strict: bool,
     timeout: Option<u64>,
     tls_base: u64,
     next_tls_off: i64,
@@ -234,7 +233,6 @@ impl BarrierSystem {
             config: config.clone(),
             nthreads,
             capacity,
-            strict: false,
             timeout: None,
             tls_base,
             next_tls_off: 0,
@@ -242,11 +240,6 @@ impl BarrierSystem {
             hw_groups: Vec::new(),
             next_id: 0,
         })
-    }
-
-    /// Enable §3.3.4 strict FSM checking on subsequently created filters.
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
     }
 
     /// Configure the hardware timeout (in cycles) after which a starved
@@ -330,7 +323,7 @@ impl BarrierSystem {
             exit_base,
             num_threads: threads,
             initial_state,
-            strict: self.strict,
+            strict: false,
             timeout: self.timeout,
         }
     }

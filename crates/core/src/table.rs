@@ -340,29 +340,15 @@ impl FilterTable {
     /// different application (§3.3.3). The table is reset to its initial,
     /// unregistered state.
     ///
-    /// # Panics
-    ///
-    /// Panics if any fill is currently parked: the OS must not swap out a
-    /// barrier whose threads are blocked in the hardware (it context
-    /// switches them out first, which cancels their fills). Fault
-    /// injectors that must survive misprogramming use
-    /// [`try_swap_out`](FilterTable::try_swap_out) instead.
-    pub fn swap_out(&mut self) -> SavedFilter {
-        match self.try_swap_out() {
-            Ok(saved) => saved,
-            Err(_) => panic!("cannot swap out a filter with parked fills"),
-        }
-    }
-
-    /// Fallible [`swap_out`](FilterTable::swap_out): the §3.3.4
-    /// misprogramming case (an OS save while fills are parked) surfaces as
-    /// a recoverable [`HookViolation`] with the table unchanged, instead
-    /// of a panic.
-    ///
     /// # Errors
     ///
-    /// [`HookViolation`] if any fill is currently parked.
-    pub fn try_swap_out(&mut self) -> Result<SavedFilter, HookViolation> {
+    /// [`HookViolation`], with the table unchanged, if any fill is
+    /// currently parked: the OS must not swap out a barrier whose threads
+    /// are blocked in the hardware (it context switches them out first,
+    /// which cancels their fills). Swapping anyway is the §3.3.4
+    /// misprogramming case, which the fault harness counts as a
+    /// recoverable violation.
+    pub fn swap_out(&mut self) -> Result<SavedFilter, HookViolation> {
         if self.entries.iter().any(|e| e.pending.is_some()) {
             return Err(HookViolation::new(
                 "cannot swap out a filter with parked fills",
@@ -565,7 +551,7 @@ mod tests {
         let mut t = table(2);
         t.on_invalidate(line(A, 0)).unwrap();
         let before_state = t.thread_state(0);
-        let saved = t.swap_out();
+        let saved = t.swap_out().expect("no fill is parked");
         // after swap-out the hardware is reusable for another barrier
         assert_eq!(t.thread_state(0), ThreadState::Waiting);
         assert!(!t.fully_registered());
@@ -576,12 +562,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parked fills")]
-    fn swap_out_with_parked_fill_panics() {
+    fn swap_out_with_parked_fill_is_refused() {
         let mut t = table(2);
         t.on_invalidate(line(A, 0)).unwrap();
         t.on_fill(line(A, 0), ParkToken(0), 0).unwrap();
-        let _ = t.swap_out();
+        let before = format!("{t:?}");
+        let err = t.swap_out().expect_err("a parked fill blocks the swap");
+        assert!(err.to_string().contains("parked fills"), "{err}");
+        assert_eq!(
+            format!("{t:?}"),
+            before,
+            "a refused swap leaves the table unchanged"
+        );
     }
 
     #[test]

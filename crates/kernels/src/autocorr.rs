@@ -14,10 +14,10 @@
 //! }
 //! ```
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, Reg};
 
-use crate::harness::{check_u64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_u64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -71,40 +71,11 @@ impl Autocorr {
             .collect()
     }
 
-    /// Run the sequential baseline and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the paper's parallel version: per lag, a parallel partial
-    /// accumulation, a barrier, a reduction on thread 0, and a second
-    /// barrier.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
-    }
-
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
     /// faults) with optional in-process [`RunAttachments`] (an observer
-    /// hook that may attach a trace sink, the reference engine). The integer
+    /// hook that may attach a trace sink, the reference engine). The parallel
+    /// shape is the paper's: per lag, a parallel partial accumulation, a
+    /// barrier, a reduction on thread 0, and a second barrier. The integer
     /// results are exact, so both shapes validate against the same host
     /// reference; attachments are digest-invariant.
     ///
@@ -239,24 +210,36 @@ impl Autocorr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Autocorr::with_lags(128, 8).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Autocorr {
+            n: 128,
+            lags: 8,
+        }))
+        .unwrap();
     }
 
     #[test]
     fn parallel_filter_matches_host() {
-        Autocorr::with_lags(256, 8)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Autocorr { n: 256, lags: 8 },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        Autocorr::with_lags(128, 4)
-            .run_parallel(16, BarrierMechanism::SwTree)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Autocorr { n: 128, lags: 4 },
+            16,
+            BarrierMechanism::SwTree,
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! scaling sweep all share one description, and it builds its machine
 //! through the same harness path as every other kernel.
 
-use cmp_sim::Machine;
+use cmp_sim::{Machine, SimConfig};
 use sim_isa::Reg;
 
 use crate::harness::KernelBuild;
@@ -48,12 +48,29 @@ impl Fig4 {
         exec: &ExecSpec,
         att: &mut RunAttachments<'_>,
     ) -> Result<Machine, KernelError> {
+        self.build_on(exec.config(), exec, att)
+    }
+
+    /// [`build`](Fig4::build) on `config` instead of `exec`'s topology
+    /// preset, for machine parameters no preset varies (the ablations'
+    /// cache latencies and bus bandwidths). `config` needs at least
+    /// `exec.threads` cores.
+    ///
+    /// # Errors
+    ///
+    /// As for [`build`](Fig4::build).
+    pub fn build_on(
+        &self,
+        config: SimConfig,
+        exec: &ExecSpec,
+        att: &mut RunAttachments<'_>,
+    ) -> Result<Machine, KernelError> {
         if exec.mechanism.is_none() {
             return Err(KernelError::Spec(
                 "fig4 measures a barrier; it has no sequential form".into(),
             ));
         }
-        let (mut b, barrier) = KernelBuild::from_exec(exec, att)?;
+        let (mut b, barrier) = KernelBuild::on(config, exec, att)?;
         let barrier = barrier.expect("mechanism checked above");
         if barrier.is_fallback() {
             return Err(KernelError::Spec(

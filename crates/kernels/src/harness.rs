@@ -62,20 +62,6 @@ pub(crate) struct KernelBuild {
 }
 
 impl KernelBuild {
-    /// Sequential build: one thread, no barrier system.
-    pub fn sequential() -> KernelBuild {
-        let config = SimConfig::with_cores(1);
-        let space = AddressSpace::new(&config);
-        KernelBuild {
-            config,
-            space,
-            asm: Asm::new(),
-            sys: None,
-            sink: None,
-            threads: 1,
-        }
-    }
-
     /// Assemble, initialize memory via `init`, add the threads at label
     /// `entry`, and build the machine.
     ///

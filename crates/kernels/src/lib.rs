@@ -23,16 +23,19 @@
 //! | [`viterbi::Viterbi`] | EEMBC-like K=7 rate-1/2 Viterbi decoder, Figure 6 |
 //! | [`ocean::OceanProxy`] | §4.1 coarse-grained (SPLASH-2 Ocean-like) contrast case |
 //!
+//! Every run, whatever the kernel, is a [`RunSpec`] handed to [`run`] (or
+//! to [`run_with`] with in-process [`RunAttachments`]).
+//!
 //! # Example
 //!
 //! ```
-//! use kernels::livermore::Loop3;
 //! use barrier_filter::BarrierMechanism;
+//! use kernels::{RunSpec, WorkloadSpec};
 //!
 //! # fn main() -> Result<(), kernels::KernelError> {
-//! let kernel = Loop3::new(256);
-//! let seq = kernel.run_sequential()?;
-//! let par = kernel.run_parallel(16, BarrierMechanism::FilterI)?;
+//! let loop3 = WorkloadSpec::Loop3 { n: 256 };
+//! let seq = kernels::run(&RunSpec::sequential(loop3))?.outcome;
+//! let par = kernels::run(&RunSpec::parallel(loop3, 16, BarrierMechanism::FilterI))?.outcome;
 //! // at vector length 256 the filter barrier clearly beats sequential
 //! assert!(par.cycles_per_rep < seq.cycles_per_rep);
 //! # Ok(())

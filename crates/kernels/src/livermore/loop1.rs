@@ -8,10 +8,10 @@
 //! }
 //! ```
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, chunk_for, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, chunk_for, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -78,40 +78,12 @@ impl Loop1 {
         Ok(())
     }
 
-    /// Run the sequential baseline and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the parallel version: pure chunked distribution, one barrier per
-    /// repetition only to keep repetitions from overlapping.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
-    }
-
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
     /// faults) with optional in-process [`RunAttachments`] (an observer
-    /// hook that may attach a trace sink, the reference engine). The output
-    /// vector is always validated against the host reference; attachments are
+    /// hook that may attach a trace sink, the reference engine). The parallel
+    /// shape is pure chunked distribution, with one barrier per repetition
+    /// only to keep repetitions from overlapping. The output vector is always
+    /// validated against the host reference; attachments are
     /// digest-invariant.
     ///
     /// # Errors
@@ -177,25 +149,31 @@ impl Loop1 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Loop1::new(64).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop1 { n: 64 })).unwrap();
     }
 
     #[test]
     fn parallel_matches_host() {
-        Loop1::new(256)
-            .run_parallel(8, BarrierMechanism::FilterIPingPong)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop1 { n: 256 },
+            8,
+            BarrierMechanism::FilterIPingPong,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn embarrassingly_parallel_speedup_is_large() {
-        let k = Loop1::new(2048);
-        let seq = k.run_sequential().unwrap();
-        let par = k.run_parallel(16, BarrierMechanism::FilterI).unwrap();
+        let w = WorkloadSpec::Loop1 { n: 2048 };
+        let seq = run(&RunSpec::sequential(w)).unwrap().outcome;
+        let par = run(&RunSpec::parallel(w, 16, BarrierMechanism::FilterI))
+            .unwrap()
+            .outcome;
         let speedup = seq.cycles_per_rep / par.cycles_per_rep;
         assert!(speedup > 6.0, "speedup {speedup} too small for loop 1");
     }

@@ -21,10 +21,10 @@
 //! with successive iterations of the do-while loop" — which is why this
 //! kernel has the latest crossover of the three (vector length 256).
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -117,35 +117,6 @@ impl Loop2 {
         a.li(Reg::T1, x as i64);
         a.add(Reg::T1, Reg::T1, Reg::T0);
         a.fst(FReg::F0, Reg::T1, 0); // x[i]
-    }
-
-    /// Run the sequential baseline and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the paper's parallel decomposition and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
@@ -265,33 +236,44 @@ impl Loop2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Loop2::new(64).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop2 { n: 64 })).unwrap();
     }
 
     #[test]
     fn parallel_filter_matches_host() {
-        Loop2::new(128)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop2 { n: 128 },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        Loop2::new(64)
-            .run_parallel(16, BarrierMechanism::SwCentral)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop2 { n: 64 },
+            16,
+            BarrierMechanism::SwCentral,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallelism_halves_per_stage() {
         // n = 16: stages of 8, 4, 2, 1 halved iterations; with 16 threads
         // most threads idle at every stage yet results stay correct.
-        Loop2::new(16)
-            .run_parallel(16, BarrierMechanism::HwDedicated)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop2 { n: 16 },
+            16,
+            BarrierMechanism::HwDedicated,
+        ))
+        .unwrap();
     }
 
     #[test]

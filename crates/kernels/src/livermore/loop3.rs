@@ -11,10 +11,10 @@
 //! doubles (one cache line), accumulates per-thread partial sums on private
 //! lines, and reduces on thread 0 — two barriers per invocation.
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, chunk_for, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, chunk_for, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -65,36 +65,6 @@ impl Loop3 {
             q += partial;
         }
         q
-    }
-
-    /// Run the sequential baseline and validate the result.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the paper's parallel version on `threads` cores using
-    /// `mechanism`, and validate the result.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
@@ -226,24 +196,32 @@ impl Loop3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Loop3::new(64).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop3 { n: 64 })).unwrap();
     }
 
     #[test]
     fn parallel_filter_matches_host() {
-        Loop3::new(128)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop3 { n: 128 },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_software_matches_host() {
-        Loop3::new(128)
-            .run_parallel(4, BarrierMechanism::SwTree)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop3 { n: 128 },
+            4,
+            BarrierMechanism::SwTree,
+        ))
+        .unwrap();
     }
 
     #[test]
@@ -257,8 +235,11 @@ mod tests {
     #[test]
     fn short_vectors_leave_threads_idle_but_work() {
         // n = 16 with 16 threads: only 2 threads get work (chunk floor 8)
-        Loop3::new(16)
-            .run_parallel(16, BarrierMechanism::HwDedicated)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop3 { n: 16 },
+            16,
+            BarrierMechanism::HwDedicated,
+        ))
+        .unwrap();
     }
 }

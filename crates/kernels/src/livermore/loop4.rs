@@ -15,10 +15,10 @@
 //! }
 //! ```
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -98,40 +98,11 @@ impl Loop4 {
         x
     }
 
-    /// Run the sequential baseline and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the parallel version — exactly Loop 3's shape: per-`k` parallel
-    /// partial sums, a barrier, a reduction on thread 0, a second barrier.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
-    }
-
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
     /// faults) with optional in-process [`RunAttachments`] (an observer
-    /// hook that may attach a trace sink, the reference engine). The banded
-    /// solve is validated against the host reference in the matching
+    /// hook that may attach a trace sink, the reference engine). The parallel
+    /// shape is exactly Loop 3's: per-`k` parallel partial sums, a barrier, a
+    /// reduction on thread 0, a second barrier. The banded solve is validated against the host reference in the matching
     /// accumulation order; attachments are digest-invariant.
     ///
     /// # Errors
@@ -271,24 +242,31 @@ impl Loop4 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Loop4::new(200).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop4 { n: 200 })).unwrap();
     }
 
     #[test]
     fn parallel_matches_host() {
-        Loop4::new(400)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop4 { n: 400 },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        Loop4::new(200)
-            .run_parallel(8, BarrierMechanism::SwCentral)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop4 { n: 200 },
+            8,
+            BarrierMechanism::SwCentral,
+        ))
+        .unwrap();
     }
 }

@@ -10,12 +10,12 @@
 //! dependence chain makes it **inherently serial**, which is exactly why
 //! the paper excludes it ("they are either embarrassingly parallel, such as
 //! Kernel 1, or serial, such as Kernels 5 and 20"). We include it as the
-//! serial contrast case: there is no `run_parallel`, and
+//! serial contrast case: it runs only sequentially, and
 //! [`Loop5::is_parallelizable`] documents why.
 
 use sim_isa::{FReg, Reg};
 
-use crate::harness::{check_f64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -65,17 +65,6 @@ impl Loop5 {
             }
         }
         x
-    }
-
-    /// Run the (only possible) sequential version and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
     }
 
     /// Run under a full [`ExecSpec`]. The only accepted shape is
@@ -140,10 +129,11 @@ impl Loop5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
 
     #[test]
     fn sequential_matches_host() {
-        Loop5::new(128).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop5 { n: 128 })).unwrap();
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! synchronizations have an irregular pattern … a global barrier is a
 //! natural choice."
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_f64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -94,35 +94,6 @@ impl Loop6 {
             }
         }
         w
-    }
-
-    /// Run the sequential baseline (original loop order) and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the paper's wavefront-parallel version and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
@@ -258,24 +229,32 @@ impl Loop6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        Loop6::new(32).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Loop6 { n: 32 })).unwrap();
     }
 
     #[test]
     fn parallel_filter_matches_host() {
-        Loop6::new(48)
-            .run_parallel(4, BarrierMechanism::FilterIPingPong)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop6 { n: 48 },
+            4,
+            BarrierMechanism::FilterIPingPong,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        Loop6::new(32)
-            .run_parallel(8, BarrierMechanism::SwTree)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop6 { n: 32 },
+            8,
+            BarrierMechanism::SwTree,
+        ))
+        .unwrap();
     }
 
     #[test]
@@ -290,8 +269,11 @@ mod tests {
 
     #[test]
     fn tiny_n_works() {
-        Loop6::new(2)
-            .run_parallel(2, BarrierMechanism::HwDedicated)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Loop6 { n: 2 },
+            2,
+            BarrierMechanism::HwDedicated,
+        ))
+        .unwrap();
     }
 }

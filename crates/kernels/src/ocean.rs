@@ -9,10 +9,10 @@
 //! red-black Gauss–Seidel relaxation over a grid, row-partitioned, two
 //! barriers per sweep, with per-barrier work that dwarfs barrier latency.
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, FReg, Reg};
 
-use crate::harness::{check_f64, KernelBuild, KernelOutcome};
+use crate::harness::{check_f64, KernelBuild};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -71,35 +71,6 @@ impl OceanProxy {
             }
         }
         u
-    }
-
-    /// Run the sequential baseline and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the row-partitioned parallel version and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
     }
 
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
@@ -213,24 +184,42 @@ impl OceanProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn sequential_matches_host() {
-        OceanProxy::new(16, 3).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Ocean {
+            grid: 16,
+            sweeps: 3,
+        }))
+        .unwrap();
     }
 
     #[test]
     fn parallel_matches_host() {
-        OceanProxy::new(18, 3)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Ocean {
+                grid: 18,
+                sweeps: 3,
+            },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        OceanProxy::new(16, 2)
-            .run_parallel(8, BarrierMechanism::SwCentral)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Ocean {
+                grid: 16,
+                sweeps: 2,
+            },
+            8,
+            BarrierMechanism::SwCentral,
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -136,6 +136,9 @@ impl WorkloadSpec {
                 if inner == 0 || outer == 0 {
                     return bad(format!("fig4 needs inner/outer >= 1, got {inner}x{outer}"));
                 }
+                if inner.checked_mul(outer).is_none() {
+                    return bad(format!("fig4 {inner}x{outer} barriers overflow a u64"));
+                }
             }
             WorkloadSpec::Loop1 { n } | WorkloadSpec::Loop3 { n } => {
                 if n == 0 {
@@ -613,40 +616,44 @@ pub(crate) fn run_spec_reps(
 }
 
 impl KernelBuild {
-    /// Build state for `exec`: the topology preset's machine, the barrier
-    /// (when a mechanism is set) and the engine and observer wiring.
+    /// Build state for `exec` on its topology preset's machine
+    /// ([`ExecSpec::config`]).
     pub(crate) fn from_exec(
         exec: &ExecSpec,
         att: &mut RunAttachments<'_>,
     ) -> Result<(KernelBuild, Option<Barrier>), KernelError> {
+        KernelBuild::on(exec.config(), exec, att)
+    }
+
+    /// Build state for `exec` on `config`: the barrier (when a mechanism
+    /// is set) and the engine and observer wiring.
+    pub(crate) fn on(
+        mut config: SimConfig,
+        exec: &ExecSpec,
+        att: &mut RunAttachments<'_>,
+    ) -> Result<(KernelBuild, Option<Barrier>), KernelError> {
         exec.check()?;
-        match exec.mechanism {
-            None => {
-                let mut b = KernelBuild::sequential();
-                b.config.reference_engine = att.reference_engine;
-                Ok((b, None))
-            }
+        config.reference_engine = att.reference_engine;
+        let mut space = AddressSpace::new(&config);
+        let mut asm = Asm::new();
+        let (sys, barrier, sink) = match exec.mechanism {
+            None => (None, None, None),
             Some(mechanism) => {
-                let config = exec.config();
-                let mut space = AddressSpace::new(&config);
-                let mut asm = Asm::new();
                 let mut sys = BarrierSystem::new(&config, exec.threads, &mut space)?;
                 let barrier = sys.create_barrier(&mut asm, &mut space, mechanism, exec.threads)?;
-                let mut b = KernelBuild {
-                    config,
-                    space,
-                    asm,
-                    sys: Some(sys),
-                    sink: None,
-                    threads: exec.threads,
-                };
-                b.config.reference_engine = att.reference_engine;
-                if let Some(observe) = att.observe.take() {
-                    b.sink = observe(&barrier);
-                }
-                Ok((b, Some(barrier)))
+                let sink = att.observe.take().and_then(|observe| observe(&barrier));
+                (Some(sys), Some(barrier), sink)
             }
-        }
+        };
+        let b = KernelBuild {
+            config,
+            space,
+            asm,
+            sys,
+            sink,
+            threads: exec.threads,
+        };
+        Ok((b, barrier))
     }
 }
 
@@ -846,6 +853,10 @@ mod tests {
                     BarrierMechanism::FilterD,
                 ),
                 "lags",
+            ),
+            (
+                RunSpec::fig4(BarrierMechanism::FilterD, 2, 1 << 32, 1 << 32),
+                "episode count overflows",
             ),
         ] {
             let err = spec.validate().expect_err(why);

@@ -14,10 +14,10 @@
 //! (64 states, 171/133 octal). The `getti.dat` input is replaced by a
 //! seeded random bitstream transmitted over a noisy soft channel.
 
-use barrier_filter::{Barrier, BarrierMechanism};
+use barrier_filter::Barrier;
 use sim_isa::{Asm, MemWidth, Reg};
 
-use crate::harness::{check_u64, emit_rep_loop, KernelBuild, KernelOutcome, REPS};
+use crate::harness::{check_u64, emit_rep_loop, KernelBuild, REPS};
 use crate::spec::{run_spec_reps, ExecSpec, RunAttachments, RunOutput};
 use crate::{input, KernelError};
 
@@ -166,40 +166,11 @@ impl Viterbi {
         out
     }
 
-    /// Run the sequential baseline and validate against the host decoder.
-    ///
-    /// # Errors
-    ///
-    /// Simulation or validation failures.
-    pub fn run_sequential(&self) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(&ExecSpec::sequential(), RunAttachments::default())?
-            .outcome)
-    }
-
-    /// Run the parallel version (states partitioned across threads, one
-    /// barrier per trellis stage) and validate.
-    ///
-    /// # Errors
-    ///
-    /// Simulation, barrier-setup or validation failures.
-    pub fn run_parallel(
-        &self,
-        threads: usize,
-        mechanism: BarrierMechanism,
-    ) -> Result<KernelOutcome, KernelError> {
-        Ok(self
-            .run_with(
-                &ExecSpec::parallel(threads, mechanism),
-                RunAttachments::default(),
-            )?
-            .outcome)
-    }
-
     /// Run under a full [`ExecSpec`] (threads, mechanism, topology, seeded
     /// faults) with optional in-process [`RunAttachments`] (an observer
-    /// hook that may attach a trace sink, the reference engine). The decoded
-    /// output is always validated against the host decoder, and after a faulted
+    /// hook that may attach a trace sink, the reference engine). In parallel,
+    /// the states are partitioned across threads with one barrier per trellis
+    /// stage. The decoded output is always validated against the host decoder, and after a faulted
     /// run the filter tables must end quiescent — the §3.3.3
     /// graceful-degradation contract. Attachments are digest-invariant: the
     /// outcome's [`Measurement`](cmp_sim::Measurement) is bit-identical across
@@ -440,6 +411,8 @@ struct Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunSpec, WorkloadSpec};
+    use barrier_filter::BarrierMechanism;
 
     #[test]
     fn noiseless_decode_recovers_the_bits() {
@@ -465,27 +438,54 @@ mod tests {
 
     #[test]
     fn sequential_matches_host() {
-        Viterbi::new(32).run_sequential().unwrap();
+        run(&RunSpec::sequential(WorkloadSpec::Viterbi {
+            constraint: 5,
+            data_bits: 32,
+            noise_per_mille: 10,
+        }))
+        .unwrap();
     }
 
     #[test]
     fn parallel_filter_matches_host() {
-        Viterbi::new(48)
-            .run_parallel(4, BarrierMechanism::FilterD)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Viterbi {
+                constraint: 5,
+                data_bits: 48,
+                noise_per_mille: 10,
+            },
+            4,
+            BarrierMechanism::FilterD,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn parallel_sw_matches_host() {
-        Viterbi::new(32)
-            .run_parallel(8, BarrierMechanism::SwCentral)
-            .unwrap();
+        run(&RunSpec::parallel(
+            WorkloadSpec::Viterbi {
+                constraint: 5,
+                data_bits: 32,
+                noise_per_mille: 10,
+            },
+            8,
+            BarrierMechanism::SwCentral,
+        ))
+        .unwrap();
     }
 
     #[test]
     fn k7_variant_works() {
-        let v = Viterbi::with_params(7, 24, 0);
-        assert_eq!(v.states(), 64);
-        v.run_parallel(4, BarrierMechanism::HwDedicated).unwrap();
+        assert_eq!(Viterbi::with_params(7, 24, 0).states(), 64);
+        run(&RunSpec::parallel(
+            WorkloadSpec::Viterbi {
+                constraint: 7,
+                data_bits: 24,
+                noise_per_mille: 0,
+            },
+            4,
+            BarrierMechanism::HwDedicated,
+        ))
+        .unwrap();
     }
 }

@@ -20,8 +20,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test"
-cargo test --workspace --release --offline -q
+echo "==> cargo test (release optimisation, debug assertions and overflow checks on)"
+cargo test --workspace --profile ci --offline -q
 
 echo "==> perfbench build + tests"
 # The benchmark is a workspace of its own, so the workspace test run above

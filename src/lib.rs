@@ -15,14 +15,20 @@
 //!   happens-before race detector for barrier kernels.
 //!
 //! See `examples/quickstart.rs` for the fastest route to a running
-//! simulation, and the `bench-suite` crate for the binaries that regenerate
-//! every table and figure of the paper.
+//! simulation, and the `bench-suite` crate for the `fastbar` binary that
+//! regenerates every table and figure of the paper.
 
 pub use analyze;
 pub use barrier_filter;
 pub use cmp_sim;
 pub use kernels;
 pub use sim_isa;
+
+/// README.md's `rust` code blocks, compiled and run as doctests so the
+/// API tour cannot rot.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 /// Commonly needed items in one import: machine construction, the barrier
 /// mechanisms, the shared [`Measurement`](cmp_sim::Measurement) record

@@ -2,14 +2,30 @@
 //! barrier filter → kernels) assembled through the public `fastbar` facade,
 //! asserting the paper's headline *shape* claims at test-sized inputs.
 
+use fastbar::cmp_sim;
 use fastbar::prelude::*;
-use fastbar::{barrier_filter, cmp_sim, kernels};
 
-use barrier_filter::BarrierMechanism;
-use kernels::autocorr::Autocorr;
-use kernels::livermore::{Loop1, Loop2, Loop3, Loop6};
-use kernels::ocean::OceanProxy;
-use kernels::viterbi::Viterbi;
+/// Cycles per repetition of `w`'s sequential baseline.
+fn seq(w: WorkloadSpec) -> f64 {
+    run(&RunSpec::sequential(w)).unwrap().outcome.cycles_per_rep
+}
+
+/// Cycles per repetition of `w` on `threads` threads under `mechanism`.
+fn par(w: WorkloadSpec, threads: usize, mechanism: BarrierMechanism) -> f64 {
+    run(&RunSpec::parallel(w, threads, mechanism))
+        .unwrap()
+        .outcome
+        .cycles_per_rep
+}
+
+/// The EEMBC-like K=5 Viterbi decode of `data_bits` bits at 1% noise.
+fn viterbi(data_bits: usize) -> WorkloadSpec {
+    WorkloadSpec::Viterbi {
+        constraint: 5,
+        data_bits,
+        noise_per_mille: 10,
+    }
+}
 
 #[test]
 fn prelude_builds_a_machine() {
@@ -31,35 +47,18 @@ fn prelude_builds_a_machine() {
 fn paper_claim_filters_beat_software_on_every_kernel() {
     // Reduced-size version of the Table 1 ordering claim.
     let threads = 8;
-    let checks: Vec<(&str, f64, f64)> = vec![
-        {
-            let k = Loop3::new(128);
-            let seq = k.run_sequential().unwrap().cycles_per_rep;
-            let sw = k
-                .run_parallel(threads, BarrierMechanism::SwTree)
-                .unwrap()
-                .cycles_per_rep;
-            let f = k
-                .run_parallel(threads, BarrierMechanism::FilterI)
-                .unwrap()
-                .cycles_per_rep;
-            ("loop3", seq / sw, seq / f)
-        },
-        {
-            let k = Viterbi::new(48);
-            let seq = k.run_sequential().unwrap().cycles_per_rep;
-            let sw = k
-                .run_parallel(threads, BarrierMechanism::SwTree)
-                .unwrap()
-                .cycles_per_rep;
-            let f = k
-                .run_parallel(threads, BarrierMechanism::FilterD)
-                .unwrap()
-                .cycles_per_rep;
-            ("viterbi", seq / sw, seq / f)
-        },
+    let checks = [
+        (
+            "loop3",
+            WorkloadSpec::Loop3 { n: 128 },
+            BarrierMechanism::FilterI,
+        ),
+        ("viterbi", viterbi(48), BarrierMechanism::FilterD),
     ];
-    for (name, sw_speedup, filter_speedup) in checks {
+    for (name, w, filter) in checks {
+        let seq = seq(w);
+        let sw_speedup = seq / par(w, threads, BarrierMechanism::SwTree);
+        let filter_speedup = seq / par(w, threads, filter);
         assert!(
             filter_speedup > sw_speedup,
             "{name}: filter {filter_speedup:.2}x must beat software {sw_speedup:.2}x"
@@ -71,16 +70,10 @@ fn paper_claim_filters_beat_software_on_every_kernel() {
 fn paper_claim_viterbi_software_slowdown_filter_speedup() {
     // Table 1 / Figure 6: at 16 cores the software-barrier Viterbi is
     // slower than sequential while the filter version is faster.
-    let k = Viterbi::new(96);
-    let seq = k.run_sequential().unwrap().cycles_per_rep;
-    let sw = k
-        .run_parallel(16, BarrierMechanism::SwCentral)
-        .unwrap()
-        .cycles_per_rep;
-    let filt = k
-        .run_parallel(16, BarrierMechanism::FilterI)
-        .unwrap()
-        .cycles_per_rep;
+    let w = viterbi(96);
+    let seq = seq(w);
+    let sw = par(w, 16, BarrierMechanism::SwCentral);
+    let filt = par(w, 16, BarrierMechanism::FilterI);
     assert!(sw > seq, "software-barrier viterbi must be a slowdown");
     assert!(filt < seq, "filter-barrier viterbi must be a speedup");
 }
@@ -89,34 +82,14 @@ fn paper_claim_viterbi_software_slowdown_filter_speedup() {
 fn paper_claim_loop2_crossover_is_later_than_loop3() {
     // Figures 7 vs 8: loop 2's halving parallelism pushes its filter
     // crossover to larger vector lengths than loop 3's.
-    let threads = 16;
-    let crossover = |run: &dyn Fn(usize) -> (f64, f64)| -> usize {
-        for n in [16usize, 32, 64, 128, 256, 512] {
-            let (seq, par) = run(n);
-            if par < seq {
-                return n;
-            }
-        }
-        usize::MAX
+    let crossover = |workload: fn(usize) -> WorkloadSpec| -> usize {
+        [16usize, 32, 64, 128, 256, 512]
+            .into_iter()
+            .find(|&n| par(workload(n), 16, BarrierMechanism::FilterI) < seq(workload(n)))
+            .unwrap_or(usize::MAX)
     };
-    let loop3 = crossover(&|n| {
-        let k = Loop3::new(n);
-        (
-            k.run_sequential().unwrap().cycles_per_rep,
-            k.run_parallel(threads, BarrierMechanism::FilterI)
-                .unwrap()
-                .cycles_per_rep,
-        )
-    });
-    let loop2 = crossover(&|n| {
-        let k = Loop2::new(n);
-        (
-            k.run_sequential().unwrap().cycles_per_rep,
-            k.run_parallel(threads, BarrierMechanism::FilterI)
-                .unwrap()
-                .cycles_per_rep,
-        )
-    });
+    let loop3 = crossover(|n| WorkloadSpec::Loop3 { n });
+    let loop2 = crossover(|n| WorkloadSpec::Loop2 { n });
     assert!(
         loop2 >= loop3,
         "loop2 crossover N={loop2} must not precede loop3's N={loop3}"
@@ -132,16 +105,11 @@ fn paper_claim_loop6_parallel_beats_sequential_by_3x_at_256() {
     // Figure 10: "more than a factor of 3 faster ... for vector lengths of
     // 256 elements." (Checked at 128 to keep the test fast; the full size
     // runs in `fastbar fig10`.)
-    let k = Loop6::new(128);
-    let seq = k.run_sequential().unwrap().cycles_per_rep;
-    let filt = k
-        .run_parallel(16, BarrierMechanism::FilterI)
-        .unwrap()
-        .cycles_per_rep;
+    let w = WorkloadSpec::Loop6 { n: 128 };
+    let speedup = seq(w) / par(w, 16, BarrierMechanism::FilterI);
     assert!(
-        seq / filt > 3.0,
-        "loop6 filter speedup {:.2} must exceed 3x",
-        seq / filt
+        speedup > 3.0,
+        "loop6 filter speedup {speedup:.2} must exceed 3x"
     );
 }
 
@@ -149,15 +117,12 @@ fn paper_claim_loop6_parallel_beats_sequential_by_3x_at_256() {
 fn paper_claim_coarse_grained_barriers_barely_matter() {
     // §4.1: with hundreds of instructions per barrier, the mechanism choice
     // moves whole-program time by only a few percent.
-    let k = OceanProxy::new(66, 6);
-    let sw = k
-        .run_parallel(16, BarrierMechanism::SwCentral)
-        .unwrap()
-        .cycles_per_rep;
-    let filt = k
-        .run_parallel(16, BarrierMechanism::FilterI)
-        .unwrap()
-        .cycles_per_rep;
+    let w = WorkloadSpec::Ocean {
+        grid: 66,
+        sweeps: 6,
+    };
+    let sw = par(w, 16, BarrierMechanism::SwCentral);
+    let filt = par(w, 16, BarrierMechanism::FilterI);
     let improvement = (sw - filt) / sw;
     assert!(
         improvement < 0.25,
@@ -171,46 +136,38 @@ fn paper_claim_coarse_grained_barriers_barely_matter() {
 fn embarrassingly_parallel_loop1_needs_no_fast_barrier() {
     // Loop 1 scales regardless of mechanism: the barrier is per-repetition
     // only, so even sw-central parallelizes it.
-    let k = Loop1::new(2048);
-    let seq = k.run_sequential().unwrap().cycles_per_rep;
-    let sw = k
-        .run_parallel(16, BarrierMechanism::SwCentral)
-        .unwrap()
-        .cycles_per_rep;
-    assert!(seq / sw > 4.0, "speedup {:.2} too small", seq / sw);
+    let w = WorkloadSpec::Loop1 { n: 2048 };
+    let speedup = seq(w) / par(w, 16, BarrierMechanism::SwCentral);
+    assert!(speedup > 4.0, "speedup {speedup:.2} too small");
 }
 
 #[test]
 fn autocorrelation_scales_with_filters() {
-    let k = Autocorr::with_lags(512, 8);
-    let seq = k.run_sequential().unwrap().cycles_per_rep;
-    let filt = k
-        .run_parallel(16, BarrierMechanism::FilterD)
-        .unwrap()
-        .cycles_per_rep;
-    assert!(seq / filt > 2.0, "speedup {:.2} too small", seq / filt);
+    let w = WorkloadSpec::Autocorr { n: 512, lags: 8 };
+    let speedup = seq(w) / par(w, 16, BarrierMechanism::FilterD);
+    assert!(speedup > 2.0, "speedup {speedup:.2} too small");
 }
 
 #[test]
 fn whole_stack_is_deterministic() {
-    let run = || {
-        let k = Loop6::new(24);
-        k.run_parallel(4, BarrierMechanism::FilterDPingPong)
-            .unwrap()
-            .sim
-            .cycles
-    };
-    assert_eq!(run(), run());
+    let spec = RunSpec::parallel(
+        WorkloadSpec::Loop6 { n: 24 },
+        4,
+        BarrierMechanism::FilterDPingPong,
+    );
+    let cycles = || run(&spec).unwrap().outcome.sim.cycles;
+    assert_eq!(cycles(), cycles());
 }
 
 #[test]
 fn sixty_four_core_machine_runs_a_kernel() {
     // The largest configuration the paper sweeps (Figure 4's right edge).
-    let k = Loop3::new(1024);
-    let out = k
-        .run_parallel(64, BarrierMechanism::FilterIPingPong)
-        .unwrap();
-    assert!(out.sim.cycles > 0);
+    let spec = RunSpec::parallel(
+        WorkloadSpec::Loop3 { n: 1024 },
+        64,
+        BarrierMechanism::FilterIPingPong,
+    );
+    assert!(run(&spec).unwrap().outcome.sim.cycles > 0);
 }
 
 #[test]
