@@ -676,7 +676,7 @@ impl<'a> Machine<'a> {
         for (t, cfg) in self.tables.iter().enumerate() {
             if line >= cfg.arrival.0 && line < cfg.arrival.1 {
                 let s = ((line - cfg.arrival.0) / LINE_BYTES) as usize;
-                match fsm::step(st.tables[t].slots[s], FsmEvent::ArrivalInvalidate, false) {
+                match fsm::step(st.tables[t].slots[s], FsmEvent::ArrivalInvalidate) {
                     Ok(FsmAction::Transition(ns)) => {
                         st.tables[t].slots[s] = ns;
                         if st.tables[t]
@@ -694,7 +694,7 @@ impl<'a> Machine<'a> {
             if let Some((lo, hi)) = cfg.exit {
                 if line >= lo && line < hi {
                     let s = ((line - lo) / LINE_BYTES) as usize;
-                    match fsm::step(st.tables[t].slots[s], FsmEvent::ExitInvalidate, false) {
+                    match fsm::step(st.tables[t].slots[s], FsmEvent::ExitInvalidate) {
                         Ok(FsmAction::Transition(ns)) => st.tables[t].slots[s] = ns,
                         Ok(_) => {}
                         Err(v) => return Err(props::fsm_violation(&v, c, pc)),
@@ -744,23 +744,21 @@ impl<'a> Machine<'a> {
                 let mut s2 = st.clone();
                 s2.cores[c].stale = None;
                 let r = match self.arrival_at(line) {
-                    Some((t, s)) => {
-                        match fsm::step(s2.tables[t].slots[s], FsmEvent::ArrivalFill, false) {
-                            Ok(FsmAction::Park) => {
-                                s2.tables[t].parked[s] |= 1 << c;
-                                s2.cores[c].status = Status::Parked {
-                                    table: t as u8,
-                                    slot: s as u8,
-                                };
-                                Ok(s2)
-                            }
-                            Ok(_) => self
-                                .complete_fill(&mut s2, c)
-                                .and_then(|()| self.run_local(&mut s2, c))
-                                .map(|()| s2),
-                            Err(v) => Err(props::fsm_violation(&v, c, pc)),
+                    Some((t, s)) => match fsm::step(s2.tables[t].slots[s], FsmEvent::ArrivalFill) {
+                        Ok(FsmAction::Park) => {
+                            s2.tables[t].parked[s] |= 1 << c;
+                            s2.cores[c].status = Status::Parked {
+                                table: t as u8,
+                                slot: s as u8,
+                            };
+                            Ok(s2)
                         }
-                    }
+                        Ok(_) => self
+                            .complete_fill(&mut s2, c)
+                            .and_then(|()| self.run_local(&mut s2, c))
+                            .map(|()| s2),
+                        Err(v) => Err(props::fsm_violation(&v, c, pc)),
+                    },
                     None => self
                         .complete_fill(&mut s2, c)
                         .and_then(|()| self.run_local(&mut s2, c))

@@ -79,9 +79,7 @@ fn plan_seed(
 /// in workload × mechanism × fault-level order. A faulted point is its
 /// workload's spec [`with_faults`](RunSpec::with_faults) spread over the
 /// baseline's cycle count; it runs **twice** and the two outputs must
-/// match bit-for-bit. A zero-fault point is the fault-free baseline run.
-/// Level 0 is always swept (prepended if absent) so every workload ×
-/// mechanism cell has its baseline.
+/// match bit-for-bit. A zero-fault level is the fault-free baseline run.
 ///
 /// # Errors
 ///
@@ -94,12 +92,6 @@ pub fn run_chaos(
     levels: &[usize],
     seed: u64,
 ) -> Result<Vec<(RunSpec, RunOutput)>, String> {
-    let mut levels: Vec<usize> = levels.to_vec();
-    if !levels.contains(&0) {
-        levels.insert(0, 0);
-    }
-    levels.sort_unstable();
-    levels.dedup();
     let grid: Vec<(ChaosWorkload, BarrierMechanism)> = ChaosWorkload::ALL
         .into_iter()
         .flat_map(|w| BarrierMechanism::ALL.into_iter().map(move |m| (w, m)))

@@ -3,8 +3,8 @@
 //! Each experiment of the [`experiments`](crate::experiments) registry
 //! declares its flags as a [`Cli`] value: every experiment gets
 //! `--quick`, `--jobs N` and `--help` for free, and opts into the flags
-//! it actually supports (`--check`, `--trace`, `--out`, the
-//! fault-injection pair `--faults`/`--seed`, and named switches).
+//! it actually supports (`--check`, `--trace`, `--out` and the
+//! fault-plan `--seed`).
 //! Unrecognized flags are rejected — an experiment never silently ignores
 //! a flag it does not implement.
 //!
@@ -27,10 +27,6 @@ use crate::sweep::SweepRunner;
 /// chaos schedule).
 pub const DEFAULT_SEED: u64 = 0x5eed_ba44_1e4a_0001;
 
-/// Most boolean switches one experiment can declare via
-/// [`Cli::with_switch`].
-const MAX_SWITCHES: usize = 4;
-
 /// Flag declaration for one experiment: the universal flags plus
 /// whichever optional ones the experiment supports. The builders are
 /// `const`, so the registry is a static table.
@@ -41,13 +37,12 @@ pub struct Cli {
     check: bool,
     trace: bool,
     out: Option<&'static str>,
-    faults: bool,
-    switches: [Option<(&'static str, &'static str)>; MAX_SWITCHES],
+    seed: bool,
 }
 
 /// Parsed command line, with defaults filled in for every flag the
-/// experiment did not receive (and `0`/[`DEFAULT_SEED`] for fault flags
-/// the experiment does not even declare, so downstream code can read them
+/// experiment did not receive (and [`DEFAULT_SEED`] when the experiment
+/// does not even declare `--seed`, so downstream code can read it
 /// unconditionally).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -57,24 +52,12 @@ pub struct BenchArgs {
     pub check: bool,
     /// Worker pool sized by `--jobs N` (default: all host threads).
     pub runner: SweepRunner,
-    /// `--trace PATH` (or prefix), if given.
+    /// `--trace PREFIX`, if given.
     pub trace: Option<String>,
     /// `--out PATH`, defaulted to the experiment's declared output path.
     pub out: Option<String>,
-    /// `--faults N`: scheduled fault events per run (default 0).
-    pub faults: usize,
     /// `--seed S`: fault-plan seed, decimal or `0x` hex.
     pub seed: u64,
-    /// Declared boolean switches that were present, by flag spelling.
-    switches: Vec<&'static str>,
-}
-
-impl BenchArgs {
-    /// Whether the declared boolean switch `flag` (e.g. `"--mc"`) was
-    /// present on the command line.
-    pub fn switch(&self, flag: &str) -> bool {
-        self.switches.contains(&flag)
-    }
 }
 
 /// Outcome of [`Cli::parse_from`]: either a parsed argument set or a
@@ -98,8 +81,7 @@ impl Cli {
             check: false,
             trace: false,
             out: None,
-            faults: false,
-            switches: [None; MAX_SWITCHES],
+            seed: false,
         }
     }
 
@@ -110,7 +92,7 @@ impl Cli {
         self
     }
 
-    /// Accept `--trace PATH`.
+    /// Accept `--trace PREFIX`.
     #[must_use]
     pub const fn with_trace(mut self) -> Cli {
         self.trace = true;
@@ -124,34 +106,10 @@ impl Cli {
         self
     }
 
-    /// Accept the fault-injection pair `--faults N` and `--seed S`.
+    /// Accept the fault-plan seed `--seed S`.
     #[must_use]
-    pub const fn with_faults(mut self) -> Cli {
-        self.faults = true;
-        self
-    }
-
-    /// Accept an experiment-specific boolean switch (e.g. `--mc`), read
-    /// back via [`BenchArgs::switch`]. `flag` must include the `--`
-    /// prefix.
-    ///
-    /// # Panics
-    ///
-    /// A flag without the `--` prefix or more than four declared switches
-    /// (declaration-time bugs, caught at compile time in a `const`).
-    #[must_use]
-    pub const fn with_switch(mut self, flag: &'static str, help: &'static str) -> Cli {
-        let bytes = flag.as_bytes();
-        assert!(
-            bytes.len() > 2 && bytes[0] == b'-' && bytes[1] == b'-',
-            "a switch must start with --"
-        );
-        let mut slot = 0;
-        while self.switches[slot].is_some() {
-            slot += 1;
-            assert!(slot < MAX_SWITCHES, "too many declared switches");
-        }
-        self.switches[slot] = Some((flag, help));
+    pub const fn with_seed(mut self) -> Cli {
+        self.seed = true;
         self
     }
 
@@ -172,16 +130,13 @@ impl Cli {
             flags.push_str(" [--check]");
         }
         if self.trace {
-            flags.push_str(" [--trace PATH]");
+            flags.push_str(" [--trace PREFIX]");
         }
         if self.out.is_some() {
             flags.push_str(" [--out PATH]");
         }
-        if self.faults {
-            flags.push_str(" [--faults N] [--seed S]");
-        }
-        for (flag, _) in self.switches.iter().flatten() {
-            flags.push_str(&format!(" [{flag}]"));
+        if self.seed {
+            flags.push_str(" [--seed S]");
         }
         let mut text = format!(
             "Usage: fastbar {} {flags} [--help]\n\n{}\n\nOptions:\n      \
@@ -195,21 +150,19 @@ impl Cli {
             );
         }
         if self.trace {
-            text.push_str("      --trace PATH   stream a Chrome trace to PATH\n");
+            text.push_str(
+                "      --trace PREFIX stream Chrome traces to PREFIX.<mechanism>.trace.json\n",
+            );
         }
         if let Some(default) = self.out {
             text.push_str(&format!(
                 "      --out PATH     write the JSON document to PATH (default: {default})\n"
             ));
         }
-        if self.faults {
+        if self.seed {
             text.push_str(&format!(
-                "      --faults N     scheduled fault events per run (default: 0)\n      \
-                 --seed S       fault-plan seed, decimal or 0x hex (default: {DEFAULT_SEED:#x})\n"
+                "      --seed S       fault-plan seed, decimal or 0x hex (default: {DEFAULT_SEED:#x})\n"
             ));
-        }
-        for (flag, help) in self.switches.iter().flatten() {
-            text.push_str(&format!("      {flag:<14} {help}\n"));
         }
         text.push_str("  -h, --help         print this help\n");
         text
@@ -230,9 +183,7 @@ impl Cli {
             runner: SweepRunner::available(),
             trace: None,
             out: self.out.map(String::from),
-            faults: 0,
             seed: DEFAULT_SEED,
-            switches: Vec::new(),
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -267,29 +218,12 @@ impl Cli {
                 }
                 "--trace" if self.trace => parsed.trace = Some(value("--trace")?),
                 "--out" if self.out.is_some() => parsed.out = Some(value("--out")?),
-                "--faults" if self.faults => {
-                    let v = value("--faults")?;
-                    parsed.faults = v
-                        .parse()
-                        .map_err(|_| format!("--faults: expected a count, got {v:?}"))?;
-                }
-                "--seed" if self.faults => {
+                "--seed" if self.seed => {
                     let v = value("--seed")?;
                     parsed.seed = parse_u64_flex(&v)
                         .ok_or_else(|| format!("--seed: expected decimal or 0x hex, got {v:?}"))?;
                 }
-                _ => {
-                    let Some((declared, _)) = self
-                        .switches
-                        .iter()
-                        .flatten()
-                        .find(|(declared, _)| *declared == flag)
-                    else {
-                        return Err(format!("unrecognized argument {arg:?} (try --help)"));
-                    };
-                    boolean(flag)?;
-                    parsed.switches.push(declared);
-                }
+                _ => return Err(format!("unrecognized argument {arg:?} (try --help)")),
             }
         }
         Ok(Parse::Run(parsed))
@@ -318,7 +252,6 @@ mod tests {
         assert!(a.quick);
         assert!(!a.check);
         assert_eq!(a.runner.jobs(), 3);
-        assert_eq!(a.faults, 0);
         assert_eq!(a.seed, DEFAULT_SEED);
         let b = run(&cli, &["--jobs=2"]).unwrap();
         assert_eq!(b.runner.jobs(), 2);
@@ -348,7 +281,7 @@ mod tests {
             .with_check()
             .with_trace()
             .with_out("OUT.json")
-            .with_faults();
+            .with_seed();
         let a = run(&cli, &[]).unwrap();
         assert!(!a.check);
         assert_eq!(a.trace, None);
@@ -356,51 +289,25 @@ mod tests {
         let b = run(
             &cli,
             &[
-                "--check", "--trace", "t.json", "--out", "o.json", "--faults", "7", "--seed",
-                "0x2a",
+                "--check", "--trace", "t.json", "--out", "o.json", "--seed", "0x2a",
             ],
         )
         .unwrap();
         assert!(b.check);
         assert_eq!(b.trace.as_deref(), Some("t.json"));
         assert_eq!(b.out.as_deref(), Some("o.json"));
-        assert_eq!(b.faults, 7);
         assert_eq!(b.seed, 0x2a);
         let c = run(&cli, &["--seed", "42"]).unwrap();
         assert_eq!(c.seed, 42);
     }
 
     #[test]
-    fn declared_switches_parse_and_undeclared_ones_are_rejected() {
-        let cli = Cli::new("t", "test binary")
-            .with_switch("--mc", "run the model-checker layer")
-            .with_switch("--json", "stream findings as JSON lines");
-        let a = run(&cli, &["--mc", "--quick"]).unwrap();
-        assert!(a.switch("--mc"));
-        assert!(!a.switch("--json"));
-        let b = run(&cli, &["--json", "--mc"]).unwrap();
-        assert!(b.switch("--mc") && b.switch("--json"));
-        let err = run(&cli, &["--verbose"]).unwrap_err();
-        assert!(err.contains("unrecognized"));
-        // A switch declared by one experiment stays rejected by another.
-        let plain = Cli::new("t", "test binary");
-        assert!(run(&plain, &["--mc"]).unwrap_err().contains("unrecognized"));
-        let usage = cli.usage();
-        assert!(usage.contains("[--mc]"));
-        assert!(usage.contains("stream findings as JSON lines"));
-    }
-
-    #[test]
     fn bad_values_report_the_flag() {
-        let cli = Cli::new("t", "test binary")
-            .with_faults()
-            .with_check()
-            .with_switch("--mc", "run the model-checker layer");
+        let cli = Cli::new("t", "test binary").with_seed().with_check();
         for (flags, needle) in [
             (&["--jobs"][..], "--jobs"),
             (&["--jobs", "0"], "--jobs"),
             (&["--jobs", "many"], "--jobs"),
-            (&["--faults", "-1"], "--faults"),
             (&["--seed", "0xZZ"], "--seed"),
             (&["--seed", "0x+1f"], "--seed"),
             (&["--seed", "+7"], "--seed"),
@@ -409,7 +316,6 @@ mod tests {
             // quietly mean `--quick`.
             (&["--quick=false"], "--quick"),
             (&["--check=no"], "--check"),
-            (&["--quick", "--mc=no"], "--mc"),
             (&["--help=yes"], "--help"),
         ] {
             let err = run(&cli, flags).unwrap_err();
@@ -419,7 +325,7 @@ mod tests {
 
     #[test]
     fn help_short_circuits_and_usage_lists_declared_flags() {
-        let cli = Cli::new("t", "test binary").with_faults();
+        let cli = Cli::new("t", "test binary").with_seed();
         assert!(matches!(
             cli.parse_from(&strings(&["--quick", "--help"])).unwrap(),
             Parse::Help
@@ -430,7 +336,6 @@ mod tests {
         ));
         let usage = cli.usage();
         assert!(usage.contains("test binary"));
-        assert!(usage.contains("--faults"));
         assert!(usage.contains("--seed"));
         assert!(!usage.contains("--check"));
         assert!(!usage.contains("--trace"));

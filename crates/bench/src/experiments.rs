@@ -15,17 +15,16 @@
 //! speedup-by-mechanism table; only their workloads, sizes and footers
 //! differ.
 //!
-//! Every report except `throughput` and `hotpath` (whose subject is host
-//! time) is byte-identical across `--jobs` values: the sweeps are
-//! deterministic and the host job count never reaches stdout (the JSON
-//! documents record it in their `jobs` field).
+//! Every report except `hotpath` (whose subject is host time) is
+//! byte-identical across `--jobs` values: the sweeps are deterministic
+//! and the host job count never reaches stdout (the JSON documents record
+//! it in their `jobs` field).
 //!
 //! The four JSON documents (`fig_scale`, `throughput`, `chaos`, `verify`)
 //! share one schema, [`RUNS_SCHEMA`]: a header, the experiment's own
 //! fields, then one [`RunOutput::record`] per simulated run.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use barrier_filter::{Barrier, BarrierMechanism};
 use cmp_sim::{ChromeTraceSink, Json, SimConfig, TraceSink};
@@ -33,11 +32,11 @@ use kernels::{ExecSpec, Fig4, OceanProxy, RunAttachments, RunOutput, RunSpec, Wo
 
 use crate::chaos::run_chaos;
 use crate::cli::{BenchArgs, Cli};
-use crate::kernel_runs::{speedup_table, sweep_grid, viterbi, SpeedupRow};
+use crate::kernel_runs::{run_specs, speedup_table, sweep_grid, viterbi, SpeedupRow};
 use crate::report::{f1, f2, table};
 use crate::scale::run_scale;
 use crate::throughput::{suite_digests, suite_specs, PINNED};
-use crate::verify::{run_verify, stream_findings, VerifyKernel};
+use crate::verify::{run_verify, VerifyKernel};
 
 /// Append one formatted line to a report (`writeln!` into a `String`,
 /// which cannot fail).
@@ -139,7 +138,6 @@ pub static EXPERIMENTS: [Experiment; 14] = [
             "Pinned stats digests on both engines → BENCH_throughput.json",
         )
         .with_check()
-        .with_trace()
         .with_out("BENCH_throughput.json"),
         run: throughput,
     },
@@ -149,7 +147,7 @@ pub static EXPERIMENTS: [Experiment; 14] = [
             "Fault-injection sweep — barrier recovery under OS interference (§3.3.3)",
         )
         .with_out("BENCH_chaos.json")
-        .with_faults(),
+        .with_seed(),
         run: chaos,
     },
     Experiment {
@@ -158,12 +156,7 @@ pub static EXPERIMENTS: [Experiment; 14] = [
             "Static verifier + race detector + model checker over every kernel × mechanism \
              → BENCH_verify.json",
         )
-        .with_out("BENCH_verify.json")
-        .with_switch(
-            "--mc",
-            "explore every mechanism with the bounded model checker",
-        )
-        .with_switch("--json", "stream findings as one JSON object per line"),
+        .with_out("BENCH_verify.json"),
         run: verify,
     },
 ];
@@ -570,16 +563,6 @@ fn ocean(args: &BenchArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Attachments that stream a parallel run's trace events to a Chrome
-/// trace file at `path`, created (or truncated) now.
-fn chrome_traced(path: &str) -> Result<RunAttachments<'static>, String> {
-    let sink = ChromeTraceSink::create(path)
-        .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-    Ok(RunAttachments::observed(move |_: &Barrier| {
-        Some(Box::new(sink) as Box<dyn TraceSink>)
-    }))
-}
-
 // --- Figure 4, ablations and the scaling sweep --------------------------
 
 /// The core count whose Figure 4 points are traced under `--trace`: a
@@ -614,7 +597,13 @@ fn fig4(args: &BenchArgs) -> Result<String, String> {
         .runner
         .run_all(&grid, |_, &(mechanism, cores)| {
             let att = match trace_path(mechanism) {
-                Some(path) if cores == TRACED_CORES => chrome_traced(&path)?,
+                Some(path) if cores == TRACED_CORES => {
+                    let sink = ChromeTraceSink::create(&path)
+                        .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
+                    RunAttachments::observed(move |_: &Barrier| {
+                        Some(Box::new(sink) as Box<dyn TraceSink>)
+                    })
+                }
                 _ => RunAttachments::default(),
             };
             let spec = RunSpec::fig4(mechanism, cores, inner, outer);
@@ -883,38 +872,23 @@ fn hotpath(args: &BenchArgs) -> Result<String, String> {
 /// The pinned-digest gate: the two committed workloads (the Figure 4
 /// loop under every mechanism at 16 cores, and the Viterbi kernel) as
 /// eight runs on the worker pool, written as `BENCH_throughput.json` with
-/// both digests and each run's host seconds. The seconds are
-/// informational; perfbench is the gated timing. `--check` requires both
-/// digests to equal the pinned constants on the production engine and,
-/// re-running the suite, on the reference engine (full sizes only).
-/// `--trace PATH` re-runs the Viterbi workload with a Chrome trace and
-/// checks that tracing left its digest bit-identical.
+/// both digests. Nothing in the report or the document depends on the
+/// host, so the document is byte-identical run to run; perfbench is the
+/// gated timing. `--check` requires both digests to equal the pinned
+/// constants on the production engine and, re-running the suite, on the
+/// reference engine (full sizes only).
 fn throughput(args: &BenchArgs) -> Result<String, String> {
     let (quick, check, runner) = (args.quick, args.check, &args.runner);
     let out_path = args.out.as_deref().expect("--out has a default");
     if quick && check {
         return Err("--check asserts the full-workload digests; drop --quick".into());
     }
-    if let Some(path) = args.trace.as_deref() {
-        // Fail before the suite runs, not after: the traced re-run is the
-        // very last step, and an unwritable path would waste the whole run.
-        std::fs::write(path, b"").map_err(|e| format!("cannot write trace file {path:?}: {e}"))?;
-    }
 
     let specs = suite_specs(quick);
-    let failed =
-        |spec: &RunSpec, e: kernels::KernelError| format!("{}: {e}", spec.canonical_json());
-    let runs: Vec<(RunOutput, f64)> = runner
-        .run_all(&specs, |_, spec| {
-            let t0 = Instant::now();
-            let out = kernels::run(spec).map_err(|e| failed(spec, e))?;
-            Ok((out, t0.elapsed().as_secs_f64()))
-        })?
-        .into_iter()
-        .collect::<Result<_, String>>()?;
+    let runs = run_specs(runner, &specs)?;
     let stats_digests: Vec<u64> = runs
         .iter()
-        .map(|(o, _)| o.outcome.sim.stats_digest)
+        .map(|(_, run)| run.outcome.sim.stats_digest)
         .collect();
     let digests = suite_digests(&stats_digests);
 
@@ -924,7 +898,7 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
             .run_all(&specs, |_, spec| {
                 kernels::run_with(spec, RunAttachments::reference())
                     .map(|o| o.outcome.sim.stats_digest)
-                    .map_err(|e| failed(spec, e))
+                    .map_err(|e| format!("{}: {e}", spec.canonical_json()))
             })?
             .into_iter()
             .collect::<Result<_, String>>()?;
@@ -951,8 +925,7 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
 
     outln!(
         out,
-        "Pinned-digest workloads (host seconds are informational; perfbench is the \
-         gated timing)"
+        "Pinned-digest workloads (perfbench is the gated timing)"
     );
     outln!(out);
     let header = [
@@ -961,13 +934,11 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
         "sim cycles",
         "sim instr",
         "stats digest",
-        "host s",
     ]
     .map(String::from);
-    let rows: Vec<Vec<String>> = specs
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .zip(&runs)
-        .map(|(spec, (run, wall))| {
+        .map(|(spec, run)| {
             let sim = &run.outcome.sim;
             vec![
                 spec.workload.kind().to_string(),
@@ -975,7 +946,6 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
                 sim.cycles.to_string(),
                 sim.instructions.to_string(),
                 format!("{:#018x}", sim.stats_digest),
-                format!("{wall:.3}"),
             ]
         })
         .collect();
@@ -985,11 +955,6 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
         outln!(out, "{workload}: {digest:#018x}");
     }
 
-    let records = specs
-        .iter()
-        .zip(&runs)
-        .map(|(spec, (run, wall))| run.record(spec).with("wall_s", *wall))
-        .collect();
     let folds = Json::obj(
         PINNED
             .into_iter()
@@ -998,28 +963,9 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
     );
     write_doc(
         out_path,
-        &runs_document("throughput", args, [("digests", folds)], records),
+        &runs_document("throughput", args, [("digests", folds)], records(&runs)),
     )?;
     outln!(out, "wrote {out_path}");
-
-    if let Some(path) = args.trace.as_deref() {
-        let viterbi = specs.last().expect("the suite ends with the viterbi run");
-        let untraced = &runs.last().expect("one run per spec").0;
-        let traced = kernels::run_with(viterbi, chrome_traced(path)?)
-            .map_err(|e| failed(viterbi, e))?
-            .outcome;
-        if traced.sim != untraced.outcome.sim {
-            return Err(
-                "tracing changed simulated behaviour — sinks must be pure observers".into(),
-            );
-        }
-        outln!(out);
-        outln!(
-            out,
-            "wrote Chrome trace to {path} ({} barrier episodes; digest unchanged)",
-            traced.sim.episodes.episodes
-        );
-    }
     Ok(out)
 }
 
@@ -1029,17 +975,10 @@ fn throughput(args: &BenchArgs) -> Result<String, String> {
 /// and Livermore Loop 2 kernels (§3.3.3 recovery claims, measured). Every
 /// point must produce validated kernel output, quiescent filter tables and
 /// a bit-identical replay from the same seed — the experiment fails
-/// otherwise. `--faults N` sweeps `{0, N}` events per run instead of the
-/// default ladder; `--seed S` replays a specific schedule.
+/// otherwise. `--seed S` replays a specific schedule.
 fn chaos(args: &BenchArgs) -> Result<String, String> {
-    let levels: Vec<usize> = if args.faults > 0 {
-        vec![0, args.faults]
-    } else if args.quick {
-        vec![0, 2, 6]
-    } else {
-        vec![0, 8, 32]
-    };
-    let runs = run_chaos(&args.runner, args.quick, &levels, args.seed)?;
+    let levels: &[usize] = if args.quick { &[0, 2, 6] } else { &[0, 8, 32] };
+    let runs = run_chaos(&args.runner, args.quick, levels, args.seed)?;
 
     let mut out = String::new();
     outln!(
@@ -1104,104 +1043,95 @@ fn chaos(args: &BenchArgs) -> Result<String, String> {
 
 /// Program verifier + race detector + model checker over the kernel ×
 /// mechanism grid, written as `BENCH_verify.json`. Every cell must come
-/// back clean — no static `Error`, no dynamic race and (with `--mc`) no
-/// model-checker counterexample — or the experiment fails with each dirty
-/// cell's findings. `--json` reports every finding as one JSON object per
-/// line instead of the tables.
+/// back clean — no static `Error`, no dynamic race and no model-checker
+/// counterexample — or the experiment fails with each dirty cell's
+/// findings.
 fn verify(args: &BenchArgs) -> Result<String, String> {
     let out_path = args.out.as_deref().expect("--out has a default");
-    let json_mode = args.switch("--json");
-    let with_mc = args.switch("--mc");
     let threads = 4;
     let mut out = String::new();
 
-    let doc = run_verify(&args.runner, threads, args.quick, with_mc)
-        .map_err(|e| format!("sweep failed: {e}"))?;
+    let doc =
+        run_verify(&args.runner, threads, args.quick).map_err(|e| format!("sweep failed: {e}"))?;
 
-    if json_mode {
-        out.push_str(&stream_findings(&doc));
-    } else {
-        let header = [
-            "kernel",
-            "mechanism",
-            "cores",
-            "errors",
-            "warnings",
-            "races",
-            "reads",
-            "writes",
-            "verdict",
-        ]
-        .map(String::from);
-        let rows: Vec<Vec<String>> = doc
-            .cases
-            .iter()
-            .map(|c| {
-                let exec = &c.spec.exec;
-                vec![
-                    c.spec.workload.kind().to_string(),
-                    c.mechanism().to_string(),
-                    if exec.clusters > 1 {
-                        format!("{}/{}cl", exec.threads, exec.clusters)
-                    } else {
-                        exec.threads.to_string()
-                    },
-                    c.errors().to_string(),
-                    c.warnings().to_string(),
-                    c.races.total_races.to_string(),
-                    c.races.reads_checked.to_string(),
-                    c.races.writes_checked.to_string(),
-                    if c.clean() { "clean" } else { "DIRTY" }.to_string(),
-                ]
-            })
-            .collect();
-        outln!(
-            out,
-            "Verifying {} kernels × {} mechanisms at {threads} threads{}",
-            VerifyKernel::ALL.len(),
-            BarrierMechanism::EXTENDED.len(),
-            if doc.quick { " (quick sizes)" } else { "" },
-        );
-        outln!(out);
-        out.push_str(&table(&header, &rows));
-
-        if with_mc {
-            let header = [
-                "mechanism",
-                "cores",
-                "fault",
-                "states",
-                "transitions",
-                "verdict",
+    let header = [
+        "kernel",
+        "mechanism",
+        "cores",
+        "errors",
+        "warnings",
+        "races",
+        "reads",
+        "writes",
+        "verdict",
+    ]
+    .map(String::from);
+    let rows: Vec<Vec<String>> = doc
+        .cases
+        .iter()
+        .map(|c| {
+            let exec = &c.spec.exec;
+            vec![
+                c.spec.workload.kind().to_string(),
+                c.mechanism().to_string(),
+                if exec.clusters > 1 {
+                    format!("{}/{}cl", exec.threads, exec.clusters)
+                } else {
+                    exec.threads.to_string()
+                },
+                c.errors().to_string(),
+                c.warnings().to_string(),
+                c.races.total_races.to_string(),
+                c.races.reads_checked.to_string(),
+                c.races.writes_checked.to_string(),
+                if c.clean() { "clean" } else { "DIRTY" }.to_string(),
             ]
-            .map(String::from);
-            let rows: Vec<Vec<String>> = doc
-                .mc
-                .iter()
-                .map(|c| {
-                    vec![
-                        c.mechanism.to_string(),
-                        c.cores.to_string(),
-                        if c.fault { "on" } else { "off" }.to_string(),
-                        c.states.to_string(),
-                        c.transitions.to_string(),
-                        if c.skipped.is_some() {
-                            "skip"
-                        } else if c.clean() {
-                            "clean"
-                        } else {
-                            "DIRTY"
-                        }
-                        .to_string(),
-                    ]
-                })
-                .collect();
-            outln!(out);
-            outln!(out, "Model checker (episodes ×2, fault off/on):");
-            outln!(out);
-            out.push_str(&table(&header, &rows));
-        }
-    }
+        })
+        .collect();
+    outln!(
+        out,
+        "Verifying {} kernels × {} mechanisms at {threads} threads{}",
+        VerifyKernel::ALL.len(),
+        BarrierMechanism::EXTENDED.len(),
+        if doc.quick { " (quick sizes)" } else { "" },
+    );
+    outln!(out);
+    out.push_str(&table(&header, &rows));
+
+    let header = [
+        "mechanism",
+        "cores",
+        "fault",
+        "states",
+        "transitions",
+        "verdict",
+    ]
+    .map(String::from);
+    let rows: Vec<Vec<String>> = doc
+        .mc
+        .iter()
+        .map(|c| {
+            vec![
+                c.mechanism.to_string(),
+                c.cores.to_string(),
+                if c.fault { "on" } else { "off" }.to_string(),
+                c.states.to_string(),
+                c.transitions.to_string(),
+                if c.skipped.is_some() {
+                    "skip"
+                } else if c.clean() {
+                    "clean"
+                } else {
+                    "DIRTY"
+                }
+                .to_string(),
+            ]
+        })
+        .collect();
+    outln!(out);
+    outln!(out, "Model checker (episodes ×2, fault off/on):");
+    outln!(out);
+    out.push_str(&table(&header, &rows));
 
     let json = runs_document(
         "verify",
@@ -1217,10 +1147,8 @@ fn verify(args: &BenchArgs) -> Result<String, String> {
         doc.cases.iter().map(|c| c.record()).collect(),
     );
     write_doc(out_path, &json)?;
-    if !json_mode {
-        outln!(out);
-        outln!(out, "wrote {out_path}");
-    }
+    outln!(out);
+    outln!(out, "wrote {out_path}");
 
     if !doc.passed() {
         let mut findings = String::new();
@@ -1271,13 +1199,11 @@ fn verify(args: &BenchArgs) -> Result<String, String> {
             "FAILED — some cells are not clean\n\n{out}\n{findings}"
         ));
     }
-    if !json_mode {
-        let mc_note = if with_mc {
-            format!(" + {} mc cells", doc.mc.len())
-        } else {
-            String::new()
-        };
-        outln!(out, "verify: all {} cells clean{mc_note}", doc.cases.len());
-    }
+    outln!(
+        out,
+        "verify: all {} cells clean + {} mc cells",
+        doc.cases.len(),
+        doc.mc.len()
+    );
     Ok(out)
 }

@@ -11,8 +11,9 @@
 //!    threads, FilterD).
 //!
 //! `fastbar throughput --check` is the gate: both digests on the
-//! production and on the reference engine. Its host seconds are
-//! informational only; the gated timing is perfbench.
+//! production and on the reference engine. It does not time its runs, so
+//! its `BENCH_throughput.json` is byte-identical run to run; the gated
+//! timing is perfbench.
 
 use barrier_filter::BarrierMechanism;
 use cmp_sim::fnv64;

@@ -239,7 +239,7 @@ impl McCase {
 }
 
 /// The whole sweep: one [`VerifyCase`] per kernel × mechanism cell, plus
-/// the model-checker grid when it was requested.
+/// the model-checker grid.
 #[derive(Debug, Clone)]
 pub struct VerifyDoc {
     /// Core/thread count the flat cells ran at.
@@ -250,7 +250,7 @@ pub struct VerifyDoc {
     /// order, then the clustered topology points.
     pub cases: Vec<VerifyCase>,
     /// Model-checker cells in [`BarrierMechanism::EXTENDED`] ×
-    /// [`MC_CORE_COUNTS`] × fault order (empty when the layer was off).
+    /// [`MC_CORE_COUNTS`] × fault order.
     pub mc: Vec<McCase>,
 }
 
@@ -364,19 +364,14 @@ pub fn mc_case(mechanism: BarrierMechanism, cores: usize, fault: bool) -> McCase
 
 /// Run the full verification grid on `runner`: every kernel ×
 /// [`BarrierMechanism::EXTENDED`] on the flat `threads`-core machine, the
-/// clustered topology points for the hierarchical pair, and (when
-/// `with_mc`) the model-checker sweep.
+/// clustered topology points for the hierarchical pair, and the
+/// model-checker sweep.
 ///
 /// # Errors
 ///
 /// Collects every failed cell (kernel error or captured panic) into one
 /// report; any failure fails the sweep.
-pub fn run_verify(
-    runner: &SweepRunner,
-    threads: usize,
-    quick: bool,
-    with_mc: bool,
-) -> Result<VerifyDoc, String> {
+pub fn run_verify(runner: &SweepRunner, threads: usize, quick: bool) -> Result<VerifyDoc, String> {
     let mut grid: Vec<(VerifyKernel, BarrierMechanism, usize, usize)> = VerifyKernel::ALL
         .into_iter()
         .flat_map(|k| {
@@ -395,21 +390,17 @@ pub fn run_verify(
     })?;
     let cases: Result<Vec<VerifyCase>, String> = cases.into_iter().collect();
 
-    let mc = if with_mc {
-        let mc_grid: Vec<(BarrierMechanism, usize, bool)> = BarrierMechanism::EXTENDED
-            .into_iter()
-            .flat_map(|m| {
-                MC_CORE_COUNTS
-                    .into_iter()
-                    .flat_map(move |c| [false, true].map(move |f| (m, c, f)))
-            })
-            .collect();
-        runner.run_all(&mc_grid, |_, &(mechanism, cores, fault)| {
-            mc_case(mechanism, cores, fault)
-        })?
-    } else {
-        Vec::new()
-    };
+    let mc_grid: Vec<(BarrierMechanism, usize, bool)> = BarrierMechanism::EXTENDED
+        .into_iter()
+        .flat_map(|m| {
+            MC_CORE_COUNTS
+                .into_iter()
+                .flat_map(move |c| [false, true].map(move |f| (m, c, f)))
+        })
+        .collect();
+    let mc = runner.run_all(&mc_grid, |_, &(mechanism, cores, fault)| {
+        mc_case(mechanism, cores, fault)
+    })?;
 
     Ok(VerifyDoc {
         threads,
@@ -419,69 +410,25 @@ pub fn run_verify(
     })
 }
 
-/// `obj` with the fields of the static or model-checker finding `d`
-/// appended.
-fn with_finding(obj: Json, d: &Diagnostic) -> Json {
-    let obj = obj
-        .with("severity", d.severity.to_string())
-        .with("rule", d.rule);
-    let obj = match d.pc {
-        Some(pc) => obj.with("pc", format!("{pc:#x}")),
-        None => obj,
-    };
-    obj.with("message", d.message.as_str())
-}
-
+/// Static or model-checker findings as a JSON array of objects:
+/// `severity`, `rule`, `pc` (when the finding has one) and `message`.
 fn findings_json(diags: &[Diagnostic]) -> Json {
     Json::Arr(
         diags
             .iter()
-            .map(|d| with_finding(Json::Obj(Vec::new()), d))
+            .map(|d| {
+                let obj = Json::obj([
+                    ("severity", d.severity.to_string().into()),
+                    ("rule", d.rule.into()),
+                ]);
+                let obj = match d.pc {
+                    Some(pc) => obj.with("pc", format!("{pc:#x}")),
+                    None => obj,
+                };
+                obj.with("message", d.message.as_str())
+            })
             .collect(),
     )
-}
-
-/// Render every finding of the sweep as one JSON object per line
-/// (`--json` mode): static diagnostics and races cell by cell in grid
-/// order, then model-checker counterexamples. Deterministic: the grid
-/// order is fixed and each cell's findings are already sorted.
-pub fn stream_findings(doc: &VerifyDoc) -> String {
-    let mut lines = Vec::new();
-    for c in &doc.cases {
-        let cell = |layer: &str| {
-            Json::obj([
-                ("layer", layer.into()),
-                ("kernel", c.spec.workload.kind().into()),
-                ("mechanism", c.mechanism().name().into()),
-                ("threads", c.spec.exec.threads.into()),
-                ("clusters", c.spec.exec.clusters.into()),
-            ])
-        };
-        for d in &c.diagnostics {
-            lines.push(with_finding(cell("static"), d));
-        }
-        for r in &c.races.races {
-            lines.push(
-                cell("race")
-                    .with("kind", r.kind.name())
-                    .with("addr", format!("{:#x}", r.addr))
-                    .with("cores", Json::Arr(vec![r.prev_core.into(), r.core.into()]))
-                    .with("cycle", r.cycle),
-            );
-        }
-    }
-    for c in &doc.mc {
-        let cell = Json::obj([
-            ("layer", "mc".into()),
-            ("mechanism", c.mechanism.name().into()),
-            ("cores", c.cores.into()),
-            ("fault", c.fault.into()),
-        ]);
-        for d in &c.findings {
-            lines.push(with_finding(cell.clone(), d));
-        }
-    }
-    lines.iter().map(|line| line.dump() + "\n").collect()
 }
 
 #[cfg(test)]
@@ -558,25 +505,26 @@ mod tests {
     }
 
     #[test]
-    fn findings_stream_is_one_object_per_line() {
-        // A dirty mc cell guarantees at least one finding to stream.
+    fn mc_findings_serialize_severity_rule_and_message() {
+        // A dirty mc cell: one synthetic counterexample without a pc.
         let mut cell = mc_case(BarrierMechanism::SwCentral, 2, false);
         cell.findings.push(Diagnostic::global(
             Severity::Error,
             analyze::rules::MC_DEADLOCK,
             "synthetic",
         ));
-        let doc = VerifyDoc {
-            threads: 4,
-            quick: true,
-            cases: Vec::new(),
-            mc: vec![cell],
-        };
-        let stream = stream_findings(&doc);
-        assert!(!stream.is_empty());
-        for line in stream.lines() {
-            let finding = Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert!(finding.get("rule").is_some(), "{line}");
-        }
+        let json = Json::parse(&cell.to_json().dump()).expect("cell re-parses");
+        assert_eq!(json.get("clean"), Some(&Json::Bool(false)));
+        let findings = json.get("findings").expect("findings").items();
+        assert_eq!(findings.len(), 1);
+        let finding = &findings[0];
+        let field = |key: &str| finding.get(key).and_then(Json::as_str);
+        assert_eq!(
+            field("severity"),
+            Some(Severity::Error.to_string().as_str())
+        );
+        assert_eq!(field("rule"), Some(analyze::rules::MC_DEADLOCK));
+        assert_eq!(field("message"), Some("synthetic"));
+        assert_eq!(finding.get("pc"), None);
     }
 }

@@ -1,6 +1,6 @@
 //! The `fastbar` experiment registry: unique names, a parsable `--help`
 //! for every entry, reports and documents that do not depend on the host
-//! job count, the Chrome traces `--trace` writes, and the binary's
+//! job count, the Chrome traces `fig4 --trace` writes, and the binary's
 //! exit-code contract.
 
 use std::process::Command;
@@ -50,15 +50,34 @@ fn names_are_unique_and_every_help_parses() {
 }
 
 /// The reports promise byte-identical output across `--jobs` values: the
-/// host job count must never reach stdout.
+/// host job count must never reach stdout. `throughput` writes its
+/// document to the same path under both job counts, so its `wrote` line
+/// is the same too.
 #[test]
 fn reports_are_identical_across_job_counts() {
-    for name in ["fig4", "fig7"] {
-        let one = run(name, &["--quick", "--jobs", "1"]);
-        let two = run(name, &["--quick", "--jobs", "2"]);
+    let out = std::env::temp_dir().join(format!(
+        "fastbar_registry_throughput_{}.json",
+        std::process::id()
+    ));
+    let out = out.to_str().expect("utf-8 temp path");
+    for (name, extra) in [
+        ("fig4", &[][..]),
+        ("fig7", &[]),
+        ("throughput", &["--out", out]),
+    ] {
+        let report = |jobs: &str| {
+            let args: Vec<&str> = ["--quick", "--jobs", jobs]
+                .iter()
+                .chain(extra)
+                .copied()
+                .collect();
+            run(name, &args)
+        };
+        let (one, two) = (report("1"), report("2"));
         assert_eq!(one, two, "{name}: report depends on --jobs");
         assert!(one.contains("\n----"), "{name}: report has a table\n{one}");
     }
+    std::fs::remove_file(out).ok();
 }
 
 /// A result document is one list of run records whose only host-dependent
@@ -165,12 +184,18 @@ fn binary_lists_experiments_and_reports_usage_errors() {
     }
     let help = fastbar(&["verify", "--help"]);
     assert!(help.status.success());
-    assert!(String::from_utf8_lossy(&help.stdout).contains("--mc"));
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("--out") && !help.contains("--mc"), "{help}");
     for args in [
         &["fig99"][..],
         &["fig7", "--quick=false"],
         &["fig7", "--frobnicate"],
-        &["verify", "--quick", "--mc=no"],
+        // Options without a caller are gone: the model checker always
+        // runs, and `fig4 --trace` is the trace entry point.
+        &["verify", "--mc"],
+        &["verify", "--json"],
+        &["throughput", "--trace", "t.json"],
+        &["chaos", "--faults", "3"],
         // `throughput --check` is the one pinned-digest gate.
         &["verify", "--check"],
         &["fig_scale", "--check"],

@@ -135,25 +135,23 @@ impl HopLatency {
     }
 }
 
-/// Hierarchical machine topology: cores are grouped into tiles, tiles into
-/// clusters. Each cluster owns a slice of the L2 banks (round-robin:
-/// bank `b` belongs to cluster `b % clusters`) and a local address/data
-/// bus pair; clusters communicate over a shared global segment.
+/// Hierarchical machine topology: cores are grouped into clusters. Each
+/// cluster owns a slice of the L2 banks (round-robin: bank `b` belongs to
+/// cluster `b % clusters`) and a local address/data bus pair; clusters
+/// communicate over a shared global segment. Every transaction pays one
+/// [`HopLatency::intra_tile`] hop at its core-side endpoint.
 ///
 /// Core `c` belongs to cluster `c / (num_cores / clusters)` — cores are
 /// numbered cluster-contiguously, so barrier code can derive a thread's
 /// cluster with a single shift when cores-per-cluster is a power of two.
 ///
-/// [`Topology::flat`] (one cluster, one tile, zero hop latencies) is the
+/// [`Topology::flat`] (one cluster, zero hop latencies) is the
 /// degenerate case that reproduces the paper's flat Table-2 machine
 /// exactly: the pinned stats digests are bit-identical through this path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Number of clusters (1 = the flat machine).
     pub clusters: usize,
-    /// Tiles per cluster (validation/divisibility layer; tile membership
-    /// only affects timing through [`HopLatency::intra_tile`]).
-    pub tiles_per_cluster: usize,
     /// Per-hop interconnect latencies.
     pub hop: HopLatency,
 }
@@ -163,7 +161,6 @@ impl Topology {
     pub const fn flat() -> Topology {
         Topology {
             clusters: 1,
-            tiles_per_cluster: 1,
             hop: HopLatency::flat(),
         }
     }
@@ -297,7 +294,6 @@ impl SimConfig {
         let mut c = SimConfig::with_cores(num_cores);
         c.topology = Topology {
             clusters,
-            tiles_per_cluster: cpc.min(4),
             hop: HopLatency {
                 intra_tile: 1,
                 intra_cluster: 2,
@@ -364,8 +360,8 @@ impl SimConfig {
             ));
         }
         let t = &self.topology;
-        if t.clusters == 0 || t.tiles_per_cluster == 0 {
-            return Err("topology: clusters and tiles_per_cluster must be nonzero".into());
+        if t.clusters == 0 {
+            return Err("topology: clusters must be nonzero".into());
         }
         if !self.num_cores.is_multiple_of(t.clusters) {
             return Err(format!(
@@ -380,12 +376,6 @@ impl SimConfig {
                  powers of two so barrier code can derive a thread's cluster \
                  with a shift",
                 t.clusters
-            ));
-        }
-        if !cpc.is_multiple_of(t.tiles_per_cluster) {
-            return Err(format!(
-                "topology: tiles_per_cluster ({}) must divide cores per cluster ({cpc})",
-                t.tiles_per_cluster
             ));
         }
         if self.l2_banks == 0 || !self.l2_banks.is_power_of_two() {
@@ -553,12 +543,6 @@ mod tests {
         c.topology.clusters = 4; // cores per cluster = 24: not a power of two
         let err = c.validate().unwrap_err();
         assert!(err.contains("powers of two"), "{err}");
-
-        let mut c = SimConfig::with_cores(64);
-        c.topology.clusters = 4;
-        c.topology.tiles_per_cluster = 3;
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("tiles_per_cluster"), "{err}");
 
         let mut c = SimConfig::with_cores(64);
         c.topology.clusters = 8; // default 4 banks: not a multiple of 8

@@ -124,7 +124,7 @@ impl AddressSpace {
     ///
     /// [`LayoutError::DataRegionFull`] if the data region is exhausted.
     pub fn alloc_f64(&mut self, count: u64) -> Result<u64, LayoutError> {
-        self.alloc(count * 8, LINE_BYTES)
+        self.alloc_array(count, 8)
     }
 
     /// Allocate a cache-line-aligned array of `count` u64 values.
@@ -133,7 +133,7 @@ impl AddressSpace {
     ///
     /// [`LayoutError::DataRegionFull`] if the data region is exhausted.
     pub fn alloc_u64(&mut self, count: u64) -> Result<u64, LayoutError> {
-        self.alloc(count * 8, LINE_BYTES)
+        self.alloc_array(count, 8)
     }
 
     /// Allocate `count` whole cache lines (returns a line-aligned address).
@@ -142,7 +142,14 @@ impl AddressSpace {
     ///
     /// [`LayoutError::DataRegionFull`] if the data region is exhausted.
     pub fn alloc_lines(&mut self, count: u64) -> Result<u64, LayoutError> {
-        self.alloc(count * LINE_BYTES, LINE_BYTES)
+        self.alloc_array(count, LINE_BYTES)
+    }
+
+    /// Allocate a line-aligned array of `count` elements of `size` bytes;
+    /// a byte count that overflows a `u64` cannot fit either.
+    fn alloc_array(&mut self, count: u64, size: u64) -> Result<u64, LayoutError> {
+        let bytes = count.checked_mul(size).ok_or(LayoutError::DataRegionFull)?;
+        self.alloc(bytes, LINE_BYTES)
     }
 
     /// The bank an address in the barrier region maps to, given granule `g`.
@@ -340,6 +347,11 @@ mod tests {
         let mut s = space();
         let err = s.alloc(BARRIER_BASE, 64).unwrap_err();
         assert_eq!(err, LayoutError::DataRegionFull);
+        // Byte counts that overflow a u64 (and would wrap to 0) are full
+        // too, not zero-byte allocations.
+        assert_eq!(s.alloc_u64(1 << 61), Err(LayoutError::DataRegionFull));
+        assert_eq!(s.alloc_f64(1 << 61), Err(LayoutError::DataRegionFull));
+        assert_eq!(s.alloc_lines(1 << 58), Err(LayoutError::DataRegionFull));
     }
 
     #[test]

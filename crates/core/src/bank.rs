@@ -148,7 +148,6 @@ mod tests {
             exit_base: Some(A1),
             num_threads: n,
             initial_state: ThreadState::Waiting,
-            strict: false,
             timeout: None,
         });
         let t1 = FilterTable::new(FilterTableConfig {
@@ -156,7 +155,6 @@ mod tests {
             exit_base: Some(A0),
             num_threads: n,
             initial_state: ThreadState::Servicing,
-            strict: false,
             timeout: None,
         });
         FilterBank::new(vec![t0, t1])

@@ -84,20 +84,19 @@ impl fmt::Display for FsmViolation {
 
 /// Evaluate the FSM of Figure 3.
 ///
-/// `strict` additionally rejects a repeated arrival invalidate while
-/// Blocking. Figure 3 draws that case as a self-loop ("the thread will stay
-/// in the Blocking state") while the debugging discussion of §3.3.4 lists it
-/// as an error; the default follows Figure 3 and `strict` follows §3.3.4.
+/// A repeated arrival invalidate while Blocking is Figure 3's self-loop
+/// ("the thread will stay in the Blocking state"), not an error, although
+/// the debugging discussion of §3.3.4 lists it among the error cases.
 ///
 /// # Errors
 ///
 /// Returns the violation for any transition Figure 3 does not permit.
-pub fn step(state: ThreadState, event: FsmEvent, strict: bool) -> Result<FsmAction, FsmViolation> {
+pub fn step(state: ThreadState, event: FsmEvent) -> Result<FsmAction, FsmViolation> {
     use FsmEvent::*;
     use ThreadState::*;
     match (state, event) {
         (Waiting, ArrivalInvalidate) => Ok(FsmAction::Transition(Blocking)),
-        (Blocking, ArrivalInvalidate) if !strict => Ok(FsmAction::Stay),
+        (Blocking, ArrivalInvalidate) => Ok(FsmAction::Stay),
         (Blocking, ArrivalFill) => Ok(FsmAction::Park),
         (Servicing, ArrivalFill) => Ok(FsmAction::Service),
         (Servicing, ExitInvalidate) => Ok(FsmAction::Transition(Waiting)),
@@ -114,40 +113,33 @@ mod tests {
 
     #[test]
     fn legal_cycle() {
-        assert_eq!(
-            step(Waiting, ArrivalInvalidate, false),
-            Ok(Transition(Blocking))
-        );
-        assert_eq!(step(Blocking, ArrivalFill, false), Ok(Park));
+        assert_eq!(step(Waiting, ArrivalInvalidate), Ok(Transition(Blocking)));
+        assert_eq!(step(Blocking, ArrivalFill), Ok(Park));
         // (the table, not the FSM, performs the Blocking -> Servicing move
         // when the last thread arrives)
-        assert_eq!(step(Servicing, ArrivalFill, false), Ok(Service));
-        assert_eq!(
-            step(Servicing, ExitInvalidate, false),
-            Ok(Transition(Waiting))
-        );
+        assert_eq!(step(Servicing, ArrivalFill), Ok(Service));
+        assert_eq!(step(Servicing, ExitInvalidate), Ok(Transition(Waiting)));
     }
 
     #[test]
-    fn blocking_self_loop_is_lenient_by_default() {
-        assert_eq!(step(Blocking, ArrivalInvalidate, false), Ok(Stay));
-        assert!(step(Blocking, ArrivalInvalidate, true).is_err());
+    fn blocking_self_loop_stays_blocking() {
+        assert_eq!(step(Blocking, ArrivalInvalidate), Ok(Stay));
     }
 
     #[test]
     fn error_cases_of_3_3_4() {
         // fill while Waiting
-        assert!(step(Waiting, ArrivalFill, false).is_err());
+        assert!(step(Waiting, ArrivalFill).is_err());
         // arrival invalidate while Servicing
-        assert!(step(Servicing, ArrivalInvalidate, false).is_err());
+        assert!(step(Servicing, ArrivalInvalidate).is_err());
         // exit invalidate while Waiting or Blocking
-        assert!(step(Waiting, ExitInvalidate, false).is_err());
-        assert!(step(Blocking, ExitInvalidate, false).is_err());
+        assert!(step(Waiting, ExitInvalidate).is_err());
+        assert!(step(Blocking, ExitInvalidate).is_err());
     }
 
     #[test]
     fn violation_messages_name_the_state() {
-        let v = step(Waiting, ArrivalFill, false).unwrap_err();
+        let v = step(Waiting, ArrivalFill).unwrap_err();
         let msg = v.to_string();
         assert!(msg.contains("Waiting"));
         assert!(msg.contains("fill request"));

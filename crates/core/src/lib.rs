@@ -21,8 +21,7 @@
 //!   [`cmp_sim::BankHook`];
 //! * the OS layer of §3.3 ([`BarrierSystem`]): barrier registration,
 //!   bank-homed address allocation, software fallback, context-switch and
-//!   swap-out support, and optional strict error checking / hardware
-//!   timeouts (§3.3.4);
+//!   swap-out support, and optional hardware timeouts (§3.3.4);
 //! * runtime code ([`emit`]) for all seven mechanisms of §4: the I-cache
 //!   and D-cache filter barriers (each in entry/exit and ping-pong form),
 //!   the centralized and combining-tree software barriers, and the

@@ -323,7 +323,6 @@ impl BarrierSystem {
             exit_base,
             num_threads: threads,
             initial_state,
-            strict: false,
             timeout: self.timeout,
         }
     }

@@ -31,22 +31,19 @@ pub struct FilterTableConfig {
     /// first invocation's arrival invalidate (which doubles as this
     /// barrier's exit invalidate) is legal.
     pub initial_state: ThreadState,
-    /// Reject the Figure 3 Blocking self-loop as §3.3.4 does.
-    pub strict: bool,
     /// If set, a fill parked longer than this many cycles is completed with
     /// an error code embedded in the reply (§3.3.4 hardware timeout).
     pub timeout: Option<u64>,
 }
 
 impl FilterTableConfig {
-    /// Entry/exit configuration with default (lenient, no timeout) policy.
+    /// Entry/exit configuration with no timeout.
     pub fn entry_exit(arrival_base: u64, exit_base: u64, num_threads: usize) -> Self {
         FilterTableConfig {
             arrival_base,
             exit_base: Some(exit_base),
             num_threads,
             initial_state: ThreadState::Waiting,
-            strict: false,
             timeout: None,
         }
     }
@@ -218,7 +215,7 @@ impl FilterTable {
         if let Some(t) = self.arrival_thread(line) {
             out.matched = true;
             let entry = self.entries[t];
-            match fsm::step(entry.state, FsmEvent::ArrivalInvalidate, self.config.strict)? {
+            match fsm::step(entry.state, FsmEvent::ArrivalInvalidate)? {
                 FsmAction::Transition(next) => {
                     self.entries[t].state = next;
                     self.arrived += 1;
@@ -233,11 +230,7 @@ impl FilterTable {
         }
         if let Some(t) = self.exit_thread(line) {
             out.matched = true;
-            match fsm::step(
-                self.entries[t].state,
-                FsmEvent::ExitInvalidate,
-                self.config.strict,
-            )? {
+            match fsm::step(self.entries[t].state, FsmEvent::ExitInvalidate)? {
                 FsmAction::Transition(next) => {
                     self.entries[t].state = next;
                     self.stats.exits += 1;
@@ -278,11 +271,7 @@ impl FilterTable {
             // pairs the same line is the partner table's arrival address.
             return Ok(TableFill::NotMine);
         };
-        match fsm::step(
-            self.entries[t].state,
-            FsmEvent::ArrivalFill,
-            self.config.strict,
-        )? {
+        match fsm::step(self.entries[t].state, FsmEvent::ArrivalFill)? {
             FsmAction::Park => {
                 self.entries[t].pending = Some((token, now));
                 self.stats.parked += 1;
@@ -476,18 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn lenient_blocking_self_loop_but_strict_rejects() {
+    fn lenient_blocking_self_loop() {
         let mut t = table(2);
         t.on_invalidate(line(A, 0)).unwrap();
         // repeated arrival invalidate: Figure 3 self-loop
         assert!(t.on_invalidate(line(A, 0)).is_ok());
         assert_eq!(t.arrived(), 1, "self-loop must not double count");
-
-        let mut cfg = FilterTableConfig::entry_exit(A, E, 2);
-        cfg.strict = true;
-        let mut t = FilterTable::new(cfg);
-        t.on_invalidate(line(A, 0)).unwrap();
-        assert!(t.on_invalidate(line(A, 0)).is_err());
     }
 
     #[test]

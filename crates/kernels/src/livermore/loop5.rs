@@ -11,7 +11,8 @@
 //! the paper excludes it ("they are either embarrassingly parallel, such as
 //! Kernel 1, or serial, such as Kernels 5 and 20"). We include it as the
 //! serial contrast case: it runs only sequentially, and
-//! [`Loop5::is_parallelizable`] documents why.
+//! [`RunSpec::validate`](crate::RunSpec::validate) rejects a parallel
+//! Loop 5.
 
 use sim_isa::{FReg, Reg};
 
@@ -47,12 +48,6 @@ impl Loop5 {
     /// Vector length.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// This recurrence cannot be distributed across barriers: each
-    /// iteration depends on the one before it. Always `false`.
-    pub fn is_parallelizable(&self) -> bool {
-        false
     }
 
     /// Host reference after `REPS` applications (`x[0]` is fixed).
@@ -134,11 +129,6 @@ mod tests {
     #[test]
     fn sequential_matches_host() {
         run(&RunSpec::sequential(WorkloadSpec::Loop5 { n: 128 })).unwrap();
-    }
-
-    #[test]
-    fn declared_serial() {
-        assert!(!Loop5::new(16).is_parallelizable());
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! Figure 4 and Viterbi digests through this path.
 
 use barrier_filter::{Barrier, BarrierMechanism, BarrierSystem};
-use cmp_sim::{fnv64, AddressSpace, FaultPlan, FaultReport, Json, SimConfig, TraceSink};
+use cmp_sim::{
+    fnv64, AddressSpace, FaultPlan, FaultReport, Json, SimConfig, TraceSink, BARRIER_BASE,
+    DATA_BASE,
+};
 use sim_isa::{Asm, Program};
 
 use crate::fig4::Fig4;
@@ -194,6 +197,28 @@ impl WorkloadSpec {
                     return bad("ocean needs sweeps >= 1".into());
                 }
             }
+        }
+        // The kernels' arrays hold 8-byte elements in the simulated data
+        // region; a larger size would overflow the host-side inputs first.
+        let max_elements = (BARRIER_BASE - DATA_BASE) / 8;
+        let elements = match *self {
+            WorkloadSpec::Fig4 { .. } => Some(0), // no arrays
+            WorkloadSpec::Loop1 { n }
+            | WorkloadSpec::Loop2 { n }
+            | WorkloadSpec::Loop3 { n }
+            | WorkloadSpec::Loop4 { n }
+            | WorkloadSpec::Loop5 { n }
+            | WorkloadSpec::Loop6 { n }
+            | WorkloadSpec::Autocorr { n, .. } => Some(n),
+            WorkloadSpec::Viterbi { data_bits, .. } => Some(data_bits),
+            WorkloadSpec::Ocean { grid, .. } => grid.checked_mul(grid),
+        };
+        if !elements.is_some_and(|e| u64::try_from(e).is_ok_and(|e| e <= max_elements)) {
+            return bad(format!(
+                "{} is too large for the {} MiB simulated data region",
+                self.kind(),
+                (BARRIER_BASE - DATA_BASE) >> 20
+            ));
         }
         Ok(())
     }
@@ -858,10 +883,31 @@ mod tests {
                 RunSpec::fig4(BarrierMechanism::FilterD, 2, 1 << 32, 1 << 32),
                 "episode count overflows",
             ),
+            (
+                RunSpec::sequential(WorkloadSpec::Loop3 { n: usize::MAX / 4 }),
+                "loop3 larger than the data region",
+            ),
+            (
+                RunSpec::sequential(WorkloadSpec::Loop1 { n: usize::MAX }),
+                "loop1 larger than the data region",
+            ),
+            (
+                RunSpec::sequential(WorkloadSpec::Ocean {
+                    grid: 1 << 40,
+                    sweeps: 1,
+                }),
+                "ocean grid larger than the data region",
+            ),
         ] {
             let err = spec.validate().expect_err(why);
             assert!(matches!(err, KernelError::Spec(_)), "{why}: {err}");
         }
+        let largest = ((BARRIER_BASE - DATA_BASE) / 8) as usize;
+        assert_eq!(
+            RunSpec::sequential(WorkloadSpec::Loop1 { n: largest }).validate(),
+            Ok(()),
+            "the largest size that fits the data region validates"
+        );
         let mut seq = RunSpec::sequential(WorkloadSpec::Loop5 { n: 64 });
         seq.exec.threads = 4;
         assert!(seq.validate().is_err(), "sequential with 4 threads");

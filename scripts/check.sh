@@ -42,9 +42,12 @@ echo "==> pinned-digest gate (--jobs 2, committed digests, both engines)"
 # (sweep jobs leaking state into each other) and engine changes that
 # silently alter simulated behaviour. --check re-runs both workloads on
 # the reference engine (no bursts), which must reproduce the same
-# digests.
-"$fastbar" throughput --check --jobs 2 \
-    --out "$(mktemp -t fastbar_check_throughput.XXXXXX.json)"
+# digests. The document holds no host timing, so it must also equal the
+# committed BENCH_throughput.json byte for byte: every run's
+# stats_digest and sim_cycles, not only the two folded digests.
+throughput_doc="$(mktemp -t fastbar_check_throughput.XXXXXX.json)"
+"$fastbar" throughput --check --jobs 2 --out "$throughput_doc"
+cmp "$throughput_doc" BENCH_throughput.json
 
 echo "==> chaos recovery smoke (fixed seed, quick grid)"
 # Quick fault-injection sweep at a pinned seed: every point must produce
@@ -61,7 +64,7 @@ echo "==> program verifier + race detector + model checker smoke (quick kernel g
 # mechanism's emitted routine at 2-4 cores with and without an injected
 # fault: any static Error, observed race, or property counterexample
 # exits non-zero. Quick sizes; verdicts are size-independent.
-"$fastbar" verify --quick --mc --jobs 2 \
+"$fastbar" verify --quick --jobs 2 \
     --out "$(mktemp -t fastbar_check_verify.XXXXXX.json)"
 
 echo "==> scaling sweep smoke (quick grid)"
