@@ -20,6 +20,14 @@
 //! commute to the same abstract state. Exploration is breadth-first, so
 //! the first counterexample per rule is depth-minimal.
 //!
+//! Each visited state is stored once, as a canonical packed key (fields
+//! in a fixed order, words as varints, sync words in address order) in
+//! a node-indexed `StateStore` behind an Fx-hashed open-addressing
+//! index. Two keys are equal exactly when their states are, so packing
+//! changes no node number, schedule or count. The breadth-first frontier
+//! is the range of node ids not yet expanded, and a node's state is
+//! decoded from its key when it is expanded.
+//!
 //! Two sources of nondeterminism beyond scheduling are modeled:
 //!
 //! * **Stale prefetch**: after a core invalidates its own arrival line,
@@ -40,9 +48,11 @@
 //! placement for kernel data is `R-BARRIER-SYNC`'s job), real-time
 //! behavior, or instances larger than the explored bound.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hasher;
 
 use barrier_filter::{fsm, FsmAction, FsmEvent, ProtocolSpec, RegionKind, ThreadState};
+use cmp_sim::FxHasher;
 use sim_isa::{Instr, Program, Reg, INSTR_BYTES, LINE_BYTES};
 
 use crate::diag::{rules, Diagnostic, Severity};
@@ -176,6 +186,116 @@ struct McState {
     faults_left: u8,
 }
 
+impl McState {
+    /// The moves enabled here: each running core's visible operation,
+    /// then, while a fault is left, a fault on each running or parked
+    /// core.
+    fn moves(&self) -> Vec<Act> {
+        let mut moves = Vec::new();
+        for (c, core) in self.cores.iter().enumerate() {
+            if core.status == Status::Running {
+                moves.push(Act {
+                    core: c as u8,
+                    pc: core.pc,
+                    tag: ActTag::Op,
+                });
+            }
+        }
+        if self.faults_left > 0 {
+            for (c, core) in self.cores.iter().enumerate() {
+                if matches!(core.status, Status::Running | Status::Parked { .. }) {
+                    moves.push(Act {
+                        core: c as u8,
+                        pc: core.pc,
+                        tag: ActTag::Fault,
+                    });
+                }
+            }
+        }
+        moves
+    }
+
+    /// Write this state's canonical packed key into `out` (cleared
+    /// first): per core its pc, tracked registers, TLS words, stale and
+    /// link lines and episode counts as varints, then its status and
+    /// option flags; then the sync-word count and words in address order;
+    /// then each table's slot states and parked masks; then the arrival
+    /// and fault bytes. Within one exploration the core count and table
+    /// sizes are fixed, so [`Machine::decode`] inverts this exactly.
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.clear();
+        for core in &self.cores {
+            put_varint(out, core.pc);
+            for &w in core.regs.iter().chain(&core.tls) {
+                put_varint(out, w);
+            }
+            put_varint(out, core.stale.unwrap_or(0));
+            put_varint(out, core.link.unwrap_or(0));
+            put_varint(out, u64::from(core.entered));
+            put_varint(out, u64::from(core.completed));
+            let (tag, table, slot) = match core.status {
+                Status::Running => (0, 0, 0),
+                Status::Parked { table, slot } => (1, table, slot),
+                Status::HwWait => (2, 0, 0),
+                Status::Done => (3, 0, 0),
+            };
+            let some = u8::from(core.stale.is_some()) | u8::from(core.link.is_some()) << 1;
+            out.extend_from_slice(&[tag, table, slot, some]);
+        }
+        put_varint(out, self.mem.len() as u64);
+        for (&addr, &val) in &self.mem {
+            put_varint(out, addr);
+            put_varint(out, val);
+        }
+        for table in &self.tables {
+            out.extend(table.slots.iter().map(|&s| match s {
+                ThreadState::Waiting => 0,
+                ThreadState::Blocking => 1,
+                ThreadState::Servicing => 2,
+            }));
+            out.extend_from_slice(&table.parked);
+        }
+        out.extend_from_slice(&[self.hw_arrived, self.faults_left]);
+    }
+}
+
+/// Append `v` as a LEB128 varint: seven bits a byte, low bits first, in
+/// as few bytes as it takes, so each value has exactly one encoding.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads a packed key front to back.
+struct KeyReader<'k>(&'k [u8]);
+
+impl KeyReader<'_> {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        head.try_into().expect("split at N")
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+}
+
 /// Static description of one filter table, derived from the spec's
 /// region list exactly as the runtime derives its `FilterTableConfig`s:
 /// each `Arrival` region pairs with the following `Exit` region, and a
@@ -288,6 +408,64 @@ struct Machine<'a> {
 }
 
 impl<'a> Machine<'a> {
+    /// The state whose packed key is `key` ([`McState::encode`]'s
+    /// inverse for this exploration's core count and tables).
+    fn decode(&self, key: &[u8]) -> McState {
+        let mut r = KeyReader(key);
+        let cores = (0..self.ncores)
+            .map(|_| {
+                let pc = r.varint();
+                let mut regs = [0; TRACKED.len()];
+                regs.iter_mut().for_each(|w| *w = r.varint());
+                let mut tls = [0; (TLS_BYTES / 8) as usize];
+                tls.iter_mut().for_each(|w| *w = r.varint());
+                let (stale, link) = (r.varint(), r.varint());
+                let (entered, completed) = (r.varint() as u32, r.varint() as u32);
+                let [tag, table, slot, some] = r.take();
+                Core {
+                    pc,
+                    regs,
+                    tls,
+                    status: match tag {
+                        0 => Status::Running,
+                        1 => Status::Parked { table, slot },
+                        2 => Status::HwWait,
+                        _ => Status::Done,
+                    },
+                    entered,
+                    completed,
+                    stale: (some & 1 != 0).then_some(stale),
+                    link: (some & 2 != 0).then_some(link),
+                }
+            })
+            .collect();
+        let words = r.varint();
+        let mem = (0..words).map(|_| (r.varint(), r.varint())).collect();
+        let tables = self
+            .tables
+            .iter()
+            .map(|cfg| Table {
+                slots: (0..cfg.lines())
+                    .map(|_| match r.u8() {
+                        0 => ThreadState::Waiting,
+                        1 => ThreadState::Blocking,
+                        _ => ThreadState::Servicing,
+                    })
+                    .collect(),
+                parked: (0..cfg.lines()).map(|_| r.u8()).collect(),
+            })
+            .collect();
+        let [hw_arrived, faults_left] = r.take();
+        debug_assert!(r.0.is_empty(), "a key decodes to its end");
+        McState {
+            cores,
+            mem,
+            tables,
+            hw_arrived,
+            faults_left,
+        }
+    }
+
     fn initial_state(&self) -> McState {
         let cores = (0..self.ncores)
             .map(|c| {
@@ -862,6 +1040,15 @@ impl<'a> Machine<'a> {
         out
     }
 
+    /// Take move `act` (from [`McState::moves`]) in `st`, yielding its
+    /// successors.
+    fn take(&self, st: &McState, act: Act) -> Vec<(Act, Result<McState, Viol>)> {
+        match act.tag {
+            ActTag::Fault => vec![(act, Ok(self.apply_fault(st, act.core as usize)))],
+            _ => self.successors(st, act.core as usize),
+        }
+    }
+
     /// Inject the `SwitchOut`/`Migrate` fault on core `c`: reservations
     /// and prefetched state are lost, and a parked fill is cancelled —
     /// the core re-issues it when next scheduled (§3.3.3).
@@ -906,6 +1093,92 @@ impl<'a> Machine<'a> {
             msg.push_str(&format!("; release word @{w:#x} = {v}"));
         }
         msg
+    }
+}
+
+/// Every explored state's packed key, numbered by node: node `u`'s key
+/// is `bytes[ends[u - 1]..ends[u]]` (from 0 for node 0). An
+/// open-addressing index over the keys' [`FxHasher`] hashes finds a
+/// key's node.
+struct StateStore {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    hashes: Vec<u64>,
+    /// Node ids by hash slot ([`StateStore::FREE`] when free): a power of
+    /// two long and at most half full, probed linearly from the slot the
+    /// hash's top bits pick.
+    slots: Vec<u32>,
+}
+
+/// Where a key stands in a [`StateStore`].
+enum Probe {
+    /// Stored as this node.
+    Seen(u32),
+    /// Not stored; [`StateStore::insert`] it at `slot`.
+    New { slot: usize, hash: u64 },
+}
+
+impl StateStore {
+    const FREE: u32 = u32::MAX;
+
+    fn new() -> StateStore {
+        StateStore {
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            hashes: Vec::new(),
+            slots: vec![Self::FREE; 1 << 10],
+        }
+    }
+
+    fn key(&self, u: u32) -> &[u8] {
+        let u = u as usize;
+        let start = if u == 0 { 0 } else { self.ends[u - 1] };
+        &self.bytes[start..self.ends[u]]
+    }
+
+    /// The slot `hash` starts probing from in a table of `len` slots.
+    fn home(hash: u64, len: usize) -> usize {
+        (hash >> (64 - len.trailing_zeros())) as usize
+    }
+
+    fn probe(&self, key: &[u8]) -> Probe {
+        let mut h = FxHasher::default();
+        h.write(key);
+        let hash = h.finish();
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(hash, self.slots.len());
+        loop {
+            match self.slots[i] {
+                Self::FREE => return Probe::New { slot: i, hash },
+                u if self.hashes[u as usize] == hash && self.key(u) == key => {
+                    return Probe::Seen(u)
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Store `key` as the next node, at the free `slot` [`Self::probe`]
+    /// found for it.
+    fn insert(&mut self, key: &[u8], slot: usize, hash: u64) -> u32 {
+        let u = self.ends.len() as u32;
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+        self.hashes.push(hash);
+        self.slots[slot] = u;
+        if 2 * self.ends.len() > self.slots.len() {
+            let mut slots = vec![Self::FREE; 2 * self.slots.len()];
+            let mask = slots.len() - 1;
+            for (v, &h) in self.hashes.iter().enumerate() {
+                let mut i = Self::home(h, slots.len());
+                while slots[i] != Self::FREE {
+                    i = (i + 1) & mask;
+                }
+                slots[i] = v as u32;
+            }
+            self.slots = slots;
+        }
+        u
     }
 }
 
@@ -984,39 +1257,27 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
         },
         depth: 0,
     }];
-    let mut visited: HashMap<McState, u32> = HashMap::new();
-    visited.insert(init.clone(), 0);
-    let mut queue: VecDeque<(McState, u32)> = VecDeque::new();
-    queue.push_back((init, 0));
+    let mut store = StateStore::new();
+    let mut key = Vec::new();
+    init.encode(&mut key);
+    if let Probe::New { slot, hash } = store.probe(&key) {
+        store.insert(&key, slot, hash);
+    }
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut complete: Vec<u32> = Vec::new();
 
-    'explore: while let Some((st, u)) = queue.pop_front() {
+    // Nodes are numbered in discovery order, so the breadth-first queue
+    // is the range of node ids from `next` on.
+    let mut next = 0;
+    'explore: while next < nodes.len() {
+        let u = next as u32;
+        next += 1;
+        let st = machine.decode(store.key(u));
         if st.cores.iter().all(|co| co.completed >= machine.episodes) {
             complete.push(u);
             continue;
         }
-        let mut moves = Vec::new();
-        for (c, core) in st.cores.iter().enumerate() {
-            if core.status == Status::Running {
-                moves.push(Act {
-                    core: c as u8,
-                    pc: core.pc,
-                    tag: ActTag::Op,
-                });
-            }
-        }
-        if st.faults_left > 0 {
-            for (c, core) in st.cores.iter().enumerate() {
-                if matches!(core.status, Status::Running | Status::Parked { .. }) {
-                    moves.push(Act {
-                        core: c as u8,
-                        pc: core.pc,
-                        tag: ActTag::Fault,
-                    });
-                }
-            }
-        }
+        let moves = st.moves();
         if moves.is_empty() {
             let v = Viol::new(
                 rules::MC_DEADLOCK,
@@ -1027,11 +1288,7 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
             continue;
         }
         for act in moves {
-            let succs = match act.tag {
-                ActTag::Fault => vec![(act, Ok(machine.apply_fault(&st, act.core as usize)))],
-                _ => machine.successors(&st, act.core as usize),
-            };
-            for (act2, res) in succs {
+            for (act2, res) in machine.take(&st, act) {
                 report.transitions += 1;
                 match res {
                     Err(v) => {
@@ -1040,22 +1297,22 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
                         sink.report(program, v, &p);
                     }
                     Ok(s2) => {
-                        if let Some(&v) = visited.get(&s2) {
-                            edges.push((u, v));
-                        } else {
-                            if nodes.len() >= cfg.max_states {
-                                report.truncated = true;
-                                break 'explore;
+                        s2.encode(&mut key);
+                        match store.probe(&key) {
+                            Probe::Seen(v) => edges.push((u, v)),
+                            Probe::New { slot, hash } => {
+                                if nodes.len() >= cfg.max_states {
+                                    report.truncated = true;
+                                    break 'explore;
+                                }
+                                let v = store.insert(&key, slot, hash);
+                                nodes.push(Node {
+                                    parent: u,
+                                    act: act2,
+                                    depth: nodes[u as usize].depth + 1,
+                                });
+                                edges.push((u, v));
                             }
-                            let v = nodes.len() as u32;
-                            nodes.push(Node {
-                                parent: u,
-                                act: act2,
-                                depth: nodes[u as usize].depth + 1,
-                            });
-                            visited.insert(s2.clone(), v);
-                            edges.push((u, v));
-                            queue.push_back((s2, v));
                         }
                     }
                 }
@@ -1090,11 +1347,7 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
             .filter(|&u| !can[u])
             .min_by_key(|&u| nodes[u].depth);
         if let Some(u) = stuck {
-            let state = visited
-                .iter()
-                .find(|&(_, &v)| v == u as u32)
-                .map(|(s, _)| s.clone())
-                .expect("every node has a stored state");
+            let state = machine.decode(store.key(u as u32));
             let v = Viol::new(
                 rules::MC_LOST_WAKEUP,
                 None,
@@ -1105,4 +1358,96 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
     }
     report.diagnostics = sink.into_diags();
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use barrier_filter::{BarrierMechanism, BarrierSystem};
+    use cmp_sim::{AddressSpace, SimConfig};
+    use sim_isa::Asm;
+
+    use super::*;
+
+    /// `mechanism`'s routine at `cores` cores, emitted as the verify grid
+    /// emits it.
+    fn emitted(mechanism: BarrierMechanism, cores: usize) -> (Program, ProtocolSpec) {
+        let config = SimConfig::with_cores(cores);
+        let mut space = AddressSpace::new(&config);
+        let mut asm = Asm::new();
+        let mut sys = BarrierSystem::new(&config, cores, &mut space).unwrap();
+        let barrier = sys
+            .create_barrier(&mut asm, &mut space, mechanism, cores)
+            .unwrap();
+        asm.label("entry").unwrap();
+        barrier.emit_call(&mut asm);
+        asm.halt();
+        (asm.assemble().unwrap(), barrier.protocol().clone())
+    }
+
+    #[test]
+    fn packed_keys_round_trip_and_separate_every_reached_state() {
+        // Filter tables and parked fills, sync words and reservations, the
+        // dedicated network: one faulted 3-core cell each.
+        for mechanism in [
+            BarrierMechanism::FilterD,
+            BarrierMechanism::SwCentral,
+            BarrierMechanism::HwDedicated,
+        ] {
+            let (program, spec) = emitted(mechanism, 3);
+            let cfg = McConfig {
+                fault: true,
+                ..McConfig::default()
+            };
+            let machine = Machine {
+                program: &program,
+                spec: &spec,
+                entry: program.symbol(&spec.entry).unwrap(),
+                episodes: cfg.episodes,
+                ncores: spec.threads,
+                tables: derive_tables(&spec),
+            };
+            let mut init = machine.initial_state();
+            init.faults_left = 1;
+            for c in 0..machine.ncores {
+                assert!(machine.run_local(&mut init, c).is_ok());
+            }
+
+            // Every reachable state, deduplicated by whole-state equality.
+            let mut reached = HashSet::from([init.clone()]);
+            let mut todo = vec![init];
+            let mut transitions = 0;
+            while let Some(st) = todo.pop() {
+                if st.cores.iter().all(|co| co.completed >= machine.episodes) {
+                    continue;
+                }
+                for act in st.moves() {
+                    for (_, res) in machine.take(&st, act) {
+                        transitions += 1;
+                        let s2 = res.unwrap_or_else(|v| panic!("{}: {}", v.rule, v.msg));
+                        if reached.insert(s2.clone()) {
+                            todo.push(s2);
+                        }
+                    }
+                }
+            }
+            let report = model_check(&program, &spec, &cfg);
+            assert!(report.clean() && !report.truncated, "{mechanism}");
+            assert_eq!(
+                (reached.len() as u64, transitions),
+                (report.states, report.transitions),
+                "{mechanism}"
+            );
+
+            let mut keys = HashSet::new();
+            let mut key = Vec::new();
+            for st in &reached {
+                st.encode(&mut key);
+                assert_eq!(machine.decode(&key), *st, "{mechanism}");
+                keys.insert(key.clone());
+            }
+            assert_eq!(keys.len(), reached.len(), "{mechanism}: distinct keys");
+        }
+    }
 }

@@ -29,19 +29,26 @@
 //! sound over-approximation of ordering — consecutive episodes really are
 //! ordered through the barrier — so it can only suppress impossible
 //! interleavings, never invent false races.
+//!
+//! Shadow layout: the per-byte state lives in one map entry per 8-byte
+//! granule, so an aligned access costs one probe of an Fx-hashed map,
+//! not one per byte. A spin loop that re-reads an unchanged sync word
+//! skips its acquire: each granule clock carries a version, and a core
+//! that already joined the current version has nothing left to learn.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use barrier_filter::{ProtocolSpec, SyncRegion};
-use cmp_sim::{TraceEvent, TraceSink};
+use cmp_sim::{FxHashMap, TraceEvent, TraceSink};
 
 /// Vector clock, indexed by core.
 type Vc = Vec<u32>;
 
-fn grown(vc: &mut Vc, n: usize) {
-    if vc.len() < n {
-        vc.resize(n, 0);
+fn grown<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
+    if v.len() < n {
+        v.resize(n, T::default());
     }
 }
 
@@ -54,6 +61,24 @@ fn join(dst: &mut Vc, src: &Vc) {
 
 fn at(vc: &Vc, core: usize) -> u32 {
     vc.get(core).copied().unwrap_or(0)
+}
+
+/// Create the running clock of `core` on first touch, with its own
+/// component at 1 (so epochs are never the all-zero "no access yet").
+fn touch(clocks: &mut Vec<Vc>, core: usize) {
+    grown(clocks, core + 1);
+    let vc = &mut clocks[core];
+    grown(vc, core + 1);
+    if vc[core] == 0 {
+        vc[core] = 1;
+    }
+}
+
+/// Release: join `core`'s (touched) clock into `dst`, then advance its
+/// own component.
+fn release_into(clocks: &mut [Vc], core: usize, dst: &mut Vc) {
+    join(dst, &clocks[core]);
+    clocks[core][core] += 1;
 }
 
 /// What kind of conflict a race is, named `previous access`/`current
@@ -117,33 +142,144 @@ impl RaceReport {
     }
 }
 
+/// The detector's results as its handles see them, current after every
+/// event. The sink is the counters' only writer, so [`bump`] keeps them
+/// exact without a locked read-modify-write; they publish no other data,
+/// so `Relaxed` suffices.
+#[derive(Debug, Default)]
+struct Shared {
+    races: Mutex<Vec<Race>>,
+    total_races: AtomicU64,
+    reads_checked: AtomicU64,
+    writes_checked: AtomicU64,
+    sync_accesses: AtomicU64,
+}
+
+/// Add one to a counter that only the sink writes.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 /// Cloneable handle onto a detector's results; read it after the run
 /// while the sink itself stays owned by the machine.
 #[derive(Debug, Clone)]
-pub struct RaceHandle(Arc<Mutex<RaceReport>>);
+pub struct RaceHandle(Arc<Shared>);
 
 impl RaceHandle {
     /// Snapshot the current report.
     pub fn report(&self) -> RaceReport {
-        self.0.lock().expect("race report lock").clone()
+        let s = &self.0;
+        RaceReport {
+            races: s.races.lock().expect("race list lock").clone(),
+            total_races: s.total_races.load(Ordering::Relaxed),
+            reads_checked: s.reads_checked.load(Ordering::Relaxed),
+            writes_checked: s.writes_checked.load(Ordering::Relaxed),
+            sync_accesses: s.sync_accesses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A FastTrack epoch: `core`'s clock component at an access. A core's own
+/// component starts at 1, so the all-zero epoch means "no access yet".
+#[derive(Debug, Clone, Copy, Default)]
+struct Epoch {
+    clock: u32,
+    core: u32,
+}
+
+impl Epoch {
+    /// Whether this access, by a core other than `core`, is not ordered
+    /// before `core`'s clock `c`.
+    fn unordered(self, core: usize, c: &Vc) -> bool {
+        let by = self.core as usize;
+        by != core && self.clock > at(c, by)
     }
 }
 
 /// FastTrack read state for one byte.
 #[derive(Debug, Clone)]
 enum ReadState {
-    None,
-    /// A single read epoch `(clock, core)`.
-    One(u32, usize),
+    /// The last read epoch (all-zero: none since the last write).
+    One(Epoch),
     /// Concurrent reads, as a full vector clock.
     Many(Vc),
 }
 
+impl Default for ReadState {
+    fn default() -> ReadState {
+        ReadState::One(Epoch::default())
+    }
+}
+
 /// Per-byte shadow: last write epoch and read state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Shadow {
-    write: Option<(u32, usize)>,
+    write: Epoch,
     read: ReadState,
+}
+
+impl Shadow {
+    /// Apply a write by `epoch`'s core at clock `c`; return the core and
+    /// shape of the conflict it makes, if any.
+    fn write(&mut self, epoch: Epoch, c: &Vc) -> Option<(usize, RaceKind)> {
+        let core = epoch.core as usize;
+        let conflict = if self.write.unordered(core, c) {
+            Some((self.write.core as usize, RaceKind::WriteWrite))
+        } else {
+            match &self.read {
+                ReadState::One(r) => r
+                    .unordered(core, c)
+                    .then_some((r.core as usize, RaceKind::ReadWrite)),
+                ReadState::Many(rv) => rv
+                    .iter()
+                    .enumerate()
+                    .position(|(rt, &rc)| rt != core && rc > at(c, rt))
+                    .map(|rt| (rt, RaceKind::ReadWrite)),
+            }
+        };
+        self.write = epoch;
+        self.read = ReadState::default();
+        conflict
+    }
+
+    /// Apply a read by `epoch`'s core at clock `c`; return the conflict it
+    /// makes, if any.
+    fn read(&mut self, epoch: Epoch, c: &Vc) -> Option<(usize, RaceKind)> {
+        let core = epoch.core as usize;
+        let conflict = self
+            .write
+            .unordered(core, c)
+            .then_some((self.write.core as usize, RaceKind::WriteRead));
+        match &mut self.read {
+            ReadState::One(r) if !r.unordered(core, c) => *r = epoch,
+            ReadState::One(r) => {
+                let (rc, rt) = (r.clock, r.core as usize);
+                let mut rv = vec![0; rt.max(core) + 1];
+                rv[rt] = rc;
+                rv[core] = epoch.clock;
+                self.read = ReadState::Many(rv);
+            }
+            ReadState::Many(rv) => {
+                grown(rv, core + 1);
+                rv[core] = epoch.clock;
+            }
+        }
+        conflict
+    }
+}
+
+/// The shadows of one 8-byte granule, byte `addr & 7` at index `addr & 7`.
+type Granule = [Shadow; 8];
+
+/// A software-sync granule's clock, versioned so a repeated acquire of an
+/// unchanged clock can be skipped (join is idempotent).
+#[derive(Debug, Default)]
+struct LockClock {
+    vc: Vc,
+    /// Releases into `vc` so far.
+    version: u64,
+    /// `joined[core]`: the version `core` last acquired (0: none).
+    joined: Vec<u64>,
 }
 
 const RACES_KEPT: usize = 64;
@@ -161,12 +297,13 @@ pub struct RaceDetectorSink {
     /// Per-region release accumulators (indexed like `regions`).
     region_clocks: Vec<Vc>,
     /// Dedicated-network group clocks.
-    hw_clocks: HashMap<u16, Vc>,
-    /// Software-sync granule clocks.
-    lock_clocks: HashMap<u64, Vc>,
-    shadow: HashMap<u64, Shadow>,
+    hw_clocks: FxHashMap<u16, Vc>,
+    /// Software-sync clocks, keyed by granule index (`addr >> 3`).
+    lock_clocks: FxHashMap<u64, LockClock>,
+    /// Data shadows, keyed by granule index (`addr >> 3`).
+    shadow: FxHashMap<u64, Granule>,
     reported: HashSet<u64>,
-    state: Arc<Mutex<RaceReport>>,
+    state: Arc<Shared>,
 }
 
 impl RaceDetectorSink {
@@ -179,11 +316,11 @@ impl RaceDetectorSink {
             regions,
             clocks: Vec::new(),
             region_clocks: Vec::new(),
-            hw_clocks: HashMap::new(),
-            lock_clocks: HashMap::new(),
-            shadow: HashMap::new(),
+            hw_clocks: FxHashMap::default(),
+            lock_clocks: FxHashMap::default(),
+            shadow: FxHashMap::default(),
             reported: HashSet::new(),
-            state: Arc::new(Mutex::new(RaceReport::default())),
+            state: Arc::default(),
         }
     }
 
@@ -196,150 +333,90 @@ impl RaceDetectorSink {
         self.regions.iter().position(|r| r.contains(addr))
     }
 
-    /// The running clock of `core`, created on first touch with its own
-    /// component at 1 (so epochs are never the all-zero "no access yet").
-    fn clock(&mut self, core: usize) -> &mut Vc {
-        if self.clocks.len() <= core {
-            self.clocks.resize_with(core + 1, Vec::new);
-        }
-        let vc = &mut self.clocks[core];
-        grown(vc, core + 1);
-        if vc[core] == 0 {
-            vc[core] = 1;
-        }
-        vc
-    }
-
     fn release_region(&mut self, core: usize, idx: usize) {
-        if self.region_clocks.len() <= idx {
-            self.region_clocks.resize_with(idx + 1, Vec::new);
-        }
-        let c = self.clock(core).clone();
-        join(&mut self.region_clocks[idx], &c);
-        self.clock(core)[core] += 1;
+        grown(&mut self.region_clocks, idx + 1);
+        touch(&mut self.clocks, core);
+        release_into(&mut self.clocks, core, &mut self.region_clocks[idx]);
     }
 
     fn acquire_region(&mut self, core: usize, idx: usize) {
-        if let Some(rc) = self.region_clocks.get(idx).cloned() {
-            join(self.clock(core), &rc);
+        if let Some(rc) = self.region_clocks.get(idx) {
+            touch(&mut self.clocks, core);
+            join(&mut self.clocks[core], rc);
         }
     }
 
-    fn record_race(
-        &mut self,
-        addr: u64,
-        core: usize,
-        prev_core: usize,
-        cycle: u64,
-        kind: RaceKind,
-    ) {
-        let mut st = self.state.lock().expect("race report lock");
-        st.total_races += 1;
-        if st.races.len() < RACES_KEPT && self.reported.insert(addr & GRANULE_MASK) {
-            st.races.push(Race {
-                addr,
-                core,
-                prev_core,
-                cycle,
-                kind,
-            });
+    /// Count one conflict; keep `race` in the list if it is its
+    /// granule's first and the list has room.
+    fn record_race(state: &Shared, reported: &mut HashSet<u64>, race: Race) {
+        bump(&state.total_races);
+        let mut races = state.races.lock().expect("race list lock");
+        if races.len() < RACES_KEPT && reported.insert(race.addr & GRANULE_MASK) {
+            races.push(race);
         }
     }
 
-    fn data_write(&mut self, core: usize, addr: u64, bytes: u64, cycle: u64) {
-        let c = self.clock(core).clone();
-        let epoch = (c[core], core);
-        self.state.lock().expect("race report lock").writes_checked += 1;
-        for b in addr..addr + bytes {
-            let sh = self.shadow.entry(b).or_insert(Shadow {
-                write: None,
-                read: ReadState::None,
-            });
-            let mut conflict = None;
-            if let Some((wc, wt)) = sh.write {
-                if wt != core && wc > at(&c, wt) {
-                    conflict = Some((wt, RaceKind::WriteWrite));
+    /// Check an ordinary access byte by byte against the shadows of the
+    /// granules it covers.
+    fn data_access(&mut self, core: usize, addr: u64, bytes: u64, cycle: u64, write: bool) {
+        bump(if write {
+            &self.state.writes_checked
+        } else {
+            &self.state.reads_checked
+        });
+        touch(&mut self.clocks, core);
+        let c = &self.clocks[core];
+        let epoch = Epoch {
+            clock: c[core],
+            core: core as u32,
+        };
+        let end = addr + bytes;
+        let mut b = addr;
+        while b < end {
+            let granule = self.shadow.entry(b >> 3).or_default();
+            let stop = end.min((b | 7) + 1);
+            for byte in b..stop {
+                let sh = &mut granule[(byte & 7) as usize];
+                let conflict = if write {
+                    sh.write(epoch, c)
+                } else {
+                    sh.read(epoch, c)
+                };
+                if let Some((prev_core, kind)) = conflict {
+                    let race = Race {
+                        addr: byte,
+                        core,
+                        prev_core,
+                        cycle,
+                        kind,
+                    };
+                    Self::record_race(&self.state, &mut self.reported, race);
                 }
             }
-            if conflict.is_none() {
-                match &sh.read {
-                    ReadState::One(rc, rt) => {
-                        if *rt != core && *rc > at(&c, *rt) {
-                            conflict = Some((*rt, RaceKind::ReadWrite));
-                        }
-                    }
-                    ReadState::Many(rv) => {
-                        for (rt, &rc) in rv.iter().enumerate() {
-                            if rt != core && rc > at(&c, rt) {
-                                conflict = Some((rt, RaceKind::ReadWrite));
-                                break;
-                            }
-                        }
-                    }
-                    ReadState::None => {}
-                }
-            }
-            sh.write = Some(epoch);
-            sh.read = ReadState::None;
-            if let Some((prev, kind)) = conflict {
-                self.record_race(b, core, prev, cycle, kind);
-            }
-        }
-    }
-
-    fn data_read(&mut self, core: usize, addr: u64, bytes: u64, cycle: u64) {
-        let c = self.clock(core).clone();
-        let epoch = (c[core], core);
-        self.state.lock().expect("race report lock").reads_checked += 1;
-        for b in addr..addr + bytes {
-            let sh = self.shadow.entry(b).or_insert(Shadow {
-                write: None,
-                read: ReadState::None,
-            });
-            let mut conflict = None;
-            if let Some((wc, wt)) = sh.write {
-                if wt != core && wc > at(&c, wt) {
-                    conflict = Some((wt, RaceKind::WriteRead));
-                }
-            }
-            sh.read = match std::mem::replace(&mut sh.read, ReadState::None) {
-                ReadState::None => ReadState::One(epoch.0, epoch.1),
-                ReadState::One(rc, rt) => {
-                    if rt == core || rc <= at(&c, rt) {
-                        ReadState::One(epoch.0, epoch.1)
-                    } else {
-                        let mut rv = vec![0; rt.max(core) + 1];
-                        rv[rt] = rc;
-                        rv[core] = epoch.0;
-                        ReadState::Many(rv)
-                    }
-                }
-                ReadState::Many(mut rv) => {
-                    grown(&mut rv, core + 1);
-                    rv[core] = epoch.0;
-                    ReadState::Many(rv)
-                }
-            };
-            if let Some((prev, kind)) = conflict {
-                self.record_race(b, core, prev, cycle, kind);
-            }
+            b = stop;
         }
     }
 
     fn sync_write(&mut self, core: usize, addr: u64) {
-        self.state.lock().expect("race report lock").sync_accesses += 1;
-        let g = addr & GRANULE_MASK;
-        let c = self.clock(core).clone();
-        join(self.lock_clocks.entry(g).or_default(), &c);
-        self.clock(core)[core] += 1;
+        bump(&self.state.sync_accesses);
+        touch(&mut self.clocks, core);
+        let lock = self.lock_clocks.entry(addr >> 3).or_default();
+        release_into(&mut self.clocks, core, &mut lock.vc);
+        lock.version += 1;
     }
 
     fn sync_read(&mut self, core: usize, addr: u64) {
-        self.state.lock().expect("race report lock").sync_accesses += 1;
-        let g = addr & GRANULE_MASK;
-        if let Some(lc) = self.lock_clocks.get(&g).cloned() {
-            join(self.clock(core), &lc);
+        bump(&self.state.sync_accesses);
+        let Some(lock) = self.lock_clocks.get_mut(&(addr >> 3)) else {
+            return;
+        };
+        if lock.joined.get(core) == Some(&lock.version) {
+            return;
         }
+        touch(&mut self.clocks, core);
+        join(&mut self.clocks[core], &lock.vc);
+        grown(&mut lock.joined, core + 1);
+        lock.joined[core] = lock.version;
     }
 
     fn is_sync(&self, addr: u64) -> bool {
@@ -363,27 +440,31 @@ impl TraceSink for RaceDetectorSink {
                 }
             }
             TraceEvent::HwBarArrive { core, id } => {
-                let c = self.clock(core).clone();
-                join(self.hw_clocks.entry(id).or_default(), &c);
-                self.clock(core)[core] += 1;
+                touch(&mut self.clocks, core);
+                release_into(
+                    &mut self.clocks,
+                    core,
+                    self.hw_clocks.entry(id).or_default(),
+                );
             }
             TraceEvent::HwBarRelease { core, id } => {
-                if let Some(hc) = self.hw_clocks.get(&id).cloned() {
-                    join(self.clock(core), &hc);
+                if let Some(hc) = self.hw_clocks.get(&id) {
+                    touch(&mut self.clocks, core);
+                    join(&mut self.clocks[core], hc);
                 }
             }
             TraceEvent::DataWrite { core, addr, bytes } => {
                 if self.is_sync(addr) {
                     self.sync_write(core, addr);
                 } else {
-                    self.data_write(core, addr, bytes, cycle);
+                    self.data_access(core, addr, bytes, cycle, true);
                 }
             }
             TraceEvent::DataRead { core, addr, bytes } => {
                 if self.is_sync(addr) {
                     self.sync_read(core, addr);
                 } else {
-                    self.data_read(core, addr, bytes, cycle);
+                    self.data_access(core, addr, bytes, cycle, false);
                 }
             }
             TraceEvent::DMiss { .. }
@@ -582,6 +663,62 @@ mod tests {
         assert!(r.racy());
         assert_eq!(r.races[0].kind, RaceKind::ReadWrite);
         assert_eq!(r.races[0].prev_core, 0);
+    }
+
+    #[test]
+    fn mixed_width_accesses_within_a_granule_race_per_byte() {
+        fn access(
+            sink: &mut RaceDetectorSink,
+            cycle: u64,
+            core: usize,
+            addr: u64,
+            bytes: u64,
+            write: bool,
+        ) {
+            let ev = if write {
+                TraceEvent::DataWrite { core, addr, bytes }
+            } else {
+                TraceEvent::DataRead { core, addr, bytes }
+            };
+            sink.record(cycle, &ev);
+        }
+        let mut sink = RaceDetectorSink::new([]);
+        let h = sink.handle();
+        access(&mut sink, 1, 0, 0x8000, 4, true); // bytes 0-3 written by core 0
+        access(&mut sink, 2, 0, 0x8006, 2, false); // bytes 6-7 read by core 0
+        access(&mut sink, 3, 1, 0x8002, 1, false); // byte 2: write-read
+        access(&mut sink, 4, 1, 0x8006, 2, true); // bytes 6-7: read-write, twice
+        access(&mut sink, 5, 0, 0x8000, 8, true); // byte 2 read-write, 6-7 write-write
+                                                  // Order the two cores through the dedicated network.
+        for (cycle, core) in [(6, 0), (7, 1)] {
+            sink.record(cycle, &TraceEvent::HwBarArrive { core, id: 0 });
+        }
+        for core in [0, 1] {
+            sink.record(8, &TraceEvent::HwBarRelease { core, id: 0 });
+        }
+        access(&mut sink, 9, 0, 0x8004, 4, false); // ordered after every write
+        access(&mut sink, 10, 1, 0x8004, 2, false); // bytes 4-5 now read concurrently
+        access(&mut sink, 11, 1, 0x8007, 1, true); // byte 7: read-write against core 0
+        access(&mut sink, 12, 0, 0x8004, 2, true); // bytes 4-5: read-write against core 1
+                                                   // The neighbouring granule starts its own list entry.
+        access(&mut sink, 13, 1, 0x800b, 1, true);
+        access(&mut sink, 14, 0, 0x8008, 8, false); // byte 0x800b: write-read
+        let r = h.report();
+        let races: Vec<_> = r
+            .races
+            .iter()
+            .map(|x| (x.addr, x.core, x.prev_core, x.kind))
+            .collect();
+        assert_eq!(
+            races,
+            [
+                (0x8002, 1, 0, RaceKind::WriteRead),
+                (0x800b, 0, 1, RaceKind::WriteRead),
+            ]
+        );
+        assert_eq!(r.total_races, 10);
+        assert_eq!((r.reads_checked, r.writes_checked), (5, 6));
+        assert_eq!(r.sync_accesses, 0);
     }
 
     #[test]

@@ -84,6 +84,7 @@ pub use config::{
 };
 pub use core::CoreStats;
 pub use error::SimError;
+pub use fastmap::{FxHashMap, FxHasher};
 pub use faults::{run_with_faults, FaultEvent, FaultKind, FaultPlan, FaultReport, Lcg};
 pub use hook::{
     BankHook, FillDecision, HookOutcome, HookViolation, ParkToken, FILL_ERROR_SENTINEL,

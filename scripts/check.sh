@@ -35,6 +35,11 @@ echo "==> build fastbar (the experiment harness the smokes below run)"
 cargo build --release --offline -q -p bench-suite
 fastbar="${CARGO_TARGET_DIR:-target}/release/fastbar"
 
+# The four smoke documents go to one temporary directory, removed on exit
+# whether the gate passes or fails.
+smoke_dir="$(mktemp -d -t fastbar_check.XXXXXX)"
+trap 'rm -rf "$smoke_dir"' EXIT
+
 echo "==> pinned-digest gate (--jobs 2, committed digests, both engines)"
 # The one pinned-digest gate: runs the two committed workloads
 # (fig4_16core, viterbi_k5_16t) on a 2-worker pool and asserts their
@@ -45,9 +50,8 @@ echo "==> pinned-digest gate (--jobs 2, committed digests, both engines)"
 # digests. The document holds no host timing, so it must also equal the
 # committed BENCH_throughput.json byte for byte: every run's
 # stats_digest and sim_cycles, not only the two folded digests.
-throughput_doc="$(mktemp -t fastbar_check_throughput.XXXXXX.json)"
-"$fastbar" throughput --check --jobs 2 --out "$throughput_doc"
-cmp "$throughput_doc" BENCH_throughput.json
+"$fastbar" throughput --check --jobs 2 --out "$smoke_dir/throughput.json"
+cmp "$smoke_dir/throughput.json" BENCH_throughput.json
 
 echo "==> chaos recovery smoke (fixed seed, quick grid)"
 # Quick fault-injection sweep at a pinned seed: every point must produce
@@ -55,7 +59,7 @@ echo "==> chaos recovery smoke (fixed seed, quick grid)"
 # replay (the sweep itself runs each faulted point twice and asserts it),
 # so a barrier-recovery regression fails here before it lands.
 "$fastbar" chaos --quick --jobs 2 --seed 0x5eedba441e4a0001 \
-    --out "$(mktemp -t fastbar_check_chaos.XXXXXX.json)"
+    --out "$smoke_dir/chaos.json"
 
 echo "==> program verifier + race detector + model checker smoke (quick kernel grid)"
 # Every parallel kernel under every barrier mechanism (including the
@@ -63,15 +67,17 @@ echo "==> program verifier + race detector + model checker smoke (quick kernel g
 # program statically verified, plus the bounded model checker over every
 # mechanism's emitted routine at 2-4 cores with and without an injected
 # fault: any static Error, observed race, or property counterexample
-# exits non-zero. Quick sizes; verdicts are size-independent.
-"$fastbar" verify --quick --jobs 2 \
-    --out "$(mktemp -t fastbar_check_verify.XXXXXX.json)"
+# exits non-zero. Quick sizes; verdicts are size-independent. The
+# document is deterministic at a fixed --jobs, so it must equal the
+# committed results/verify_quick.json byte for byte: every cell's race
+# counters, model-checker state and transition counts and findings.
+"$fastbar" verify --quick --jobs 2 --out "$smoke_dir/verify.json"
+cmp "$smoke_dir/verify.json" results/verify_quick.json
 
 echo "==> scaling sweep smoke (quick grid)"
 # Quick clustered grid: 64 cores on 4 clusters under sw-central and
 # sw-hier.
-"$fastbar" fig_scale --quick --jobs 2 \
-    --out "$(mktemp -t fastbar_check_scale.XXXXXX.json)"
+"$fastbar" fig_scale --quick --jobs 2 --out "$smoke_dir/scale.json"
 
 echo "==> committed figures reproduce byte for byte (--jobs 2)"
 # Simulated results are deterministic and independent of --jobs, so each
