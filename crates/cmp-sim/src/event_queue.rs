@@ -24,20 +24,54 @@
 //!   `cycle >= base + WINDOW` is in the overflow heap;
 //! * `base` never exceeds the earliest pending cycle, so a bucket holds
 //!   events of exactly one cycle and append order within it is `seq` order;
-//! * overflow events migrate via a binary insertion on `seq`, preserving
-//!   the total order even though they arrive "late".
+//! * overflow events migrate in `(cycle, seq)` order the moment the cursor
+//!   brings their cycle into the window, before anything can be pushed
+//!   there directly, so a migrated event lands in an empty bucket or behind
+//!   an earlier migrated one: appending it keeps the bucket in `seq` order.
+//!
+//! Ring events live in one slab of nodes: a bucket is a singly linked list
+//! through the slab, and drained nodes go on an intrusive free list that
+//! the next push reuses. The ring therefore holds as many nodes as the
+//! most events it ever held at once (1,024–1,535 in a 1024-core Figure 4
+//! run), not every bucket's own high-water mark.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Ring capacity in cycles. Power of two; sized so that common latencies
 /// (L1/L2/L3 hits, bus grants, the 138-cycle memory round trip, short hook
 /// deadlines) stay in-window even under queueing backlogs, while keeping
-/// the bucket-header array small enough to live in cache (the engine
-/// touches a bucket per event; 512 deque headers are 16 KiB).
+/// the bucket array small enough to live in cache (the engine touches a
+/// bucket per event; 512 head/tail pairs are 4 KiB).
 const WINDOW: u64 = 512;
 const WORDS: usize = (WINDOW as usize) / 64;
+
+/// No node: the end of a bucket's list, an empty bucket, or the end of the
+/// free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: a ring event linked to the next event of its bucket, or a
+/// free slot (`item` taken) linked to the next free slot.
+#[derive(Debug)]
+struct Node<T> {
+    seq: u64,
+    next: u32,
+    item: Option<T>,
+}
+
+/// One cycle's events: the first and last node of its list (`NIL` when
+/// empty).
+#[derive(Debug)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A far-future event parked in the overflow heap, ordered by
 /// `(cycle, seq)` — the same total order the ring drains in.
@@ -63,12 +97,13 @@ impl<T: Eq> PartialOrd for Far<T> {
 /// Calendar queue over `(cycle, seq)` with FIFO semantics per cycle.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue<T: Eq> {
-    /// `WINDOW` per-cycle buckets; bucket `cycle % WINDOW` holds the events
-    /// of one in-window cycle, sorted by (and in practice appended in)
-    /// `seq` order. Deques, because the engine drains each bucket from the
-    /// front one event at a time (`Vec::remove(0)` would shift the tail on
-    /// every pop).
-    buckets: Vec<VecDeque<(u64, T)>>,
+    /// `WINDOW` per-cycle buckets; bucket `cycle % WINDOW` lists the events
+    /// of one in-window cycle in `seq` order.
+    buckets: [Bucket; WINDOW as usize],
+    /// Every ring event, plus the free slots drained events left behind.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list threaded through `nodes` (`NIL` = none).
+    free: u32,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Lower edge of the ring window. Invariant: `base` never exceeds the
@@ -93,7 +128,9 @@ pub(crate) struct CalendarQueue<T: Eq> {
 impl<T: Eq> CalendarQueue<T> {
     pub fn new() -> CalendarQueue<T> {
         CalendarQueue {
-            buckets: (0..WINDOW).map(|_| VecDeque::new()).collect(),
+            buckets: [EMPTY_BUCKET; WINDOW as usize],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0; WORDS],
             base: 0,
             overflow: BinaryHeap::new(),
@@ -119,9 +156,7 @@ impl<T: Eq> CalendarQueue<T> {
         self.seq += 1;
         let seq = self.seq;
         if cycle - self.base < WINDOW {
-            let b = (cycle % WINDOW) as usize;
-            self.buckets[b].push_back((seq, item));
-            self.occupied[b / 64] |= 1 << (b % 64);
+            self.append(cycle, seq, item);
         } else {
             self.overflow.push(Reverse(Far { cycle, seq, item }));
             self.overflow_min = self.overflow_min.min(cycle);
@@ -172,23 +207,31 @@ impl<T: Eq> CalendarQueue<T> {
         if self.next_cycle() != Some(cycle) {
             return None;
         }
-        // The minimum is `cycle`; drain it directly instead of re-deriving
-        // it through `pop` (one memoized peek per event, not two).
+        // Advance the cursor and pull every newly in-window overflow event
+        // into the ring before draining the bucket: the minimum itself may
+        // still sit in the overflow heap.
         self.base = cycle;
         if self.overflow_min < self.base + WINDOW {
             self.migrate_overflow();
         }
         let b = (cycle % WINDOW) as usize;
         let bucket = &mut self.buckets[b];
-        let item = bucket.pop_front().map(|(_, item)| item);
-        if bucket.is_empty() {
+        let n = bucket.head as usize;
+        let node = &mut self.nodes[n];
+        let item = node.item.take().expect("the minimum's bucket holds it");
+        bucket.head = node.next;
+        node.next = self.free;
+        self.free = n as u32;
+        if bucket.head == NIL {
+            bucket.tail = NIL;
             self.occupied[b / 64] &= !(1 << (b % 64));
             self.next_memo.set(None);
         } else {
+            // The bucket still holds events at `cycle`: it stays the minimum.
             self.next_memo.set(Some(cycle));
         }
         self.len -= 1;
-        item
+        Some(item)
     }
 
     /// Remove and return the earliest event as `(cycle, item)`. The run
@@ -196,29 +239,45 @@ impl<T: Eq> CalendarQueue<T> {
     /// remains for the queue-equivalence tests, which need the cycle back.
     #[cfg(test)]
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let target = self.next_cycle()?;
-        // Advance the cursor and pull every newly in-window overflow event
-        // into the ring before draining the target bucket: an overflow
-        // event *at* the target cycle must interleave by `seq` with the
-        // bucket's direct pushes.
-        self.base = target;
-        if self.overflow_min < self.base + WINDOW {
-            self.migrate_overflow();
-        }
-        let b = (target % WINDOW) as usize;
-        let bucket = &mut self.buckets[b];
-        let Some((_, item)) = bucket.pop_front() else {
-            unreachable!("target bucket holds the minimum");
+        let cycle = self.next_cycle()?;
+        self.pop_at(cycle).map(|item| (cycle, item))
+    }
+
+    /// Slab nodes allocated so far, free ones included: the ring's peak
+    /// number of simultaneously pending events.
+    #[cfg(test)]
+    fn slab_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Append event `seq` to the bucket of in-window `cycle`, in a free
+    /// slab node if there is one. `seq` must exceed every `seq` already in
+    /// that bucket.
+    fn append(&mut self, cycle: u64, seq: u64, item: T) {
+        let node = Node {
+            seq,
+            next: NIL,
+            item: Some(item),
         };
-        if bucket.is_empty() {
-            self.occupied[b / 64] &= !(1 << (b % 64));
-            self.next_memo.set(None);
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 pending ring events")
         } else {
-            // Bucket still holds events at `target`: it stays the minimum.
-            self.next_memo.set(Some(target));
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            n
+        };
+        let b = (cycle % WINDOW) as usize;
+        let bucket = &mut self.buckets[b];
+        if bucket.tail == NIL {
+            bucket.head = n;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            let tail = &mut self.nodes[bucket.tail as usize];
+            debug_assert!(tail.seq < seq, "a bucket drains in seq order");
+            tail.next = n;
         }
-        self.len -= 1;
-        Some((target, item))
+        bucket.tail = n;
     }
 
     /// Earliest `(cycle, bucket)` in the ring, scanning the occupancy
@@ -249,9 +308,10 @@ impl<T: Eq> CalendarQueue<T> {
         hit(sw, self.occupied[sw] & !(!0u64 << sb))
     }
 
-    /// Move every overflow event that now fits the window into the ring,
-    /// inserting by `seq` so late arrivals interleave correctly with the
-    /// bucket's existing (seq-ordered) contents.
+    /// Move every overflow event that now fits the window into the ring.
+    /// They leave the heap in `(cycle, seq)` order into buckets that no
+    /// direct push has reached yet (module docs), so appending keeps every
+    /// bucket in `seq` order.
     fn migrate_overflow(&mut self) {
         while let Some(Reverse(head)) = self.overflow.peek() {
             if head.cycle - self.base >= WINDOW {
@@ -260,11 +320,7 @@ impl<T: Eq> CalendarQueue<T> {
             let Some(Reverse(f)) = self.overflow.pop() else {
                 unreachable!("peeked above");
             };
-            let b = (f.cycle % WINDOW) as usize;
-            let bucket = &mut self.buckets[b];
-            let pos = bucket.partition_point(|&(s, _)| s < f.seq);
-            bucket.insert(pos, (f.seq, f.item));
-            self.occupied[b / 64] |= 1 << (b % 64);
+            self.append(f.cycle, f.seq, f.item);
         }
         self.overflow_min = self.overflow.peek().map_or(u64::MAX, |Reverse(f)| f.cycle);
     }
@@ -340,6 +396,31 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn slab_holds_the_peak_of_live_events_not_every_buckets_peak() {
+        // Each cycle pushes and drains 1,024 events, as a 1024-core machine
+        // whose cores all step every cycle does. Per-bucket storage would
+        // keep 1,024 entries in each of the 512 buckets the cycles pass
+        // through; the slab reuses the same 1,024 nodes throughout.
+        let mut q = CalendarQueue::new();
+        for cycle in 0..WINDOW {
+            for core in 0..1024u32 {
+                q.push(cycle, core);
+            }
+            for core in 0..1024u32 {
+                assert_eq!(q.pop_at(cycle), Some(core), "cycle {cycle}");
+            }
+            assert_eq!(q.pop_at(cycle), None);
+            assert!(
+                q.slab_nodes() <= 1024,
+                "cycle {cycle}: {} nodes",
+                q.slab_nodes()
+            );
+        }
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.slab_nodes(), 1024);
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod trace;
 
 pub use builder::{BuildError, MachineBuilder};
 pub use bus::{Interconnect, Resource, ResourceStats};
-pub use cache::{Cache, CacheStats, LineState};
+pub use cache::{CacheStats, LineState};
 pub use coherence::{DirEntry, Directory, DirectoryStats, ReadOutcome, SharerSet, WriteOutcome};
 pub use config::{
     BusConfig, CacheConfig, CoreTiming, HopLatency, HwBarrierConfig, SimConfig, Topology, MAX_CORES,

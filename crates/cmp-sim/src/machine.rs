@@ -29,7 +29,7 @@
 use sim_isa::{line_of, Instr, MemWidth, Program, Reg};
 
 use crate::bus::{Interconnect, Resource};
-use crate::cache::{Cache, LineState};
+use crate::cache::{Caches, LineState};
 use crate::coherence::{Directory, ReadOutcome};
 use crate::core::{Continuation, Core, Waiting};
 use crate::error::SimError;
@@ -258,10 +258,8 @@ pub struct Machine {
     program: Program,
     mem: Memory,
     cores: Vec<Core>,
-    l1d: Vec<Cache>,
-    l1i: Vec<Cache>,
-    l2: Vec<Cache>,
-    l3: Cache,
+    /// Every L1D, L1I, L2 bank and the L3, over one way arena.
+    caches: Caches,
     dir: Directory,
     /// The interconnect: per-cluster address/data bus pairs plus a global
     /// segment, carrying requests, invalidations, upgrades and line
@@ -353,16 +351,8 @@ impl Machine {
     ) -> Machine {
         let n = config.num_cores;
         let banks = config.l2_banks;
-        let per_bank = crate::config::CacheConfig {
-            size_bytes: config.l2.size_bytes / banks as u64,
-            ways: config.l2.ways,
-            latency: config.l2.latency,
-        };
         let mut m = Machine {
-            l1d: (0..n).map(|_| Cache::new(config.l1d)).collect(),
-            l1i: (0..n).map(|_| Cache::new(config.l1i)).collect(),
-            l2: (0..banks).map(|_| Cache::new(per_bank)).collect(),
-            l3: Cache::new(config.l3),
+            caches: Caches::new(&config),
             dir: Directory::new(),
             net: Interconnect::new(config.topology.clusters, config.topology.hop, config.bus),
             bank_ports: (0..banks).map(|_| Resource::new()).collect(),
@@ -690,13 +680,14 @@ impl Machine {
 
     /// Counter snapshot across the whole machine.
     pub fn stats(&self) -> MachineStats {
+        let ([l1d, l1i, l2], l3) = self.caches.stats();
         MachineStats {
             cycles: self.now,
             cores: self.cores.iter().map(|c| c.stats).collect(),
-            l1d: self.l1d.iter().map(Cache::stats).collect(),
-            l1i: self.l1i.iter().map(Cache::stats).collect(),
-            l2: self.l2.iter().map(Cache::stats).collect(),
-            l3: self.l3.stats(),
+            l1d,
+            l1i,
+            l2,
+            l3,
             addr_bus: self.net.addr_stats(),
             data_bus: self.net.data_stats(),
             hook_ports: self.hook_ports.iter().map(Resource::stats).collect(),
@@ -1155,7 +1146,7 @@ impl Machine {
     fn fill_l1(&mut self, c: usize, line: u64, kind: AccessKind, t: u64) {
         match kind {
             AccessKind::IFetch => {
-                self.l1i[c].insert(line, LineState::Shared);
+                self.caches.l1i(c).insert(line, LineState::Shared);
             }
             AccessKind::DRead | AccessKind::DWrite => {
                 let still_mine = match kind {
@@ -1169,7 +1160,7 @@ impl Machine {
                     AccessKind::DWrite => LineState::Modified,
                     _ => LineState::Shared,
                 };
-                if let Some((victim, _)) = self.l1d[c].insert(line, state) {
+                if let Some((victim, _)) = self.caches.l1d(c).insert(line, state) {
                     let dirty = self.dir.evict(c as u16, victim);
                     if dirty {
                         // Writeback occupies the bus but is off the critical
@@ -1220,7 +1211,9 @@ impl Machine {
                         owner: owner as usize,
                         line,
                     });
-                    self.l1d[owner as usize].set_state(line, LineState::Shared);
+                    self.caches
+                        .l1d(owner as usize)
+                        .set_state(line, LineState::Shared);
                     let from = self.config.cluster_of_core(c);
                     let to = self.config.cluster_of_core(owner as usize);
                     let arrive = self.net.cmd(from, to, t);
@@ -1243,7 +1236,7 @@ impl Machine {
                 let w = self.dir.write(c as u16, line);
                 if !w.invalidate.is_empty() {
                     for &s in &w.invalidate {
-                        self.l1d[s as usize].invalidate(line);
+                        self.caches.l1d(s as usize).invalidate(line);
                     }
                     self.trace(TraceEvent::Upgrade {
                         core: c,
@@ -1255,7 +1248,7 @@ impl Machine {
                     t = self.net.broadcast_cmd(cc, t) + 1;
                 }
                 if let Some(owner) = w.dirty_owner {
-                    self.l1d[owner as usize].invalidate(line);
+                    self.caches.l1d(owner as usize).invalidate(line);
                     let from = self.config.cluster_of_core(c);
                     let to = self.config.cluster_of_core(owner as usize);
                     let arrive = self.net.cmd(from, to, t);
@@ -1351,18 +1344,18 @@ impl Machine {
         }
 
         // L2 bank.
-        let l2_hit = self.l2[bank].lookup(line).is_some();
+        let l2_hit = self.caches.l2(bank).lookup(line).is_some();
         t += l2_lat;
         if !l2_hit {
             // L3.
             t = self.l3_port.acquire(t, 1) + 1;
-            let l3_hit = self.l3.lookup(line).is_some();
+            let l3_hit = self.caches.l3().lookup(line).is_some();
             t += l3_lat;
             if !l3_hit {
                 t += mem_lat;
-                self.l3.insert(line, LineState::Shared);
+                self.caches.l3().insert(line, LineState::Shared);
             }
-            self.l2[bank].insert(line, LineState::Shared);
+            self.caches.l2(bank).insert(line, LineState::Shared);
         }
         self.schedule(
             t,
@@ -1385,18 +1378,18 @@ impl Machine {
         now: u64,
         purpose: FillPurpose,
     ) -> Result<StoreOutcome, SimError> {
-        match self.l1d[c].lookup(line) {
+        match self.caches.l1d(c).lookup(line) {
             Some(LineState::Modified) => Ok(StoreOutcome::Done(now + self.config.l1d.latency)),
             Some(LineState::Shared) => {
                 // Upgrade: invalidate remote sharers via one bus command.
                 let w = self.dir.write(c as u16, line);
                 for &s in &w.invalidate {
-                    self.l1d[s as usize].invalidate(line);
+                    self.caches.l1d(s as usize).invalidate(line);
                 }
                 if let Some(owner) = w.dirty_owner {
                     // Our Shared tag was stale (an in-flight-fill race):
                     // displace the true owner as well.
-                    self.l1d[owner as usize].invalidate(line);
+                    self.caches.l1d(owner as usize).invalidate(line);
                 }
                 if !w.invalidate.is_empty() {
                     self.trace(TraceEvent::Upgrade {
@@ -1405,7 +1398,7 @@ impl Machine {
                         copies: w.invalidate.len() as u32,
                     });
                 }
-                self.l1d[c].set_state(line, LineState::Modified);
+                self.caches.l1d(c).set_state(line, LineState::Modified);
                 let cc = self.config.cluster_of_core(c);
                 let arrive = self.net.broadcast_cmd(cc, now + self.config.l1d.latency);
                 // The invalidation round trip serializes against other
@@ -1506,7 +1499,7 @@ impl Machine {
     fn ifetch_window(&mut self, c: usize, pc: u64) -> Result<bool, SimError> {
         if pc < self.cores[c].ifetch_lo || pc >= self.cores[c].ifetch_hi {
             let fetch_line = line_of(pc);
-            if self.l1i[c].lookup(fetch_line).is_some() {
+            if self.caches.l1i(c).lookup(fetch_line).is_some() {
                 self.cores[c].ifetch_lo = fetch_line;
                 self.cores[c].ifetch_hi = fetch_line + sim_isa::LINE_BYTES;
             } else {
@@ -1632,7 +1625,7 @@ impl Machine {
                 self.check_aligned(c, pc, addr, 8)?;
                 let line = line_of(addr);
                 self.cores[c].stats.loads += 1;
-                if self.l1d[c].lookup(line).is_some() {
+                if self.caches.l1d(c).lookup(line).is_some() {
                     let v = self.mem.read_f64(addr);
                     self.cores[c].set_freg(fd, v);
                     self.trace(TraceEvent::DataRead {
@@ -1688,7 +1681,7 @@ impl Machine {
                         addr,
                     };
                     let start = now + t.store_issue;
-                    match self.l1d[c].lookup(line) {
+                    match self.caches.l1d(c).lookup(line) {
                         Some(LineState::Modified) => {
                             self.cores[c].mshr_used += 1;
                             self.cores[c].note_mshr();
@@ -1704,10 +1697,10 @@ impl Machine {
                         Some(LineState::Shared) => {
                             let w = self.dir.write(c as u16, line);
                             for &sh in &w.invalidate {
-                                self.l1d[sh as usize].invalidate(line);
+                                self.caches.l1d(sh as usize).invalidate(line);
                             }
                             if let Some(owner) = w.dirty_owner {
-                                self.l1d[owner as usize].invalidate(line);
+                                self.caches.l1d(owner as usize).invalidate(line);
                             }
                             if !w.invalidate.is_empty() {
                                 self.trace(TraceEvent::Upgrade {
@@ -1716,7 +1709,7 @@ impl Machine {
                                     copies: w.invalidate.len() as u32,
                                 });
                             }
-                            self.l1d[c].set_state(line, LineState::Modified);
+                            self.caches.l1d(c).set_state(line, LineState::Modified);
                             let cc = self.config.cluster_of_core(c);
                             let arrive = self.net.broadcast_cmd(cc, start);
                             let busy = self.config.upgrade_busy;
@@ -1873,7 +1866,7 @@ impl Machine {
         self.check_aligned(c, pc, addr, width.bytes())?;
         let line = line_of(addr);
         self.cores[c].stats.loads += 1;
-        if self.l1d[c].lookup(line).is_some() {
+        if self.caches.l1d(c).lookup(line).is_some() {
             let v = self.mem.read_le(addr, width.bytes() as usize);
             self.cores[c].set_reg(rd, v);
             if set_link {
@@ -1963,7 +1956,7 @@ impl Machine {
         });
         if icache {
             for i in 0..self.cores.len() {
-                self.l1i[i].invalidate(line);
+                self.caches.l1i(i).invalidate(line);
                 if self.cores[i].ifetch_lo == line {
                     self.cores[i].clear_ifetch_window();
                 }
@@ -1980,7 +1973,7 @@ impl Machine {
         if !icache {
             let (holders, dirty) = self.dir.invalidate_all(line);
             for h in holders {
-                self.l1d[h as usize].invalidate(line);
+                self.caches.l1d(h as usize).invalidate(line);
             }
             if dirty {
                 // Writeback of the dirty copy toward the home bank (bus
@@ -1991,8 +1984,8 @@ impl Machine {
             }
             self.clear_links(line);
         }
-        self.l2[bank].invalidate(line);
-        self.l3.invalidate(line);
+        self.caches.l2(bank).invalidate(line);
+        self.caches.l3().invalidate(line);
         let cc = self.config.cluster_of_core(c);
         let done = self
             .net
