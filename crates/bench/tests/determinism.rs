@@ -11,13 +11,14 @@
 
 use analyze::RaceDetectorSink;
 use barrier_filter::BarrierMechanism;
+use bench_suite::cli::DEFAULT_SEED;
 use bench_suite::latency::fig4_machine_with;
 use bench_suite::scale::scale_clusters;
 use bench_suite::throughput::{
     fig4_specs, fold_fig4_digests, EXPECTED_FIG4_16CORE_DIGEST, EXPECTED_VITERBI_K5_16T_DIGEST,
 };
 use bench_suite::verify::{CLUSTERED_CORES, CLUSTERS};
-use bench_suite::SweepRunner;
+use bench_suite::{run_chaos, SweepRunner};
 use cmp_sim::{ChromeTraceSink, Machine, MachineStats, RingSink, RunSummary, TraceSink};
 use kernels::viterbi::Viterbi;
 use kernels::{ExecSpec, RunAttachments, RunSpec, WorkloadSpec};
@@ -429,4 +430,46 @@ fn both_engines_reproduce_the_pinned_digests() {
             assert!(outcome.bursts > 0, "viterbi never burst");
         }
     }
+}
+
+/// The engine contract under fault plans: the production engine's bursts
+/// must stay invisible when the OS surface (`context_switch_out`,
+/// `resume_thread`, `migrate_thread`) rewrites core state mid-run. Every
+/// faulted filter point of the full chaos sweep at 32 faults re-runs on
+/// the reference engine and must reproduce the whole `Measurement` and
+/// the fault report. Both sides are held non-vacuous: the plan injected
+/// faults, and the production engine burst.
+#[test]
+fn production_engine_matches_the_reference_engine_under_fault_plans() {
+    let points = run_chaos(&SweepRunner::new(2), false, &[32], DEFAULT_SEED).expect("chaos sweep");
+    let mut checked = 0;
+    for (spec, fast) in &points {
+        let Some(mechanism) = spec.exec.mechanism.filter(|m| m.is_filter()) else {
+            continue;
+        };
+        if spec.exec.faults.is_none() {
+            continue;
+        }
+        let label = format!("{} {mechanism} x32", spec.workload.kind());
+        let oracle = kernels::run_with(spec, RunAttachments::reference()).expect("reference run");
+        assert_eq!(
+            fast.outcome.sim, oracle.outcome.sim,
+            "{label}: Measurement diverged"
+        );
+        assert_eq!(fast.faults, oracle.faults, "{label}: fault report diverged");
+        assert!(
+            fast.faults.injected > 0,
+            "{label}: no fault injected — vacuous"
+        );
+        assert!(
+            fast.outcome.bursts > 0,
+            "{label}: burst path never engaged — vacuous"
+        );
+        assert_eq!(
+            oracle.outcome.bursts, 0,
+            "{label}: the reference engine bursts"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 8, "four filter mechanisms x two workloads");
 }

@@ -4,19 +4,25 @@ use std::collections::VecDeque;
 
 use sim_isa::{FReg, MemWidth, Reg};
 
+/// The register a load writes: an integer register, or an FP register
+/// that receives the loaded eight bytes as `f64` bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum LoadDest {
+    Int(Reg),
+    Fp(FReg),
+}
+
 /// What a blocked core will do when its outstanding fill completes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Continuation {
-    /// An integer load: write the loaded value (or the error sentinel) to
-    /// `rd`, optionally setting the LL link register.
+    /// A load: write the loaded value (or the error sentinel) to `dest`,
+    /// optionally setting the LL link register.
     Load {
-        rd: Reg,
+        dest: LoadDest,
         addr: u64,
         width: MemWidth,
         set_link: bool,
     },
-    /// A floating-point load.
-    FLoad { fd: FReg, addr: u64 },
     /// An instruction fetch: retry execution at the same pc (the line is in
     /// the L1I once the fill completes).
     IFetch,
@@ -31,13 +37,9 @@ pub(crate) enum Continuation {
 pub(crate) enum Waiting {
     /// Runnable (a `CoreReady` event is pending or the core is halted).
     None,
-    /// Blocked on an outstanding fill (possibly parked at a barrier filter).
-    Fill {
-        line: u64,
-        cont: Continuation,
-        /// True while the fill is parked at a bank hook.
-        parked: bool,
-    },
+    /// Blocked on an outstanding fill (possibly parked at a barrier filter;
+    /// the engine's parked set records which).
+    Fill { line: u64, cont: Continuation },
     /// `sync` waiting for the store buffer to drain; `residual` cycles of
     /// fence cost remain after the last store retires.
     Fence { residual: u64 },
@@ -86,8 +88,6 @@ pub struct CoreStats {
 pub(crate) struct Core {
     pub pc: u64,
     pub halted: bool,
-    /// Whether a `StoreRetire` event is in flight for the buffer head.
-    pub draining: bool,
     /// Fetch fast path: pcs in `ifetch_lo..ifetch_hi` (the bounds of the
     /// I-cache line the previous instruction decoded from) skip the L1I
     /// lookup. `(1, 0)` — an empty window — means no line is cached;
@@ -97,13 +97,16 @@ pub(crate) struct Core {
     pub ifetch_hi: u64,
     /// Fractional-cycle accumulator (twelfths) for superscalar issue.
     pub issue_frac: u64,
+    /// Why the core is not executing. The engine writes it only through
+    /// `Machine::set_waiting`.
     pub waiting: Waiting,
     pub stats: CoreStats,
     pub regs: [u64; Reg::COUNT],
     pub fregs: [f64; FReg::COUNT],
     /// LL reservation: the line address of a valid load-linked, if any.
     pub link: Option<u64>,
-    /// Lines of committed-but-undrained stores, oldest first.
+    /// Lines of committed-but-undrained stores, oldest first. The head's
+    /// drain is in flight whenever the buffer is non-empty.
     pub store_buffer: VecDeque<u64>,
     /// Outstanding misses (loads, store drains, parked fills).
     pub mshr_used: usize,
@@ -118,7 +121,6 @@ impl Core {
             halted: true,
             link: None,
             store_buffer: VecDeque::new(),
-            draining: false,
             waiting: Waiting::None,
             ifetch_lo: 1,
             ifetch_hi: 0,
@@ -154,12 +156,21 @@ impl Core {
         self.fregs[r.index()] = v;
     }
 
+    /// Write a loaded value to `dest` (an FP destination takes its bits).
+    #[inline]
+    pub fn write_load(&mut self, dest: LoadDest, v: u64) {
+        match dest {
+            LoadDest::Int(r) => self.set_reg(r, v),
+            LoadDest::Fp(f) => self.set_freg(f, f64::from_bits(v)),
+        }
+    }
+
     /// Human-readable description of why the core is blocked, for deadlock
-    /// reports.
-    pub fn blocked_reason(&self) -> String {
+    /// reports; `parked` says whether its fill is parked at a bank hook.
+    pub fn blocked_reason(&self, parked: bool) -> String {
         match self.waiting {
             Waiting::None => "runnable (no pending event)".to_owned(),
-            Waiting::Fill { line, parked, .. } => {
+            Waiting::Fill { line, .. } => {
                 if parked {
                     format!("parked at a bank hook on fill of line {line:#x}")
                 } else {
@@ -212,9 +223,9 @@ mod tests {
         c.waiting = Waiting::Fill {
             line: 0x2000_0040,
             cont: Continuation::IFetch,
-            parked: true,
         };
-        assert!(c.blocked_reason().contains("0x20000040"));
-        assert!(c.blocked_reason().contains("parked"));
+        assert!(c.blocked_reason(true).contains("0x20000040"));
+        assert!(c.blocked_reason(true).contains("parked"));
+        assert!(!c.blocked_reason(false).contains("parked"));
     }
 }

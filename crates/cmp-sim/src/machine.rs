@@ -31,7 +31,7 @@ use sim_isa::{line_of, Instr, MemWidth, Program, Reg};
 use crate::bus::{Interconnect, Resource};
 use crate::cache::{Caches, LineState};
 use crate::coherence::{Directory, ReadOutcome};
-use crate::core::{Continuation, Core, Waiting};
+use crate::core::{Continuation, Core, LoadDest, Waiting};
 use crate::error::SimError;
 use crate::event_queue::CalendarQueue;
 use crate::fastmap::FxHashMap;
@@ -97,18 +97,6 @@ enum FillPurpose {
     StoreDrain,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Access {
-    /// The request phase completed; a `FillReady` event will deliver the
-    /// data when it is available. Misses are two-phase so that a slow fill
-    /// (e.g. a full memory-latency round trip) does not reserve the shared
-    /// bus ahead of time and head-of-line-block every intervening request.
-    Pending,
-    /// The fill was parked at a bank hook; a `FillDone` event will arrive
-    /// once the hook releases it.
-    Parked,
-}
-
 /// Outcome of the store path.
 #[derive(Debug, Clone, Copy)]
 enum StoreOutcome {
@@ -124,7 +112,8 @@ struct ParkedFill {
     line: u64,
 }
 
-/// Fills parked at bank hooks, indexed both ways in O(1).
+/// Fills parked at bank hooks, indexed both ways in O(1): the engine's one
+/// record of which blocked cores are parked.
 ///
 /// At most one fill is parked per core (a parked core is blocked), so the
 /// core side is a dense per-core slot array; the hook side resolves its
@@ -132,13 +121,16 @@ struct ParkedFill {
 /// release — quadratic across a barrier episode at 1024 cores. The map is
 /// only ever probed by exact key (never iterated), so hash order cannot
 /// leak into simulated behaviour.
+///
+/// A core leaves the set when the hook releases (or errors) its fill, so
+/// between the release and the response's `FillDone` the core is still
+/// blocked on the fill but no longer parked.
 #[derive(Debug, Default)]
 struct ParkedSet {
     /// `slot[core] = (token, line)` while that core's fill is parked.
     slot: Vec<Option<(ParkToken, u64)>>,
     /// Token → core, for hook-side release/err resolution.
     by_token: FxHashMap<u64, usize>,
-    len: usize,
 }
 
 impl ParkedSet {
@@ -146,7 +138,6 @@ impl ParkedSet {
         ParkedSet {
             slot: vec![None; cores],
             by_token: FxHashMap::default(),
-            len: 0,
         }
     }
 
@@ -154,14 +145,12 @@ impl ParkedSet {
         debug_assert!(self.slot[core].is_none(), "one parked fill per core");
         self.slot[core] = Some((token, line));
         self.by_token.insert(token.0, core);
-        self.len += 1;
     }
 
     /// Remove the parked fill of `core`, if any, returning its token.
     fn remove_by_core(&mut self, core: usize) -> Option<ParkToken> {
         let (token, _) = self.slot[core].take()?;
         self.by_token.remove(&token.0);
-        self.len -= 1;
         Some(token)
     }
 
@@ -169,7 +158,6 @@ impl ParkedSet {
     fn remove_by_token(&mut self, token: ParkToken) -> Option<ParkedFill> {
         let core = self.by_token.remove(&token.0)?;
         let (_, line) = self.slot[core].take().expect("slot tracks by_token");
-        self.len -= 1;
         Some(ParkedFill { core, line })
     }
 
@@ -178,11 +166,7 @@ impl ParkedSet {
     }
 
     fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn len(&self) -> usize {
-        self.len
+        self.by_token.is_empty()
     }
 }
 
@@ -332,7 +316,7 @@ impl std::fmt::Debug for Machine {
             .field("cycle", &self.now)
             .field("cores", &self.cores.len())
             .field("pending_events", &self.events.len())
-            .field("parked_fills", &self.parked.len())
+            .field("parked_fills", &self.parked.by_token.len())
             .field("clusters", &self.config.topology.clusters)
             .finish_non_exhaustive()
     }
@@ -443,12 +427,10 @@ impl Machine {
                     .cores
                     .iter()
                     .any(|c| matches!(c.waiting, Waiting::SwitchedOut { .. }));
-                let os_resumable = self.cores.iter().all(|c| {
+                let os_resumable = self.cores.iter().enumerate().all(|(i, c)| {
                     c.halted
-                        || matches!(
-                            c.waiting,
-                            Waiting::SwitchedOut { .. } | Waiting::Fill { parked: true, .. }
-                        )
+                        || matches!(c.waiting, Waiting::SwitchedOut { .. })
+                        || self.parked.contains_core(i)
                 });
                 if any_switched_out && os_resumable {
                     // The machine idles until the OS's next intervention:
@@ -577,7 +559,7 @@ impl Machine {
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| !c.halted)
-                .map(|(i, c)| (i, c.blocked_reason()))
+                .map(|(i, c)| (i, c.blocked_reason(self.parked.contains_core(i))))
                 .collect(),
         }
     }
@@ -718,12 +700,7 @@ impl Machine {
     /// released) and the core is marked switched-out. Returns `false` if the
     /// core was not parked.
     pub fn context_switch_out(&mut self, core: usize) -> bool {
-        let Waiting::Fill {
-            line,
-            cont,
-            parked: true,
-        } = self.cores[core].waiting
-        else {
+        let Waiting::Fill { line, cont } = self.cores[core].waiting else {
             return false;
         };
         let Some(token) = self.parked.remove_by_core(core) else {
@@ -735,7 +712,7 @@ impl Machine {
         }
         self.tracker.note_cancel();
         self.cores[core].mshr_used -= 1;
-        self.cores[core].waiting = Waiting::SwitchedOut { cont, line };
+        self.set_waiting(core, Waiting::SwitchedOut { cont, line });
         true
     }
 
@@ -758,14 +735,13 @@ impl Machine {
             _ => AccessKind::DRead,
         };
         let now = self.now;
-        let access = self.miss_path(core, line, kind, now, FillPurpose::Resume)?;
-        let parked = matches!(access, Access::Parked);
-        if parked {
+        self.miss_path(core, line, kind, now, FillPurpose::Resume)?;
+        if self.parked.contains_core(core) {
             self.tracker.note_repark();
         } else {
             self.tracker.note_resume_after_release();
         }
-        self.cores[core].waiting = Waiting::Fill { line, cont, parked };
+        self.set_waiting(core, Waiting::Fill { line, cont });
         Ok(())
     }
 
@@ -776,14 +752,8 @@ impl Machine {
     /// not listed — [`context_switch_out`](Machine::context_switch_out) is
     /// guaranteed to succeed for every returned core.
     pub fn parked_cores(&self) -> Vec<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|&(i, c)| {
-                matches!(c.waiting, Waiting::Fill { parked: true, .. })
-                    && self.parked.contains_core(i)
-            })
-            .map(|(i, _)| i)
+        (0..self.cores.len())
+            .filter(|&i| self.parked.contains_core(i))
             .collect()
     }
 
@@ -814,7 +784,9 @@ impl Machine {
         std::mem::swap(&mut ca.regs, &mut cb.regs);
         std::mem::swap(&mut ca.fregs, &mut cb.fregs);
         std::mem::swap(&mut ca.pc, &mut cb.pc);
-        std::mem::swap(&mut ca.waiting, &mut cb.waiting);
+        let (wa, wb) = (self.cores[a].waiting, self.cores[b].waiting);
+        self.set_waiting(a, wb);
+        self.set_waiting(b, wa);
         for c in [a, b] {
             if self.cores[c].link.take().is_some() {
                 self.live_links -= 1;
@@ -867,16 +839,11 @@ impl Machine {
                 StoreOutcome::Done(t) => self.schedule(t, Ev::StoreRetire(c as u32)),
                 StoreOutcome::Pending => {}
             }
-        } else {
-            self.cores[c].draining = false;
-            if let Waiting::Fence { residual } = self.cores[c].waiting {
-                self.cores[c].waiting = Waiting::None;
-                self.schedule(now + residual, Ev::CoreReady(c as u32));
-            }
+        } else if let Waiting::Fence { residual } = self.cores[c].waiting {
+            self.wake(c, now + residual);
         }
         if matches!(self.cores[c].waiting, Waiting::StoreSlot) {
-            self.cores[c].waiting = Waiting::None;
-            self.schedule(now, Ev::CoreReady(c as u32));
+            self.wake(c, now);
         }
         Ok(())
     }
@@ -920,10 +887,13 @@ impl Machine {
             debug_assert!(false, "FillDone for a core that is not waiting on a fill");
             return Ok(());
         };
-        self.cores[c].waiting = Waiting::None;
-        self.complete_continuation(c, cont, line, error, now)
+        self.complete_continuation(c, cont, line, error, now)?;
+        self.wake(c, now);
+        Ok(())
     }
 
+    /// Finish the instruction a fill blocked: install the line and write
+    /// the result (or, for an error reply, the sentinel).
     fn complete_continuation(
         &mut self,
         c: usize,
@@ -938,10 +908,9 @@ impl Machine {
                     return Err(SimError::IFetchErrorReply { core: c, line });
                 }
                 self.fill_l1(c, line, AccessKind::IFetch, at);
-                self.schedule(at, Ev::CoreReady(c as u32));
             }
             Continuation::Load {
-                rd,
+                dest,
                 addr,
                 width,
                 set_link,
@@ -961,28 +930,10 @@ impl Machine {
                     });
                     self.mem.read_le(addr, width.bytes() as usize)
                 };
-                self.cores[c].set_reg(rd, value);
+                self.cores[c].write_load(dest, value);
                 if set_link {
                     self.set_link(c, line);
                 }
-                self.schedule(at, Ev::CoreReady(c as u32));
-            }
-            Continuation::FLoad { fd, addr } => {
-                if !error {
-                    self.fill_l1(c, line, AccessKind::DRead, at);
-                }
-                let value = if error {
-                    f64::from_bits(FILL_ERROR_SENTINEL)
-                } else {
-                    self.trace(TraceEvent::DataRead {
-                        core: c,
-                        addr,
-                        bytes: 8,
-                    });
-                    self.mem.read_f64(addr)
-                };
-                self.cores[c].set_freg(fd, value);
-                self.schedule(at, Ev::CoreReady(c as u32));
             }
             Continuation::Sc { rd, src, addr } => {
                 // The success of a store-conditional is decided when the
@@ -1001,7 +952,6 @@ impl Machine {
                     });
                 }
                 self.cores[c].set_reg(rd, ok as u64);
-                self.schedule(at, Ev::CoreReady(c as u32));
             }
         }
         Ok(())
@@ -1177,7 +1127,12 @@ impl Machine {
 
     /// The request phase of the miss path for `line`, starting at cycle
     /// `start` (which already includes the L1 lookup that missed). The
-    /// response phase runs in the `FillReady` event this schedules.
+    /// response phase runs in the `FillReady` event this schedules. Misses
+    /// are two-phase so that a slow fill (e.g. a full memory-latency round
+    /// trip) does not reserve the shared bus ahead of time and
+    /// head-of-line-block every intervening request. A fill the bank hook
+    /// parks schedules nothing: it joins the parked set, and its `FillDone`
+    /// comes when the hook releases it.
     fn miss_path(
         &mut self,
         c: usize,
@@ -1185,7 +1140,7 @@ impl Machine {
         kind: AccessKind,
         start: u64,
         purpose: FillPurpose,
-    ) -> Result<Access, SimError> {
+    ) -> Result<(), SimError> {
         let l2_lat = self.config.l2.latency;
         let hook_cy = self.config.hook_cycles_per_request;
         let l3_lat = self.config.l3.latency;
@@ -1228,7 +1183,7 @@ impl Machine {
                             purpose,
                         },
                     );
-                    return Ok(Access::Pending);
+                    return Ok(());
                 }
             }
             AccessKind::DWrite => {
@@ -1263,7 +1218,7 @@ impl Machine {
                             purpose,
                         },
                     );
-                    return Ok(Access::Pending);
+                    return Ok(());
                 }
             }
             AccessKind::IFetch => {
@@ -1320,7 +1275,7 @@ impl Machine {
                             purpose,
                         },
                     );
-                    return Ok(Access::Pending);
+                    return Ok(());
                 }
                 FillDecision::Park => {
                     if matches!(kind, AccessKind::DWrite) {
@@ -1338,7 +1293,7 @@ impl Machine {
                     self.cores[c].stats.fills_parked += 1;
                     self.tracker.note_park(bank, t);
                     self.trace(TraceEvent::Parked { core: c, line });
-                    return Ok(Access::Parked);
+                    return Ok(());
                 }
             }
         }
@@ -1366,7 +1321,7 @@ impl Machine {
                 purpose,
             },
         );
-        Ok(Access::Pending)
+        Ok(())
     }
 
     /// Perform a store to `line` (a drain from the store buffer, or a
@@ -1380,41 +1335,47 @@ impl Machine {
     ) -> Result<StoreOutcome, SimError> {
         match self.caches.l1d(c).lookup(line) {
             Some(LineState::Modified) => Ok(StoreOutcome::Done(now + self.config.l1d.latency)),
-            Some(LineState::Shared) => {
-                // Upgrade: invalidate remote sharers via one bus command.
-                let w = self.dir.write(c as u16, line);
-                for &s in &w.invalidate {
-                    self.caches.l1d(s as usize).invalidate(line);
-                }
-                if let Some(owner) = w.dirty_owner {
-                    // Our Shared tag was stale (an in-flight-fill race):
-                    // displace the true owner as well.
-                    self.caches.l1d(owner as usize).invalidate(line);
-                }
-                if !w.invalidate.is_empty() {
-                    self.trace(TraceEvent::Upgrade {
-                        core: c,
-                        line,
-                        copies: w.invalidate.len() as u32,
-                    });
-                }
-                self.caches.l1d(c).set_state(line, LineState::Modified);
-                let cc = self.config.cluster_of_core(c);
-                let arrive = self.net.broadcast_cmd(cc, now + self.config.l1d.latency);
-                // The invalidation round trip serializes against other
-                // transfers of this line at the directory.
-                let busy = self.config.upgrade_busy;
-                let g = self.line_acquire(line, arrive, busy);
-                Ok(StoreOutcome::Done(g + busy))
-            }
+            Some(LineState::Shared) => Ok(StoreOutcome::Done(self.upgrade(
+                c,
+                line,
+                now + self.config.l1d.latency,
+            ))),
             None => {
                 let start = now + self.config.l1d.latency;
-                match self.miss_path(c, line, AccessKind::DWrite, start, purpose)? {
-                    Access::Pending => Ok(StoreOutcome::Pending),
-                    Access::Parked => unreachable!("DWrite park is rejected in miss_path"),
-                }
+                self.miss_path(c, line, AccessKind::DWrite, start, purpose)?;
+                Ok(StoreOutcome::Pending)
             }
         }
+    }
+
+    /// Upgrade core `c`'s Shared copy of `line` to Modified: invalidate
+    /// every other copy through one broadcast command issued at cycle `at`.
+    /// Returns the cycle the core holds the line exclusively.
+    fn upgrade(&mut self, c: usize, line: u64, at: u64) -> u64 {
+        let w = self.dir.write(c as u16, line);
+        for &s in &w.invalidate {
+            self.caches.l1d(s as usize).invalidate(line);
+        }
+        if let Some(owner) = w.dirty_owner {
+            // Our Shared tag was stale (an in-flight-fill race): displace
+            // the true owner as well.
+            self.caches.l1d(owner as usize).invalidate(line);
+        }
+        if !w.invalidate.is_empty() {
+            self.trace(TraceEvent::Upgrade {
+                core: c,
+                line,
+                copies: w.invalidate.len() as u32,
+            });
+        }
+        self.caches.l1d(c).set_state(line, LineState::Modified);
+        let cc = self.config.cluster_of_core(c);
+        let arrive = self.net.broadcast_cmd(cc, at);
+        // The invalidation round trip serializes against other transfers
+        // of this line at the directory.
+        let busy = self.config.upgrade_busy;
+        let g = self.line_acquire(line, arrive, busy);
+        g + busy
     }
 
     /// FIFO-acquire the per-line coherence serialization point.
@@ -1493,6 +1454,31 @@ impl Machine {
         self.schedule(at, Ev::CoreReady(c as u32));
     }
 
+    /// The one transition point of a core's run state: every write of
+    /// `Core::waiting` goes through here.
+    #[inline]
+    fn set_waiting(&mut self, c: usize, w: Waiting) {
+        self.cores[c].waiting = w;
+    }
+
+    /// Make blocked core `c` runnable at cycle `at`: the only way back to
+    /// `Waiting::None`, and with it the push of the core's one `CoreReady`.
+    #[inline]
+    fn wake(&mut self, c: usize, at: u64) {
+        self.set_waiting(c, Waiting::None);
+        self.schedule(at, Ev::CoreReady(c as u32));
+    }
+
+    /// Retire the instruction at core `c`'s pc, moving it to `next_pc`,
+    /// and block the core in `w` until a [`wake`](Machine::wake).
+    #[inline]
+    fn block(&mut self, c: usize, next_pc: u64, w: Waiting) {
+        let core = &mut self.cores[c];
+        core.pc = next_pc;
+        core.stats.instructions += 1;
+        self.set_waiting(c, w);
+    }
+
     /// I-fetch front end: ensure the ifetch window covers `pc`, going
     /// through the L1I (and on a miss, the fill machinery). Returns `false`
     /// when the core blocked on an instruction fill.
@@ -1504,18 +1490,20 @@ impl Machine {
                 self.cores[c].ifetch_hi = fetch_line + sim_isa::LINE_BYTES;
             } else {
                 let start = self.now + self.config.l1i.latency;
-                let access = self.miss_path(
+                self.miss_path(
                     c,
                     fetch_line,
                     AccessKind::IFetch,
                     start,
                     FillPurpose::Resume,
                 )?;
-                self.cores[c].waiting = Waiting::Fill {
-                    line: fetch_line,
-                    cont: Continuation::IFetch,
-                    parked: matches!(access, Access::Parked),
-                };
+                self.set_waiting(
+                    c,
+                    Waiting::Fill {
+                        line: fetch_line,
+                        cont: Continuation::IFetch,
+                    },
+                );
                 return Ok(false);
             }
         }
@@ -1526,9 +1514,13 @@ impl Machine {
     /// image through the I-fetch window, then execute it.
     fn step_core(&mut self, c: usize) -> Result<(), SimError> {
         let core = &self.cores[c];
-        if core.halted || !matches!(core.waiting, Waiting::None) {
-            return Ok(());
-        }
+        // A blocked or halted core has no `CoreReady` queued: blocking and
+        // halting push none, and `wake`, the only way out of a wait state,
+        // pushes the core's one.
+        debug_assert!(
+            !core.halted && matches!(core.waiting, Waiting::None),
+            "CoreReady for a halted or blocked core {c}"
+        );
         let pc = core.pc;
         if !self.ifetch_window(c, pc)? {
             return Ok(());
@@ -1615,41 +1607,16 @@ impl Machine {
             Instr::Fle(d, a, b) => alu!(d, (fr(a) <= fr(b)) as u64),
 
             Instr::Ld(rd, base, off, width) => {
-                self.exec_load(c, pc, rd, base, off, width, false, units, next)?;
+                let dest = LoadDest::Int(rd);
+                self.exec_load(c, pc, dest, base, off, width, false, units, next)?;
             }
             Instr::Ll(rd, base, off) => {
-                self.exec_load(c, pc, rd, base, off, MemWidth::D, true, units, next)?;
+                let dest = LoadDest::Int(rd);
+                self.exec_load(c, pc, dest, base, off, MemWidth::D, true, units, next)?;
             }
             Instr::Fld(fd, base, off) => {
-                let addr = r(base).wrapping_add(off as u64);
-                self.check_aligned(c, pc, addr, 8)?;
-                let line = line_of(addr);
-                self.cores[c].stats.loads += 1;
-                if self.caches.l1d(c).lookup(line).is_some() {
-                    let v = self.mem.read_f64(addr);
-                    self.cores[c].set_freg(fd, v);
-                    self.trace(TraceEvent::DataRead {
-                        core: c,
-                        addr,
-                        bytes: 8,
-                    });
-                    self.finish_units(c, units, next);
-                } else {
-                    let access = self.miss_path(
-                        c,
-                        line,
-                        AccessKind::DRead,
-                        now + t.load,
-                        FillPurpose::Resume,
-                    )?;
-                    self.cores[c].pc = next;
-                    self.cores[c].stats.instructions += 1;
-                    self.cores[c].waiting = Waiting::Fill {
-                        line,
-                        cont: Continuation::FLoad { fd, addr },
-                        parked: matches!(access, Access::Parked),
-                    };
-                }
+                let dest = LoadDest::Fp(fd);
+                self.exec_load(c, pc, dest, base, off, MemWidth::D, false, units, next)?;
             }
             Instr::St(src, base, off, width) => {
                 let addr = r(base).wrapping_add(off as u64);
@@ -1681,72 +1648,31 @@ impl Machine {
                         addr,
                     };
                     let start = now + t.store_issue;
-                    match self.caches.l1d(c).lookup(line) {
-                        Some(LineState::Modified) => {
-                            self.cores[c].mshr_used += 1;
-                            self.cores[c].note_mshr();
-                            self.schedule(
-                                start + self.config.l1d.latency,
-                                Ev::FillDone {
-                                    core: c as u32,
-                                    line,
-                                    error: false,
-                                },
-                            );
-                        }
-                        Some(LineState::Shared) => {
-                            let w = self.dir.write(c as u16, line);
-                            for &sh in &w.invalidate {
-                                self.caches.l1d(sh as usize).invalidate(line);
-                            }
-                            if let Some(owner) = w.dirty_owner {
-                                self.caches.l1d(owner as usize).invalidate(line);
-                            }
-                            if !w.invalidate.is_empty() {
-                                self.trace(TraceEvent::Upgrade {
-                                    core: c,
-                                    line,
-                                    copies: w.invalidate.len() as u32,
-                                });
-                            }
-                            self.caches.l1d(c).set_state(line, LineState::Modified);
-                            let cc = self.config.cluster_of_core(c);
-                            let arrive = self.net.broadcast_cmd(cc, start);
-                            let busy = self.config.upgrade_busy;
-                            let g = self.line_acquire(line, arrive, busy);
-                            self.cores[c].mshr_used += 1;
-                            self.cores[c].note_mshr();
-                            self.schedule(
-                                g + busy,
-                                Ev::FillDone {
-                                    core: c as u32,
-                                    line,
-                                    error: false,
-                                },
-                            );
-                        }
+                    // A line already held (Modified, or Shared and upgraded)
+                    // completes through a `FillDone`; a miss goes through
+                    // the `FillReady` chain.
+                    let owned_at = match self.caches.l1d(c).lookup(line) {
+                        Some(LineState::Modified) => Some(start + self.config.l1d.latency),
+                        Some(LineState::Shared) => Some(self.upgrade(c, line, start)),
                         None => {
-                            match self.miss_path(
-                                c,
-                                line,
-                                AccessKind::DWrite,
-                                start,
-                                FillPurpose::Resume,
-                            )? {
-                                Access::Pending => {}
-                                Access::Parked => {
-                                    unreachable!("DWrite park is rejected in miss_path")
-                                }
-                            }
+                            let kind = AccessKind::DWrite;
+                            self.miss_path(c, line, kind, start, FillPurpose::Resume)?;
+                            None
                         }
-                    }
-                    self.cores[c].pc = next;
-                    self.cores[c].stats.instructions += 1;
-                    self.cores[c].waiting = Waiting::Fill {
-                        line,
-                        cont,
-                        parked: false,
                     };
+                    if let Some(at) = owned_at {
+                        self.cores[c].mshr_used += 1;
+                        self.cores[c].note_mshr();
+                        self.schedule(
+                            at,
+                            Ev::FillDone {
+                                core: c as u32,
+                                line,
+                                error: false,
+                            },
+                        );
+                    }
+                    self.block(c, next, Waiting::Fill { line, cont });
                 }
             }
 
@@ -1770,9 +1696,8 @@ impl Machine {
                 if self.cores[c].store_buffer.is_empty() {
                     self.finish(c, t.fence, next);
                 } else {
-                    self.cores[c].pc = next;
-                    self.cores[c].stats.instructions += 1;
-                    self.cores[c].waiting = Waiting::Fence { residual: t.fence };
+                    let residual = t.fence;
+                    self.block(c, next, Waiting::Fence { residual });
                 }
             }
             Instr::Isync => {
@@ -1794,24 +1719,19 @@ impl Machine {
                 if !self.hwnet.is_member(id, c) {
                     return Err(SimError::HwBarrierWrongCore { core: c, id });
                 }
-                self.cores[c].pc = next;
-                self.cores[c].stats.instructions += 1;
+                // Every arriver stalls; the last one's arrival releases the
+                // whole group, itself included.
+                self.block(c, next, Waiting::HwBar);
                 self.tracker.note_hw_arrival(id, now);
                 self.trace(TraceEvent::HwBarArrive { core: c, id });
-                match self.hwnet.arrive(id, c, now) {
-                    HwBarResult::Stall => {
-                        self.cores[c].waiting = Waiting::HwBar;
+                if let HwBarResult::Release(list) = self.hwnet.arrive(id, c, now) {
+                    let resume = list.iter().map(|&(_, at)| at).max().unwrap_or(now);
+                    for (core, at) in list {
+                        self.trace(TraceEvent::HwBarRelease { core, id });
+                        self.wake(core, at);
                     }
-                    HwBarResult::Release(list) => {
-                        let resume = list.iter().map(|&(_, at)| at).max().unwrap_or(now);
-                        for (core, at) in list {
-                            self.cores[core].waiting = Waiting::None;
-                            self.trace(TraceEvent::HwBarRelease { core, id });
-                            self.schedule(at, Ev::CoreReady(core as u32));
-                        }
-                        let ev = self.tracker.close_hw(id, now, resume);
-                        self.trace(ev);
-                    }
+                    let ev = self.tracker.close_hw(id, now, resume);
+                    self.trace(ev);
                 }
             }
 
@@ -1848,12 +1768,16 @@ impl Machine {
         Ok(())
     }
 
+    /// `ld`, `ll` and `fld`. Forced inline: its L1D hit is the spin loops'
+    /// hot path, and with three call sites in `exec_instr` the compiler
+    /// otherwise outlines it behind a call.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn exec_load(
         &mut self,
         c: usize,
         pc: u64,
-        rd: Reg,
+        dest: LoadDest,
         base: Reg,
         off: i64,
         width: MemWidth,
@@ -1868,7 +1792,7 @@ impl Machine {
         self.cores[c].stats.loads += 1;
         if self.caches.l1d(c).lookup(line).is_some() {
             let v = self.mem.read_le(addr, width.bytes() as usize);
-            self.cores[c].set_reg(rd, v);
+            self.cores[c].write_load(dest, v);
             if set_link {
                 self.set_link(c, line);
             }
@@ -1880,25 +1804,20 @@ impl Machine {
             self.finish_units(c, units, next);
             return Ok(());
         }
-        let access = self.miss_path(
+        self.miss_path(
             c,
             line,
             AccessKind::DRead,
             now + self.config.timing.load,
             FillPurpose::Resume,
         )?;
-        self.cores[c].pc = next;
-        self.cores[c].stats.instructions += 1;
-        self.cores[c].waiting = Waiting::Fill {
-            line,
-            cont: Continuation::Load {
-                rd,
-                addr,
-                width,
-                set_link,
-            },
-            parked: matches!(access, Access::Parked),
+        let cont = Continuation::Load {
+            dest,
+            addr,
+            width,
+            set_link,
         };
+        self.block(c, next, Waiting::Fill { line, cont });
         Ok(())
     }
 
@@ -1920,7 +1839,7 @@ impl Machine {
         }
         if self.cores[c].store_buffer.len() >= self.config.store_buffer_entries {
             // Re-execute once a slot frees.
-            self.cores[c].waiting = Waiting::StoreSlot;
+            self.set_waiting(c, Waiting::StoreSlot);
             return Ok(());
         }
         let line = line_of(addr);
@@ -1933,8 +1852,8 @@ impl Machine {
             bytes: width.bytes(),
         });
         self.cores[c].store_buffer.push_back(line);
-        if !self.cores[c].draining {
-            self.cores[c].draining = true;
+        if self.cores[c].store_buffer.len() == 1 {
+            // The buffer was empty, so no drain is in flight: start one.
             let issue_at = now + self.config.timing.store_issue;
             match self.store_path(c, line, issue_at, FillPurpose::StoreDrain)? {
                 StoreOutcome::Done(at) => self.schedule(at, Ev::StoreRetire(c as u32)),

@@ -4,7 +4,7 @@
 
 use cmp_sim::{
     AddressSpace, BankHook, FillDecision, HookOutcome, HookViolation, MachineBuilder, ParkToken,
-    RingSink, RunState, SimConfig, SimError, TraceEvent,
+    RingSink, RunState, SimConfig, SimError, TraceEvent, FILL_ERROR_SENTINEL,
 };
 use sim_isa::{line_of, Asm, FReg, MemWidth, Program, Reg};
 
@@ -715,6 +715,9 @@ struct MockHook {
     /// Once the release invalidate has been seen, later fills are serviced
     /// (like a filter whose threads are in the Servicing state).
     open: bool,
+    /// Answer the parked fills with error replies (the §3.3.4 timeout
+    /// path) instead of data.
+    errored: bool,
 }
 
 impl BankHook for MockHook {
@@ -725,7 +728,12 @@ impl BankHook for MockHook {
         out: &mut HookOutcome,
     ) -> Result<(), HookViolation> {
         if line == self.release_on {
-            out.released.append(&mut self.parked);
+            let replies = if self.errored {
+                &mut out.errored
+            } else {
+                &mut out.released
+            };
+            replies.append(&mut self.parked);
             self.open = true;
         }
         Ok(())
@@ -794,6 +802,7 @@ fn parked_fill_starves_until_release_invalidate() {
             parked: Vec::new(),
             park_n: 1,
             open: false,
+            errored: false,
         }),
     )
     .unwrap();
@@ -838,6 +847,7 @@ fn parked_fill_with_no_release_deadlocks() {
             parked: Vec::new(),
             park_n: 1,
             open: false,
+            errored: false,
         }),
     )
     .unwrap();
@@ -888,6 +898,7 @@ fn context_switch_out_and_resume_reissues_fill() {
             parked: Vec::new(),
             park_n: 2, // park the re-issued fill as well until release
             open: false,
+            errored: false,
         }),
     )
     .unwrap();
@@ -941,6 +952,7 @@ fn resume_after_release_is_serviced_immediately() {
             parked: Vec::new(),
             park_n: 1,
             open: false,
+            errored: false,
         }),
     )
     .unwrap();
@@ -959,6 +971,250 @@ fn resume_after_release_is_serviced_immediately() {
     m.resume_thread(0).unwrap();
     m.run().unwrap();
     assert_eq!(m.read_u64(out), 1);
+}
+
+/// A migration swaps two switched-out threads' blocked accesses along with
+/// their registers and pcs, whichever core is named first: each thread's
+/// re-issued load still writes its own destination register.
+#[test]
+fn migrated_threads_take_their_blocked_loads_along() {
+    for (x, y) in [(0, 1), (1, 0)] {
+        let mut cfg = SimConfig::with_cores(3);
+        cfg.cycle_limit = 1_000_000;
+        let mut space = AddressSpace::new(&cfg);
+        let watched = space.alloc_bank_lines(0, 1).unwrap();
+        let release = space.alloc_bank_lines(0, 1).unwrap();
+        let out = space.alloc_u64(2).unwrap();
+        // Threads 0 and 1 park on loads of different words into different
+        // registers; thread 2 releases them after a delay.
+        let mut a = Asm::new();
+        a.label("entry").unwrap();
+        a.li(Reg::T0, watched as i64);
+        a.li(Reg::T2, out as i64);
+        a.li(Reg::T3, 1);
+        a.beq(Reg::TID, Reg::ZERO, "first");
+        a.beq(Reg::TID, Reg::T3, "second");
+        a.li(Reg::T3, 2000);
+        a.label("delay").unwrap();
+        a.addi(Reg::T3, Reg::T3, -1);
+        a.bne(Reg::T3, Reg::ZERO, "delay");
+        a.li(Reg::T0, release as i64);
+        a.dcbi(Reg::T0, 0);
+        a.halt();
+        a.label("first").unwrap();
+        a.ldd(Reg::T1, Reg::T0, 0);
+        a.std(Reg::T1, Reg::T2, 0);
+        a.halt();
+        a.label("second").unwrap();
+        a.ldd(Reg::T4, Reg::T0, 8);
+        a.std(Reg::T4, Reg::T2, 8);
+        a.halt();
+        let program = a.assemble().unwrap();
+        let entry = program.require_symbol("entry").unwrap();
+        let mut builder = MachineBuilder::new(cfg, program).unwrap();
+        for _ in 0..3 {
+            builder.add_thread(entry);
+        }
+        builder.write_u64(watched, 11).write_u64(watched + 8, 22);
+        builder
+            .install_hook(
+                0,
+                Box::new(MockHook {
+                    watched,
+                    release_on: release,
+                    parked: Vec::new(),
+                    park_n: 2,
+                    open: false,
+                    errored: false,
+                }),
+            )
+            .unwrap();
+        let mut m = builder.build().unwrap();
+        assert_eq!(m.run_until(1000).unwrap(), RunState::Paused);
+        assert_eq!(m.parked_cores(), vec![0, 1]);
+        assert!(m.context_switch_out(0) && m.context_switch_out(1));
+        m.migrate_thread(x, y).unwrap();
+        m.resume_thread(0).unwrap();
+        m.resume_thread(1).unwrap();
+        m.run().unwrap();
+        assert_eq!(
+            [m.read_u64(out), m.read_u64(out + 8)],
+            [11, 22],
+            "migrate_thread({x}, {y})"
+        );
+        assert_eq!(m.core_reg(1, Reg::T1), 11, "thread 0 now runs on core 1");
+        assert_eq!(m.core_reg(0, Reg::T4), 22, "thread 1 now runs on core 0");
+    }
+}
+
+/// An error reply (§3.3.4) carries no data: a parked `fld` receives the
+/// sentinel's bits in its FP register, and a parked narrow `ld` the
+/// sentinel masked to its width, whatever the line holds.
+#[test]
+fn error_replies_reach_a_parked_fld_and_a_parked_narrow_ld() {
+    let mut cfg = SimConfig::with_cores(3);
+    cfg.cycle_limit = 1_000_000;
+    let mut space = AddressSpace::new(&cfg);
+    let watched = space.alloc_bank_lines(0, 1).unwrap();
+    let release = space.alloc_bank_lines(0, 1).unwrap();
+    let out = space.alloc_u64(2).unwrap();
+
+    // Thread 0 parks on an `fld`, thread 1 on a 32-bit `ld` of the same
+    // line; thread 2 delays, then dcbi's the release line, which errors
+    // both parked fills.
+    let mut a = Asm::new();
+    a.label("entry").unwrap();
+    a.li(Reg::T0, watched as i64);
+    a.li(Reg::T2, out as i64);
+    a.li(Reg::T3, 1);
+    a.beq(Reg::TID, Reg::ZERO, "fp");
+    a.beq(Reg::TID, Reg::T3, "narrow");
+    a.li(Reg::T3, 400);
+    a.label("delay").unwrap();
+    a.addi(Reg::T3, Reg::T3, -1);
+    a.bne(Reg::T3, Reg::ZERO, "delay");
+    a.li(Reg::T0, release as i64);
+    a.dcbi(Reg::T0, 0);
+    a.halt();
+    a.label("fp").unwrap();
+    a.fld(FReg::F1, Reg::T0, 0); // parked, then errored
+    a.fst(FReg::F1, Reg::T2, 0);
+    a.halt();
+    a.label("narrow").unwrap();
+    a.ld(Reg::T1, Reg::T0, 0, MemWidth::W); // parked, then errored
+    a.std(Reg::T1, Reg::T2, 8);
+    a.halt();
+    let program = a.assemble().unwrap();
+    let entry = program.require_symbol("entry").unwrap();
+    let mut b = MachineBuilder::new(cfg, program).unwrap();
+    for _ in 0..3 {
+        b.add_thread(entry);
+    }
+    b.write_u64(watched, 0x0123_4567_89ab_cdef);
+    b.install_hook(
+        0,
+        Box::new(MockHook {
+            watched,
+            release_on: release,
+            parked: Vec::new(),
+            park_n: 2,
+            open: false,
+            errored: true,
+        }),
+    )
+    .unwrap();
+    b.with_trace_sink(Box::new(RingSink::new(1 << 16)));
+    let mut m = b.build().unwrap();
+    m.run().unwrap();
+    assert_eq!(m.stats().fills_parked(), 2);
+    for core in [0, 1] {
+        assert!(
+            m.trace_snapshot().iter().any(|(_, e)| *e
+                == TraceEvent::Errored {
+                    core,
+                    line: watched
+                }),
+            "core {core}'s parked fill was not errored"
+        );
+    }
+    assert_eq!(
+        m.read_u64(out),
+        FILL_ERROR_SENTINEL,
+        "fld got the sentinel's bits"
+    );
+    assert_eq!(
+        m.read_u64(out + 8),
+        0xbad0_bad0,
+        "ld.w got the masked sentinel"
+    );
+}
+
+/// Build the two-thread release fixture: thread 0 loads the watched line
+/// (value 77) and stores it to `out`; thread 1 delays, then dcbi's the
+/// release line, which releases thread 0's parked fill. Returns the
+/// machine, the watched line and `out`.
+fn build_release_machine() -> (cmp_sim::Machine, u64, u64) {
+    let mut cfg = SimConfig::with_cores(2);
+    cfg.cycle_limit = 1_000_000;
+    let mut space = AddressSpace::new(&cfg);
+    let watched = space.alloc_bank_lines(0, 1).unwrap();
+    let release = space.alloc_bank_lines(0, 1).unwrap();
+    let out = space.alloc_u64(1).unwrap();
+    let mut a = Asm::new();
+    a.label("entry").unwrap();
+    a.bne(Reg::TID, Reg::ZERO, "releaser");
+    a.li(Reg::T0, watched as i64);
+    a.ldd(Reg::T1, Reg::T0, 0);
+    a.li(Reg::T2, out as i64);
+    a.std(Reg::T1, Reg::T2, 0);
+    a.halt();
+    a.label("releaser").unwrap();
+    a.li(Reg::T3, 400);
+    a.label("delay").unwrap();
+    a.addi(Reg::T3, Reg::T3, -1);
+    a.bne(Reg::T3, Reg::ZERO, "delay");
+    a.li(Reg::T0, release as i64);
+    a.dcbi(Reg::T0, 0);
+    a.halt();
+    let program = a.assemble().unwrap();
+    let entry = program.require_symbol("entry").unwrap();
+    let mut b = MachineBuilder::new(cfg, program).unwrap();
+    b.add_thread(entry);
+    b.add_thread(entry);
+    b.write_u64(watched, 77);
+    b.install_hook(
+        0,
+        Box::new(MockHook {
+            watched,
+            release_on: release,
+            parked: Vec::new(),
+            park_n: 1,
+            open: false,
+            errored: false,
+        }),
+    )
+    .unwrap();
+    b.with_trace_sink(Box::new(RingSink::new(1 << 16)));
+    (b.build().unwrap(), watched, out)
+}
+
+/// Between the hook's release and the response's delivery, the core is
+/// still blocked on its fill but no longer parked: `parked_cores` omits
+/// it and `context_switch_out` refuses it, and the run then completes
+/// with the released data.
+#[test]
+fn a_release_in_flight_is_neither_parked_nor_cancelable() {
+    let released_at = |m: &mut cmp_sim::Machine, watched: u64| {
+        m.trace_snapshot()
+            .iter()
+            .find(|(_, e)| {
+                *e == TraceEvent::Released {
+                    core: 0,
+                    line: watched,
+                }
+            })
+            .map(|&(cycle, _)| cycle)
+    };
+    let (mut probe, watched, _) = build_release_machine();
+    probe.run().unwrap();
+    let release = released_at(&mut probe, watched).expect("thread 0 was released");
+
+    let (mut m, watched, out) = build_release_machine();
+    assert_eq!(m.run_until(release + 1).unwrap(), RunState::Paused);
+    assert_eq!(released_at(&mut m, watched), Some(release));
+    assert_eq!(
+        m.core_reg(0, Reg::T1),
+        0,
+        "the response has not delivered yet"
+    );
+    assert!(m.parked_cores().is_empty(), "a released core is not parked");
+    assert!(
+        !m.context_switch_out(0),
+        "a release in flight cannot be cancelled"
+    );
+    m.run().unwrap();
+    assert_eq!(m.core_reg(0, Reg::T1), 77);
+    assert_eq!(m.read_u64(out), 77);
 }
 
 /// Build the self-modifying-code fixture: three passes over a patchable

@@ -53,13 +53,19 @@ echo "==> pinned-digest gate (--jobs 2, committed digests, both engines)"
 "$fastbar" throughput --check --jobs 2 --out "$smoke_dir/throughput.json"
 cmp "$smoke_dir/throughput.json" BENCH_throughput.json
 
-echo "==> chaos recovery smoke (fixed seed, quick grid)"
-# Quick fault-injection sweep at a pinned seed: every point must produce
-# validated kernel output, quiescent filter tables and a bit-identical
-# replay (the sweep itself runs each faulted point twice and asserts it),
-# so a barrier-recovery regression fails here before it lands.
-"$fastbar" chaos --quick --jobs 2 --seed 0x5eedba441e4a0001 \
-    --out "$smoke_dir/chaos.json"
+echo "==> chaos recovery sweep (fixed seed, full grid, committed document)"
+# Full fault-injection sweep at a pinned seed (about 3 s on 2 workers):
+# every point must produce validated kernel output, quiescent filter
+# tables and a bit-identical replay (the sweep itself runs each faulted
+# point twice and asserts it), so a barrier-recovery regression fails
+# here before it lands. The document is deterministic at a fixed --jobs,
+# so it must also equal the committed results/chaos.json byte for byte:
+# every faulted point's stats digest and fault report. The sweep drives
+# the OS surface (context switch, resume, migration), so an engine change
+# that moves a faulted run fails here even when every unfaulted digest
+# holds.
+"$fastbar" chaos --jobs 2 --seed 0x5eedba441e4a0001 --out "$smoke_dir/chaos.json"
+cmp "$smoke_dir/chaos.json" results/chaos.json
 
 echo "==> program verifier + race detector + model checker smoke (quick kernel grid)"
 # Every parallel kernel under every barrier mechanism (including the
