@@ -5,11 +5,14 @@
 //! of one barrier on an abstract sync-memory machine. Only the state the
 //! protocol can observe is tracked: the 64-bit words of the registered
 //! [`ProtocolSpec::regions`], the per-core TLS sense slots, LL/SC
-//! reservations, the per-slot filter FSM of Figure 3 (with parked fills —
-//! the sleep/wake transitions of §3.2), and the dedicated-network arrival
-//! set. Everything else a routine does is core-local and deterministic,
-//! so cores only interleave at *visible* operations: sync-region
-//! accesses, arrival-line invalidates and fills, and `hwbar`.
+//! reservations (broken, as in the engine, by any store or `dcbi` to the
+//! line, and by nothing else), the barrier's own filter tables
+//! ([`ProtocolSpec::tables`], each a [`barrier_filter::FilterTable`] whose
+//! parked fills are the sleep/wake transitions of §3.2), and the
+//! dedicated-network arrival set. Everything else a routine does is
+//! core-local and deterministic, so cores only interleave at *visible*
+//! operations: sync-region accesses, arrival-line invalidates and fills,
+//! and `hwbar`.
 //!
 //! That local-determinism collapse is the partial-order reduction: a
 //! core's straight-line segment between two visible operations touches no
@@ -21,12 +24,12 @@
 //! the first counterexample per rule is depth-minimal.
 //!
 //! Each visited state is stored once, as a canonical packed key (fields
-//! in a fixed order, words as varints, sync words in address order) in
-//! a node-indexed `StateStore` behind an Fx-hashed open-addressing
-//! index. Two keys are equal exactly when their states are, so packing
-//! changes no node number, schedule or count. The breadth-first frontier
-//! is the range of node ids not yet expanded, and a node's state is
-//! decoded from its key when it is expanded.
+//! in a fixed order, words as varints, sync words in address order, two
+//! bytes per filter-table entry) in a node-indexed `StateStore` behind an
+//! Fx-hashed open-addressing index. Two keys are equal exactly when their
+//! states are, so packing changes no node number, schedule or count. The
+//! breadth-first frontier is the range of node ids not yet expanded, and
+//! a node's state is decoded from its key when it is expanded.
 //!
 //! Two sources of nondeterminism beyond scheduling are modeled:
 //!
@@ -49,11 +52,11 @@
 //! behavior, or instances larger than the explored bound.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
-use barrier_filter::{fsm, FsmAction, FsmEvent, ProtocolSpec, RegionKind, ThreadState};
-use cmp_sim::FxHasher;
-use sim_isa::{Instr, Program, Reg, INSTR_BYTES, LINE_BYTES};
+use barrier_filter::{FilterTable, ProtocolSpec, TableFill, ThreadState};
+use cmp_sim::{FxHasher, ParkToken};
+use sim_isa::{line_of, Instr, Program, Reg, INSTR_BYTES, LINE_BYTES};
 
 use crate::diag::{rules, Diagnostic, Severity};
 use crate::props::{self, Act, ActTag, PropSink, Viol};
@@ -139,8 +142,8 @@ impl McReport {
 enum Status {
     /// Stopped at its next visible operation (or mid-init).
     Running,
-    /// Fill parked in filter table `table`, slot `slot` (asleep).
-    Parked { table: u8, slot: u8 },
+    /// Fill parked in filter table `table` (asleep).
+    Parked { table: u8 },
     /// Arrived at the dedicated-network barrier, awaiting fire.
     HwWait,
     /// All episodes completed (or the routine halted).
@@ -165,12 +168,24 @@ struct Core {
     link: Option<u64>,
 }
 
-/// Per-slot FSM states and parked-fill masks of one filter table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Table {
-    slots: Vec<ThreadState>,
-    /// Bitmask of cores whose fill is parked on each slot.
-    parked: Vec<u8>,
+/// One filter table of the abstract machine. Its state is its entries:
+/// the table's counters stay out of state identity, as episode counters
+/// stay out of `MachineStats::digest`.
+#[derive(Debug, Clone)]
+struct Filter(FilterTable);
+
+impl PartialEq for Filter {
+    fn eq(&self, other: &Filter) -> bool {
+        self.0.entries().eq(other.0.entries())
+    }
+}
+
+impl Eq for Filter {}
+
+impl Hash for Filter {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.0.entries().for_each(|e| e.hash(h));
+    }
 }
 
 /// One abstract machine state: everything the protocol can observe.
@@ -179,7 +194,8 @@ struct McState {
     cores: Vec<Core>,
     /// Sync-region words (8-byte aligned; absent means 0).
     mem: BTreeMap<u64, u64>,
-    tables: Vec<Table>,
+    /// One table per [`ProtocolSpec::tables`] entry, in that order.
+    tables: Vec<Filter>,
     /// Cores arrived at the dedicated-network barrier.
     hw_arrived: u8,
     /// Remaining fault injections.
@@ -187,6 +203,35 @@ struct McState {
 }
 
 impl McState {
+    /// The table whose arrival range holds `addr`.
+    fn arrival_table(&self, addr: u64) -> Option<usize> {
+        let line = line_of(addr);
+        self.tables
+            .iter()
+            .position(|t| t.0.arrival_thread(line).is_some())
+    }
+
+    /// Break every LL reservation on `line`, as any store to it does.
+    fn clear_links(&mut self, line: u64) {
+        for core in &mut self.cores {
+            if core.link == Some(line) {
+                core.link = None;
+            }
+        }
+    }
+
+    /// Write `val` to a sync word, normalizing zeros away (so states
+    /// compare equal regardless of write history) and breaking every LL
+    /// reservation on the line, the writer's own included.
+    fn write_word(&mut self, addr: u64, val: u64) {
+        if val == 0 {
+            self.mem.remove(&addr);
+        } else {
+            self.mem.insert(addr, val);
+        }
+        self.clear_links(line_of(addr));
+    }
+
     /// The moves enabled here: each running core's visible operation,
     /// then, while a fault is left, a fault on each running or parked
     /// core.
@@ -219,9 +264,10 @@ impl McState {
     /// first): per core its pc, tracked registers, TLS words, stale and
     /// link lines and episode counts as varints, then its status and
     /// option flags; then the sync-word count and words in address order;
-    /// then each table's slot states and parked masks; then the arrival
-    /// and fault bytes. Within one exploration the core count and table
-    /// sizes are fixed, so [`Machine::decode`] inverts this exactly.
+    /// then each table entry's state byte and parked-core byte (`0xff` for
+    /// none); then the arrival and fault bytes. Within one exploration the
+    /// core count and table sizes are fixed, so [`Machine::decode`]
+    /// inverts this exactly.
     fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
         for core in &self.cores {
@@ -233,27 +279,27 @@ impl McState {
             put_varint(out, core.link.unwrap_or(0));
             put_varint(out, u64::from(core.entered));
             put_varint(out, u64::from(core.completed));
-            let (tag, table, slot) = match core.status {
-                Status::Running => (0, 0, 0),
-                Status::Parked { table, slot } => (1, table, slot),
-                Status::HwWait => (2, 0, 0),
-                Status::Done => (3, 0, 0),
+            let (tag, table) = match core.status {
+                Status::Running => (0, 0),
+                Status::Parked { table } => (1, table),
+                Status::HwWait => (2, 0),
+                Status::Done => (3, 0),
             };
             let some = u8::from(core.stale.is_some()) | u8::from(core.link.is_some()) << 1;
-            out.extend_from_slice(&[tag, table, slot, some]);
+            out.extend_from_slice(&[tag, table, some]);
         }
         put_varint(out, self.mem.len() as u64);
         for (&addr, &val) in &self.mem {
             put_varint(out, addr);
             put_varint(out, val);
         }
-        for table in &self.tables {
-            out.extend(table.slots.iter().map(|&s| match s {
+        for (state, token) in self.tables.iter().flat_map(|t| t.0.entries()) {
+            let state = match state {
                 ThreadState::Waiting => 0,
                 ThreadState::Blocking => 1,
                 ThreadState::Servicing => 2,
-            }));
-            out.extend_from_slice(&table.parked);
+            };
+            out.extend_from_slice(&[state, token.map_or(0xff, |ParkToken(c)| c as u8)]);
         }
         out.extend_from_slice(&[self.hw_arrived, self.faults_left]);
     }
@@ -296,68 +342,6 @@ impl KeyReader<'_> {
     }
 }
 
-/// Static description of one filter table, derived from the spec's
-/// region list exactly as the runtime derives its `FilterTableConfig`s:
-/// each `Arrival` region pairs with the following `Exit` region, and a
-/// ping-pong `Arrival`/`ArrivalAlt` pair yields two cross-linked tables
-/// (each range is the other table's exit) with the alternate table
-/// starting in `Servicing`.
-struct TableCfg {
-    arrival: (u64, u64),
-    exit: Option<(u64, u64)>,
-    init: ThreadState,
-}
-
-impl TableCfg {
-    fn lines(&self) -> usize {
-        ((self.arrival.1 - self.arrival.0) / LINE_BYTES) as usize
-    }
-}
-
-fn span(r: &barrier_filter::SyncRegion) -> (u64, u64) {
-    (r.base, r.base + r.bytes)
-}
-
-fn derive_tables(spec: &ProtocolSpec) -> Vec<TableCfg> {
-    let regs = &spec.regions;
-    let mut tables = Vec::new();
-    let mut i = 0;
-    while i < regs.len() {
-        if regs[i].kind == RegionKind::Arrival {
-            if i + 1 < regs.len() && regs[i + 1].kind == RegionKind::ArrivalAlt {
-                tables.push(TableCfg {
-                    arrival: span(&regs[i]),
-                    exit: Some(span(&regs[i + 1])),
-                    init: ThreadState::Waiting,
-                });
-                tables.push(TableCfg {
-                    arrival: span(&regs[i + 1]),
-                    exit: Some(span(&regs[i])),
-                    init: ThreadState::Servicing,
-                });
-                i += 2;
-                continue;
-            }
-            if i + 1 < regs.len() && regs[i + 1].kind == RegionKind::Exit {
-                tables.push(TableCfg {
-                    arrival: span(&regs[i]),
-                    exit: Some(span(&regs[i + 1])),
-                    init: ThreadState::Waiting,
-                });
-                i += 2;
-                continue;
-            }
-            tables.push(TableCfg {
-                arrival: span(&regs[i]),
-                exit: None,
-                init: ThreadState::Waiting,
-            });
-        }
-        i += 1;
-    }
-    tables
-}
-
 /// A visible operation a core is stopped at.
 enum Visible {
     /// Fetch of an arrival line (instruction fetch when the pc itself is
@@ -369,14 +353,10 @@ enum Visible {
     Write { addr: u64, src: Reg },
     /// Store-conditional to a sync word.
     Sc { addr: u64, rd: Reg, src: Reg },
-    /// `dcbi`/`icbi` of a line inside a sync region.
-    Inval { line: u64 },
+    /// `dcbi` (`icache` false) or `icbi` of a line inside a sync region.
+    Inval { line: u64, icache: bool },
     /// Dedicated-network barrier.
     Hw { id: u16 },
-}
-
-fn line_of(addr: u64) -> u64 {
-    addr & !(LINE_BYTES - 1)
 }
 
 fn word_of(addr: u64) -> u64 {
@@ -404,7 +384,6 @@ struct Machine<'a> {
     entry: u64,
     episodes: u32,
     ncores: usize,
-    tables: Vec<TableCfg>,
 }
 
 impl<'a> Machine<'a> {
@@ -421,14 +400,14 @@ impl<'a> Machine<'a> {
                 tls.iter_mut().for_each(|w| *w = r.varint());
                 let (stale, link) = (r.varint(), r.varint());
                 let (entered, completed) = (r.varint() as u32, r.varint() as u32);
-                let [tag, table, slot, some] = r.take();
+                let [tag, table, some] = r.take();
                 Core {
                     pc,
                     regs,
                     tls,
                     status: match tag {
                         0 => Status::Running,
-                        1 => Status::Parked { table, slot },
+                        1 => Status::Parked { table },
                         2 => Status::HwWait,
                         _ => Status::Done,
                     },
@@ -442,17 +421,20 @@ impl<'a> Machine<'a> {
         let words = r.varint();
         let mem = (0..words).map(|_| (r.varint(), r.varint())).collect();
         let tables = self
+            .spec
             .tables
             .iter()
-            .map(|cfg| Table {
-                slots: (0..cfg.lines())
-                    .map(|_| match r.u8() {
+            .map(|cfg| {
+                let entries = (0..cfg.num_threads).map(|_| {
+                    let [state, core] = r.take();
+                    let state = match state {
                         0 => ThreadState::Waiting,
                         1 => ThreadState::Blocking,
                         _ => ThreadState::Servicing,
-                    })
-                    .collect(),
-                parked: (0..cfg.lines()).map(|_| r.u8()).collect(),
+                    };
+                    (state, (core != 0xff).then_some(ParkToken(u64::from(core))))
+                });
+                Filter(FilterTable::with_entries(cfg.clone(), entries))
             })
             .collect();
         let [hw_arrived, faults_left] = r.take();
@@ -490,12 +472,10 @@ impl<'a> Machine<'a> {
             cores,
             mem: BTreeMap::new(),
             tables: self
+                .spec
                 .tables
                 .iter()
-                .map(|t| Table {
-                    slots: vec![t.init; t.lines()],
-                    parked: vec![0; t.lines()],
-                })
+                .map(|cfg| Filter(FilterTable::new(cfg.clone())))
                 .collect(),
             hw_arrived: 0,
             faults_left: 0,
@@ -516,20 +496,12 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// The table whose arrival range contains `addr`, with the slot index.
-    fn arrival_at(&self, addr: u64) -> Option<(usize, usize)> {
-        self.tables.iter().enumerate().find_map(|(t, cfg)| {
-            (addr >= cfg.arrival.0 && addr < cfg.arrival.1)
-                .then(|| (t, ((addr - cfg.arrival.0) / LINE_BYTES) as usize))
-        })
-    }
-
     /// Classify the operation core `c` is stopped at; `None` means the
     /// current instruction is core-local.
     fn visible_at(&self, st: &McState, c: usize) -> Result<Option<Visible>, Viol> {
         let core = &st.cores[c];
         let pc = core.pc;
-        if self.arrival_at(pc).is_some() {
+        if st.arrival_table(pc).is_some() {
             return Ok(Some(Visible::Fill { line: line_of(pc) }));
         }
         let Some(i) = self.program.fetch(pc) else {
@@ -545,7 +517,7 @@ impl<'a> Machine<'a> {
                 let ea = ea(base, off);
                 if self.is_tls(c, ea) {
                     None
-                } else if self.arrival_at(ea).is_some() {
+                } else if st.arrival_table(ea).is_some() {
                     Some(Visible::Fill { line: line_of(ea) })
                 } else if self.spec.is_sync_addr(ea) {
                     Some(Visible::Read {
@@ -582,9 +554,10 @@ impl<'a> Machine<'a> {
             }
             Instr::Dcbi(base, off) | Instr::Icbi(base, off) => {
                 let line = line_of(ea(base, off));
+                let icache = matches!(i, Instr::Icbi(..));
                 self.spec
                     .is_sync_addr(line)
-                    .then_some(Visible::Inval { line })
+                    .then_some(Visible::Inval { line, icache })
             }
             Instr::HwBar(id) => Some(Visible::Hw { id }),
             _ => None,
@@ -673,6 +646,7 @@ impl<'a> Machine<'a> {
                 if let Some(s) = self.tls_slot(c, ea) {
                     st.cores[c].tls[s] = v;
                 }
+                st.clear_links(line_of(ea));
             }
             Instr::Ll(rd, base, off) => {
                 let ea = get(core, base).wrapping_add(off as u64);
@@ -680,10 +654,12 @@ impl<'a> Machine<'a> {
                 set(&mut st.cores[c], rd, 0);
             }
             Instr::Sc(rd, _, base, off) => {
-                let ea = get(core, base).wrapping_add(off as u64);
-                let ok = core.link == Some(line_of(ea));
-                core.link = None;
+                let line = line_of(get(core, base).wrapping_add(off as u64));
+                let ok = core.link == Some(line);
                 set(core, rd, u64::from(ok));
+                if ok {
+                    st.clear_links(line);
+                }
             }
             Instr::Beq(a, b, t) if get(core, a) == get(core, b) => {
                 next = t.0;
@@ -729,7 +705,7 @@ impl<'a> Machine<'a> {
     /// control leaves the arrival range.
     fn complete_fill(&self, st: &mut McState, c: usize) -> Result<(), Viol> {
         let pc = st.cores[c].pc;
-        if self.arrival_at(pc).is_none() {
+        if st.arrival_table(pc).is_none() {
             if let Some(Instr::Ld(rd, ..)) = self.program.fetch(pc) {
                 set(&mut st.cores[c], rd, 0);
             }
@@ -737,7 +713,7 @@ impl<'a> Machine<'a> {
             return Ok(());
         }
         let mut steps = 0;
-        while st.cores[c].status == Status::Running && self.arrival_at(st.cores[c].pc).is_some() {
+        while st.cores[c].status == Status::Running && st.arrival_table(st.cores[c].pc).is_some() {
             steps += 1;
             if steps > 2 * (LINE_BYTES / INSTR_BYTES) {
                 return Err(Viol::new(
@@ -809,75 +785,20 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Write `val` to a sync word, normalizing zeros away (so states
-    /// compare equal regardless of write history) and breaking other
-    /// cores' LL reservations on the line.
-    fn write_word(&self, st: &mut McState, c: usize, addr: u64, val: u64) {
-        if val == 0 {
-            st.mem.remove(&addr);
-        } else {
-            st.mem.insert(addr, val);
-        }
-        let line = line_of(addr);
-        for (j, core) in st.cores.iter_mut().enumerate() {
-            if j != c && core.link == Some(line) {
-                core.link = None;
-            }
-        }
-    }
-
-    /// Open table `t`: the last thread arrived, so every slot moves
-    /// Blocking → Servicing and every parked fill is serviced (wake).
-    fn open_table(&self, st: &mut McState, t: usize) -> Result<(), Viol> {
-        for s in 0..st.tables[t].slots.len() {
-            st.tables[t].slots[s] = ThreadState::Servicing;
-        }
-        let masks: Vec<u8> = st.tables[t].parked.clone();
-        for s in 0..masks.len() {
-            st.tables[t].parked[s] = 0;
-        }
-        for mask in masks.iter() {
-            for c in 0..self.ncores {
-                if mask & (1 << c) != 0 {
-                    st.cores[c].status = Status::Running;
-                    self.complete_fill(st, c)?;
-                    self.run_local(st, c)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatch an invalidate of `line` to every table it belongs to (a
-    /// ping-pong line is one table's arrival and the other's exit).
+    /// Deliver an invalidate of `line` to every table in order, as the bank
+    /// does (a ping-pong line is one table's arrival and the other's exit),
+    /// and wake the fills each table releases, in its order.
     fn dispatch_inval(&self, st: &mut McState, c: usize, line: u64, pc: u64) -> Result<(), Viol> {
-        for (t, cfg) in self.tables.iter().enumerate() {
-            if line >= cfg.arrival.0 && line < cfg.arrival.1 {
-                let s = ((line - cfg.arrival.0) / LINE_BYTES) as usize;
-                match fsm::step(st.tables[t].slots[s], FsmEvent::ArrivalInvalidate) {
-                    Ok(FsmAction::Transition(ns)) => {
-                        st.tables[t].slots[s] = ns;
-                        if st.tables[t]
-                            .slots
-                            .iter()
-                            .all(|&x| x == ThreadState::Blocking)
-                        {
-                            self.open_table(st, t)?;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(v) => return Err(props::fsm_violation(&v, c, pc)),
-                }
-            }
-            if let Some((lo, hi)) = cfg.exit {
-                if line >= lo && line < hi {
-                    let s = ((line - lo) / LINE_BYTES) as usize;
-                    match fsm::step(st.tables[t].slots[s], FsmEvent::ExitInvalidate) {
-                        Ok(FsmAction::Transition(ns)) => st.tables[t].slots[s] = ns,
-                        Ok(_) => {}
-                        Err(v) => return Err(props::fsm_violation(&v, c, pc)),
-                    }
-                }
+        for t in 0..st.tables.len() {
+            let opened = st.tables[t]
+                .0
+                .on_invalidate(line)
+                .map_err(|v| props::fsm_violation(&v, c, pc))?;
+            for ParkToken(w) in opened.released {
+                let w = w as usize;
+                st.cores[w].status = Status::Running;
+                self.complete_fill(st, w)?;
+                self.run_local(st, w)?;
             }
         }
         Ok(())
@@ -921,26 +842,17 @@ impl<'a> Machine<'a> {
                 }
                 let mut s2 = st.clone();
                 s2.cores[c].stale = None;
-                let r = match self.arrival_at(line) {
-                    Some((t, s)) => match fsm::step(s2.tables[t].slots[s], FsmEvent::ArrivalFill) {
-                        Ok(FsmAction::Park) => {
-                            s2.tables[t].parked[s] |= 1 << c;
-                            s2.cores[c].status = Status::Parked {
-                                table: t as u8,
-                                slot: s as u8,
-                            };
-                            Ok(s2)
-                        }
-                        Ok(_) => self
-                            .complete_fill(&mut s2, c)
-                            .and_then(|()| self.run_local(&mut s2, c))
-                            .map(|()| s2),
-                        Err(v) => Err(props::fsm_violation(&v, c, pc)),
-                    },
-                    None => self
+                let table = s2.arrival_table(line).expect("fills are of arrival lines");
+                let r = match s2.tables[table].0.on_fill(line, ParkToken(c as u64), 0) {
+                    Ok(TableFill::Park) => {
+                        s2.cores[c].status = Status::Parked { table: table as u8 };
+                        Ok(s2)
+                    }
+                    Ok(_) => self
                         .complete_fill(&mut s2, c)
                         .and_then(|()| self.run_local(&mut s2, c))
                         .map(|()| s2),
+                    Err(v) => Err(props::fsm_violation(&v, c, pc)),
                 };
                 out.push((act(ActTag::Op), r));
             }
@@ -958,35 +870,33 @@ impl<'a> Machine<'a> {
             Visible::Write { addr, src } => {
                 let mut s2 = st.clone();
                 let v = get(&s2.cores[c], src);
-                self.write_word(&mut s2, c, addr, v);
+                s2.write_word(addr, v);
                 s2.cores[c].pc = pc + INSTR_BYTES;
                 let r = self.run_local(&mut s2, c).map(|()| s2);
                 out.push((act(ActTag::Op), r));
             }
             Visible::Sc { addr, rd, src } => {
+                // A failed `sc` leaves the reservation as it was.
                 let mut s2 = st.clone();
                 let ok = s2.cores[c].link == Some(line_of(addr));
-                s2.cores[c].link = None;
                 if ok {
                     let v = get(&s2.cores[c], src);
-                    self.write_word(&mut s2, c, addr, v);
+                    s2.write_word(addr, v);
                 }
                 set(&mut s2.cores[c], rd, u64::from(ok));
                 s2.cores[c].pc = pc + INSTR_BYTES;
                 let r = self.run_local(&mut s2, c).map(|()| s2);
                 out.push((act(ActTag::Op), r));
             }
-            Visible::Inval { line } => {
+            Visible::Inval { line, icache } => {
                 let mut s2 = st.clone();
-                if self.arrival_at(line).is_some() {
+                if s2.arrival_table(line).is_some() {
                     s2.cores[c].stale = Some(line);
                 }
-                // An invalidate writes back and drops the line everywhere,
-                // breaking reservations on it.
-                for core in s2.cores.iter_mut() {
-                    if core.link == Some(line) {
-                        core.link = None;
-                    }
+                // A `dcbi` drops the line's data copies everywhere, breaking
+                // reservations on it; an `icbi` drops no data copy.
+                if !icache {
+                    s2.clear_links(line);
                 }
                 let r = self.dispatch_inval(&mut s2, c, line, pc).and_then(|()| {
                     s2.cores[c].pc = pc + INSTR_BYTES;
@@ -1057,8 +967,8 @@ impl<'a> Machine<'a> {
         s2.faults_left -= 1;
         s2.cores[c].link = None;
         s2.cores[c].stale = None;
-        if let Status::Parked { table, slot } = s2.cores[c].status {
-            s2.tables[table as usize].parked[slot as usize] &= !(1 << c);
+        if let Status::Parked { table } = s2.cores[c].status {
+            s2.tables[table as usize].0.cancel(ParkToken(c as u64));
             s2.cores[c].status = Status::Running;
         }
         s2
@@ -1206,7 +1116,8 @@ fn path_to(nodes: &[Node], mut u: u32) -> Vec<Act> {
 /// # Panics
 ///
 /// Panics if `spec.threads` is 0 or above 8 (the abstract machine packs
-/// core sets into byte masks; the checker is built for small instances).
+/// the dedicated-network arrival set into a byte mask and core indices
+/// into bytes; the checker is built for small instances).
 pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> McReport {
     assert!(
         (1..=8).contains(&spec.threads),
@@ -1232,7 +1143,6 @@ pub fn model_check(program: &Program, spec: &ProtocolSpec, cfg: &McConfig) -> Mc
         entry,
         episodes: cfg.episodes.max(1),
         ncores: spec.threads,
-        tables: derive_tables(spec),
     };
     let mut sink = PropSink::default();
     let mut init = machine.initial_state();
@@ -1406,7 +1316,6 @@ mod tests {
                 entry: program.symbol(&spec.entry).unwrap(),
                 episodes: cfg.episodes,
                 ncores: spec.threads,
-                tables: derive_tables(&spec),
             };
             let mut init = machine.initial_state();
             init.faults_left = 1;

@@ -488,6 +488,7 @@ mod tests {
             entry: "entry".into(),
             threads: 2,
             regions,
+            tables: Vec::new(),
             tls_offset: None,
             hw_id: None,
             episode_counter: None,

@@ -9,9 +9,16 @@
 //! Several of these mutants pass the *static* lints (the instruction
 //! sequence looks right) and are only caught by exploring interleavings —
 //! that is the point of having the checker.
+//!
+//! The mutants' and the clean fixtures' whole reports — state and
+//! transition counts and each counterexample's full text, schedule
+//! included — are pinned byte for byte in `golden/mc_mutations.txt`, one
+//! `== name` section per fixture.
 
 use analyze::{model_check, rules, McConfig, McReport};
-use barrier_filter::{BarrierMechanism, ProtocolSpec, RegionKind, SyncRegion};
+use barrier_filter::{
+    BarrierMechanism, FilterTableConfig, ProtocolSpec, RegionKind, SyncRegion, ThreadState,
+};
 use sim_isa::{Asm, Reg, LINE_BYTES};
 
 const THREADS: usize = 2;
@@ -37,6 +44,7 @@ fn sw_spec() -> ProtocolSpec {
                 bytes: LINE_BYTES,
             },
         ],
+        tables: Vec::new(),
         tls_offset: Some(0),
         hw_id: None,
         episode_counter: Some(CTR),
@@ -61,6 +69,7 @@ fn filter_spec() -> ProtocolSpec {
                 bytes: THREADS as u64 * LINE_BYTES,
             },
         ],
+        tables: vec![FilterTableConfig::entry_exit(A_BASE, E_BASE, THREADS)],
         tls_offset: None,
         hw_id: None,
         episode_counter: None,
@@ -81,9 +90,49 @@ fn check(spec: &ProtocolSpec, cfg: &McConfig, build: impl FnOnce(&mut Asm)) -> M
     model_check(&a.assemble().unwrap(), spec, cfg)
 }
 
+/// The pinned reports: one `== name` line per fixture, then its report as
+/// [`render`] prints it.
+const GOLDEN: &str = include_str!("golden/mc_mutations.txt");
+
+/// A report as text: its counts, then one line per diagnostic.
+fn render(report: &McReport) -> String {
+    let mut out = format!(
+        "states {} transitions {} truncated {}\n",
+        report.states, report.transitions, report.truncated
+    );
+    for d in &report.diagnostics {
+        out.push_str(&format!("{d}\n"));
+    }
+    out
+}
+
+/// Assert `report` renders exactly as fixture `name`'s pinned section.
+fn assert_golden(name: &str, report: &McReport) {
+    let header = format!("== {name}\n");
+    let start = GOLDEN
+        .find(&header)
+        .unwrap_or_else(|| panic!("golden/mc_mutations.txt has no `{name}` section"))
+        + header.len();
+    let end = GOLDEN[start..]
+        .find("\n== ")
+        .map_or(GOLDEN.len(), |i| start + i + 1);
+    let actual = render(report);
+    assert!(
+        actual == GOLDEN[start..end],
+        "`{name}` differs from golden/mc_mutations.txt; the checker now reports:\n{actual}"
+    );
+}
+
+/// Assert [`assert_rules`] and that the report is fixture `name`'s pinned
+/// one.
+fn assert_caught(name: &str, report: &McReport, expect: &[&str]) {
+    assert_rules(report, expect);
+    assert_golden(name, report);
+}
+
 /// Assert the report's violations are exactly `rules` (order-free), and
 /// that every one carries a concrete schedule.
-fn assert_caught(report: &McReport, expect: &[&str]) {
+fn assert_rules(report: &McReport, expect: &[&str]) {
     let mut got: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
     got.sort_unstable();
     let mut expect: Vec<&str> = expect.to_vec();
@@ -101,6 +150,9 @@ fn assert_caught(report: &McReport, expect: &[&str]) {
 /// mutant: sense toggle, LL/SC fetch-and-increment with retry, last
 /// thread resets the counter and toggles the flag, others spin.
 struct SwCentral {
+    /// One instruction between the counter's `ll` and its `sc` (`k0`
+    /// holds the counter address there).
+    after_ll: Option<fn(&mut Asm)>,
     toggle_sense: bool,
     retry_on_sc_failure: bool,
     reset_counter: bool,
@@ -111,6 +163,7 @@ struct SwCentral {
 impl Default for SwCentral {
     fn default() -> SwCentral {
         SwCentral {
+            after_ll: None,
             toggle_sense: true,
             retry_on_sc_failure: true,
             reset_counter: true,
@@ -132,6 +185,9 @@ impl SwCentral {
         a.label("retry").unwrap();
         a.ll(Reg::T9, Reg::K0, 0);
         a.addi(Reg::T9, Reg::T9, 1);
+        if let Some(splice) = self.after_ll {
+            splice(a);
+        }
         a.sc(Reg::K1, Reg::T9, Reg::K0, 0);
         if self.retry_on_sc_failure {
             a.beq(Reg::K1, Reg::ZERO, "retry");
@@ -167,6 +223,7 @@ fn unmutated_fixtures_pass() {
         SwCentral::default().build(a)
     });
     assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("unmutated_sw_central", &report);
 
     let report = check(&filter_spec(), &McConfig::default(), |a| {
         a.label("bar").unwrap();
@@ -181,6 +238,7 @@ fn unmutated_fixtures_pass() {
         a.ret();
     });
     assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("unmutated_filter_d", &report);
 }
 
 #[test]
@@ -193,7 +251,11 @@ fn mutant_arrival_threshold_off_by_one() {
         ..SwCentral::default()
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| mutant.build(a));
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_arrival_threshold_off_by_one",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
 }
 
 #[test]
@@ -203,7 +265,7 @@ fn mutant_missing_sense_toggle() {
         ..SwCentral::default()
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| mutant.build(a));
-    assert_caught(&report, &[rules::MC_SENSE]);
+    assert_caught("mutant_missing_sense_toggle", &report, &[rules::MC_SENSE]);
 }
 
 #[test]
@@ -216,12 +278,63 @@ fn mutant_sc_without_retry_loses_an_arrival() {
         ..SwCentral::default()
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| mutant.build(a));
-    assert_caught(&report, &[rules::MC_LOST_WAKEUP]);
+    assert_caught(
+        "mutant_sc_without_retry_loses_an_arrival",
+        &report,
+        &[rules::MC_LOST_WAKEUP],
+    );
     let d = &report.diagnostics[0];
     assert!(
         d.message.contains("release word"),
         "lost wakeup should sample the wake words: {d}"
     );
+}
+
+// LL/SC reservations follow the engine: a plain store breaks every
+// reservation on its line, the writer's own included; `icbi` breaks none;
+// a failed `sc` leaves its core's reservation as it was. Each fixture
+// puts one instruction between the counter's `ll` and its `sc`.
+
+#[test]
+fn own_store_to_the_linked_line_breaks_the_reservation() {
+    // The store to another word of the counter line breaks the core's
+    // own reservation, so every `sc` fails and no thread ever arrives.
+    let routine = SwCentral {
+        after_ll: Some(|a| {
+            a.std(Reg::ZERO, Reg::K0, 8);
+        }),
+        ..SwCentral::default()
+    };
+    let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
+    assert_rules(&report, &[rules::MC_LOST_WAKEUP]);
+}
+
+#[test]
+fn icbi_of_the_linked_line_keeps_the_reservation() {
+    // An instruction-cache invalidate drops no data copy, so the
+    // reservation on the counter line survives it.
+    let routine = SwCentral {
+        after_ll: Some(|a| {
+            a.icbi(Reg::K0, 0);
+        }),
+        ..SwCentral::default()
+    };
+    let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
+    assert!(report.clean(), "{:#?}", report.diagnostics);
+}
+
+#[test]
+fn failed_sc_keeps_the_reservation() {
+    // An `sc` to the flag word fails (the reservation is on the counter
+    // line) and leaves that reservation for the counter's `sc`.
+    let routine = SwCentral {
+        after_ll: Some(|a| {
+            a.sc(Reg::T7, Reg::ZERO, Reg::K0, (FLG - CTR) as i64);
+        }),
+        ..SwCentral::default()
+    };
+    let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
+    assert!(report.clean(), "{:#?}", report.diagnostics);
 }
 
 #[test]
@@ -233,7 +346,11 @@ fn mutant_counter_never_reset() {
         ..SwCentral::default()
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| mutant.build(a));
-    assert_caught(&report, &[rules::MC_LOST_WAKEUP]);
+    assert_caught(
+        "mutant_counter_never_reset",
+        &report,
+        &[rules::MC_LOST_WAKEUP],
+    );
 }
 
 #[test]
@@ -248,7 +365,11 @@ fn mutant_release_flag_never_written() {
         ..SwCentral::default()
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| mutant.build(a));
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_release_flag_never_written",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
 }
 
 #[test]
@@ -270,7 +391,11 @@ fn mutant_filter_missing_isync() {
         a.dcbi(Reg::K0, 0);
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_filter_missing_isync",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
     assert!(
         report.diagnostics[0].message.contains("(stale)"),
         "the schedule should show the stale-satisfied fetch: {}",
@@ -294,7 +419,11 @@ fn mutant_filter_missing_fetch() {
         a.dcbi(Reg::K0, 0);
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_filter_missing_fetch",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
 }
 
 #[test]
@@ -312,7 +441,11 @@ fn mutant_filter_missing_exit_invalidate() {
         // exit invalidate dropped
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_filter_missing_exit_invalidate",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
 }
 
 #[test]
@@ -333,6 +466,13 @@ fn mutant_ping_pong_stuck_on_one_range() {
             bytes: THREADS as u64 * LINE_BYTES,
         },
     ];
+    spec.tables = vec![
+        FilterTableConfig::entry_exit(A_BASE, E_BASE, THREADS),
+        FilterTableConfig {
+            initial_state: ThreadState::Servicing,
+            ..FilterTableConfig::entry_exit(E_BASE, A_BASE, THREADS)
+        },
+    ];
     spec.tls_offset = Some(0);
     let report = check(&spec, &McConfig::default(), |a| {
         a.label("bar").unwrap();
@@ -348,7 +488,11 @@ fn mutant_ping_pong_stuck_on_one_range() {
         a.sync();
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_EPISODE_ATOMIC]);
+    assert_caught(
+        "mutant_ping_pong_stuck_on_one_range",
+        &report,
+        &[rules::MC_EPISODE_ATOMIC],
+    );
 }
 
 #[test]
@@ -356,13 +500,18 @@ fn mutant_hwbar_with_wrong_group() {
     let mut spec = filter_spec();
     spec.mechanism = BarrierMechanism::HwDedicated;
     spec.regions = Vec::new();
+    spec.tables = Vec::new();
     spec.hw_id = Some(3);
     let report = check(&spec, &McConfig::default(), |a| {
         a.label("bar").unwrap();
         a.hwbar(9); // not the armed group
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_HW_PAIRING]);
+    assert_caught(
+        "mutant_hwbar_with_wrong_group",
+        &report,
+        &[rules::MC_HW_PAIRING],
+    );
 }
 
 #[test]
@@ -388,7 +537,11 @@ fn mutant_deserter_thread_deadlocks_the_filter() {
         a.label("out").unwrap();
         a.ret();
     });
-    assert_caught(&report, &[rules::MC_DEADLOCK]);
+    assert_caught(
+        "mutant_deserter_thread_deadlocks_the_filter",
+        &report,
+        &[rules::MC_DEADLOCK],
+    );
     assert!(
         report.diagnostics[0].message.contains("parked on a fill"),
         "{}",
@@ -418,6 +571,7 @@ fn fault_injection_unparks_and_recovers_a_correct_filter() {
         a.ret();
     });
     assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("fault_injection_filter_d", &report);
 
     // ...and the fault dimension must add schedules, not replace them.
     let base = check(&filter_spec(), &McConfig::default(), |a| {

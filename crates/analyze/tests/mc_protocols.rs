@@ -97,6 +97,25 @@ fn every_mechanism_is_fully_wired() {
 }
 
 #[test]
+fn filter_specs_name_their_tables() {
+    // The checker steps exactly the tables a spec names, so a filter spec
+    // without tables would model-check as a barrier with no filter, and a
+    // software or dedicated spec with tables would check a filter the
+    // machine never programs.
+    for &mechanism in BarrierMechanism::EXTENDED.iter() {
+        for threads in [2usize, 4] {
+            let (_, spec) = emitted(mechanism, threads).unwrap();
+            assert_eq!(
+                !spec.tables.is_empty(),
+                mechanism.is_filter(),
+                "{mechanism} x{threads}: {:?}",
+                spec.tables
+            );
+        }
+    }
+}
+
+#[test]
 fn software_specs_expose_episode_counter_and_wake_words() {
     // The lost-wakeup classifier needs to know which words can wake a
     // spinner; every software (LL/SC + spin) mechanism must export them.

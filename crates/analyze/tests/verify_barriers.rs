@@ -10,7 +10,10 @@
 //! and so on — must be flagged with exactly the expected rule id.
 
 use analyze::{analyze_program, has_errors, rules, Severity};
-use barrier_filter::{BarrierMechanism, BarrierSystem, ProtocolSpec, RegionKind, SyncRegion};
+use barrier_filter::{
+    BarrierMechanism, BarrierSystem, FilterTableConfig, ProtocolSpec, RegionKind, SyncRegion,
+    ThreadState,
+};
 use cmp_sim::{AddressSpace, SimConfig};
 use sim_isa::{Asm, Program, Reg};
 
@@ -147,6 +150,7 @@ fn filter_spec() -> ProtocolSpec {
                 bytes: THREADS as u64 * 64,
             },
         ],
+        tables: vec![FilterTableConfig::entry_exit(A_BASE, E_BASE, THREADS)],
         tls_offset: None,
         hw_id: None,
         episode_counter: None,
@@ -308,6 +312,13 @@ fn ping_pong_stuck_on_one_range_is_flagged() {
             bytes: THREADS as u64 * 64,
         },
     ];
+    spec.tables = vec![
+        FilterTableConfig::entry_exit(A_BASE, E_BASE, THREADS),
+        FilterTableConfig {
+            initial_state: ThreadState::Servicing,
+            ..FilterTableConfig::entry_exit(E_BASE, A_BASE, THREADS)
+        },
+    ];
     spec.tls_offset = Some(0);
     let diags = diags_for(&spec, |a| {
         a.label("bar").unwrap();
@@ -333,6 +344,7 @@ fn sc_without_retry_is_flagged() {
         base: A_BASE,
         bytes: 64,
     }];
+    spec.tables = Vec::new();
     spec.tls_offset = Some(0);
     let diags = diags_for(&spec, |a| {
         a.label("bar").unwrap();
@@ -354,6 +366,7 @@ fn hwbar_with_wrong_id_or_memory_traffic_is_flagged() {
     let mut spec = filter_spec();
     spec.mechanism = BarrierMechanism::HwDedicated;
     spec.regions = Vec::new();
+    spec.tables = Vec::new();
     spec.hw_id = Some(3);
     let diags = diags_for(&spec, |a| {
         a.label("bar").unwrap();

@@ -39,6 +39,16 @@ pub enum BuildError {
         /// The offending entry address.
         entry: u64,
     },
+    /// A dedicated-network barrier group that could never fire: it has no
+    /// members, or names a core twice or a core the machine lacks.
+    BadHwGroup {
+        /// The group's barrier id.
+        id: u16,
+        /// The members as configured.
+        members: Vec<usize>,
+        /// Cores the machine has.
+        cores: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -58,6 +68,11 @@ impl fmt::Display for BuildError {
             BuildError::BadEntry { entry } => {
                 write!(f, "thread entry {entry:#x} is outside the program image")
             }
+            BuildError::BadHwGroup { id, members, cores } => write!(
+                f,
+                "hardware barrier group {id} over cores {members:?} can never fire: \
+                 its members must be distinct cores of the {cores}-core machine"
+            ),
         }
     }
 }
@@ -205,7 +220,8 @@ impl MachineBuilder {
     ///
     /// # Errors
     ///
-    /// [`BuildError::TooManyThreads`] or [`BuildError::BadEntry`].
+    /// [`BuildError::TooManyThreads`], [`BuildError::BadEntry`] or
+    /// [`BuildError::BadHwGroup`].
     pub fn build(self) -> Result<Machine, BuildError> {
         if self.threads.len() > self.config.num_cores {
             return Err(BuildError::TooManyThreads {
@@ -226,6 +242,20 @@ impl MachineBuilder {
             core.set_reg(Reg::NTID, ntid);
             for &(r, v) in &spec.regs {
                 core.set_reg(r, v);
+            }
+        }
+        for (id, members) in &self.hw_groups {
+            let mut seen = vec![false; cores.len()];
+            let fires = !members.is_empty()
+                && members
+                    .iter()
+                    .all(|&m| m < seen.len() && !std::mem::replace(&mut seen[m], true));
+            if !fires {
+                return Err(BuildError::BadHwGroup {
+                    id: *id,
+                    members: members.clone(),
+                    cores: cores.len(),
+                });
             }
         }
         let mut hwnet = DedicatedNetwork::new(self.config.hw_barrier);

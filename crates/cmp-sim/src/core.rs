@@ -66,9 +66,6 @@ pub struct CoreStats {
     pub invalidates: u64,
     /// Fills that were parked at a bank hook.
     pub fills_parked: u64,
-    /// Parked fills later released with data (not errored). Not part of
-    /// [`MachineStats::digest`](crate::MachineStats::digest).
-    pub fills_released: u64,
     /// Cycle at which the core executed `halt`, if it has.
     pub halt_cycle: Option<u64>,
     /// Peak simultaneous MSHR occupancy observed.
@@ -82,9 +79,11 @@ pub struct CoreStats {
 /// accumulator) declared first: every instruction the
 /// engine steps touches exactly these, and clustering them keeps a step to
 /// a couple of host cache lines instead of scattering hot fields between
-/// the 512-byte register arrays. Purely a host-side layout choice.
+/// the 512-byte register arrays. Each core starts a cache line, so where
+/// those lines fall does not move when a field such as a counter in
+/// [`CoreStats`] comes or goes. Purely a host-side layout choice.
 #[derive(Debug)]
-#[repr(C)]
+#[repr(C, align(64))]
 pub(crate) struct Core {
     pub pc: u64,
     pub halted: bool,

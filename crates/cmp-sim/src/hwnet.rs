@@ -59,16 +59,10 @@ impl DedicatedNetwork {
     }
 
     /// Configure barrier `id` over `members` (core indices). Replaces any
-    /// previous group with that id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty.
+    /// previous group with that id. A group fires only once every member
+    /// has arrived, so [`MachineBuilder::build`](crate::MachineBuilder::build)
+    /// rejects a group that is empty or names a core twice or not at all.
     pub fn configure_group(&mut self, id: u16, members: Vec<usize>) {
-        assert!(
-            !members.is_empty(),
-            "hardware barrier group must be nonempty"
-        );
         let idx = id as usize;
         if self.groups.len() <= idx {
             self.groups.resize_with(idx + 1, || None);

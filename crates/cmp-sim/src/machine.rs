@@ -1055,7 +1055,6 @@ impl Machine {
                     });
                 } else {
                     released += 1;
-                    self.cores[p.core].stats.fills_released += 1;
                     self.trace(TraceEvent::Released {
                         core: p.core,
                         line: p.line,

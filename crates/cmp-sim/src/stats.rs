@@ -149,10 +149,10 @@ impl MachineStats {
             self.hw_network.arrivals,
             self.hw_network.episodes,
         ]);
-        // NOTE: `self.episodes` and `CoreStats::fills_released` are
-        // intentionally excluded — the digest fingerprints simulated
-        // behaviour established before the observability layer existed,
-        // and adding fields would break every recorded digest.
+        // NOTE: `self.episodes` is intentionally excluded — the digest
+        // fingerprints simulated behaviour established before the
+        // observability layer existed, and adding fields would break every
+        // recorded digest.
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         fnv64(&bytes)
     }

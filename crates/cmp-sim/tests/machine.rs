@@ -3,8 +3,8 @@
 //! bank-hook parking machinery, and error detection.
 
 use cmp_sim::{
-    AddressSpace, BankHook, FillDecision, HookOutcome, HookViolation, MachineBuilder, ParkToken,
-    RingSink, RunState, SimConfig, SimError, TraceEvent, FILL_ERROR_SENTINEL,
+    AddressSpace, BankHook, BuildError, FillDecision, HookOutcome, HookViolation, MachineBuilder,
+    ParkToken, RingSink, RunState, SimConfig, SimError, TraceEvent, FILL_ERROR_SENTINEL,
 };
 use sim_isa::{line_of, Asm, FReg, MemWidth, Program, Reg};
 
@@ -386,6 +386,48 @@ fn hwbar_without_group_is_an_error() {
         m.run(),
         Err(SimError::UnknownHwBarrier { core: 0, id: 3 })
     ));
+}
+
+/// `build`'s result for a 2-core machine whose dedicated-network group 3
+/// is over `members`.
+fn build_with_hw_group(members: Vec<usize>) -> Result<cmp_sim::Machine, BuildError> {
+    let mut a = Asm::new();
+    a.label("entry").unwrap();
+    a.halt();
+    let program = a.assemble().unwrap();
+    let entry = program.require_symbol("entry").unwrap();
+    let mut b = MachineBuilder::new(SimConfig::with_cores(2), program).unwrap();
+    b.add_thread(entry);
+    b.add_thread(entry);
+    b.configure_hw_barrier(3, members);
+    b.build()
+}
+
+#[test]
+fn empty_hw_group_is_a_build_error() {
+    assert_eq!(
+        build_with_hw_group(Vec::new()).unwrap_err(),
+        BuildError::BadHwGroup {
+            id: 3,
+            members: Vec::new(),
+            cores: 2
+        }
+    );
+}
+
+#[test]
+fn hw_group_member_beyond_the_cores_is_a_build_error() {
+    // Core 7 never arrives, so the group could never fire.
+    let err = build_with_hw_group(vec![0, 7]).unwrap_err();
+    assert!(matches!(err, BuildError::BadHwGroup { id: 3, .. }), "{err}");
+    assert!(err.to_string().contains("[0, 7]"), "{err}");
+}
+
+#[test]
+fn hw_group_member_listed_twice_is_a_build_error() {
+    let err = build_with_hw_group(vec![1, 1]).unwrap_err();
+    assert!(matches!(err, BuildError::BadHwGroup { id: 3, .. }), "{err}");
+    assert!(build_with_hw_group(vec![1, 0]).is_ok());
 }
 
 #[test]

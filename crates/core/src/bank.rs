@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use cmp_sim::{BankHook, FillDecision, HookOutcome, HookViolation, ParkToken};
 
-use crate::table::{FilterTable, FilterTableStats, TableFill};
+use crate::table::{FilterTable, TableFill};
 
 /// The filter hardware of one L2 bank.
 #[derive(Debug)]
@@ -29,21 +29,6 @@ impl FilterBank {
             tables,
             owners: HashMap::new(),
         }
-    }
-
-    /// Aggregate stats across the bank's tables.
-    pub fn total_stats(&self) -> FilterTableStats {
-        let mut agg = FilterTableStats::default();
-        for t in &self.tables {
-            let s = t.stats();
-            agg.arrivals += s.arrivals;
-            agg.exits += s.exits;
-            agg.parked += s.parked;
-            agg.serviced += s.serviced;
-            agg.episodes += s.episodes;
-            agg.timeout_errors += s.timeout_errors;
-        }
-        agg
     }
 
     /// Borrow a table (tests/diagnostics).
@@ -196,7 +181,6 @@ mod tests {
                 FillDecision::Service
             );
         }
-        assert_eq!(bank.total_stats().episodes, 4);
     }
 
     #[test]

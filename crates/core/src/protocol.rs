@@ -10,10 +10,13 @@
 //! releases.
 //!
 //! The spec is purely descriptive: nothing in the simulator consults it.
+//! Its [`tables`](ProtocolSpec::tables) are copies of the configurations
+//! [`BarrierSystem`](crate::BarrierSystem) programs into the L2 banks.
 
 use sim_isa::LINE_BYTES;
 
 use crate::mechanism::BarrierMechanism;
+use crate::table::FilterTableConfig;
 
 /// The role a memory range plays in a barrier protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +80,10 @@ pub struct ProtocolSpec {
     /// Synchronization ranges, in protocol order (arrival before exit,
     /// primary before alternate).
     pub regions: Vec<SyncRegion>,
+    /// The filter tables the OS layer programs for this barrier, in
+    /// programming order; empty for software and dedicated-network
+    /// barriers. The model checker steps exactly these tables.
+    pub tables: Vec<FilterTableConfig>,
     /// TLS slot offset holding this barrier's sense flag, when the
     /// protocol is sense-reversing.
     pub tls_offset: Option<i64>,
@@ -148,6 +155,7 @@ mod tests {
                 ProtocolSpec::thread_lines(RegionKind::Arrival, 0x2000, 4),
                 ProtocolSpec::thread_lines(RegionKind::Exit, 0x3000, 4),
             ],
+            tables: Vec::new(),
             tls_offset: None,
             hw_id: None,
             episode_counter: None,

@@ -22,7 +22,7 @@ use sim_isa::{Asm, AsmError, Reg, LINE_BYTES};
 
 use crate::bank::FilterBank;
 use crate::emit;
-use crate::fsm::ThreadState;
+use crate::fsm::ThreadState::{self, Servicing, Waiting};
 use crate::mechanism::BarrierMechanism;
 use crate::protocol::{ProtocolSpec, RegionKind, SyncRegion};
 use crate::table::{FilterTable, FilterTableConfig};
@@ -311,20 +311,26 @@ impl BarrierSystem {
             .max_by_key(|&b| self.free_tables(b))
     }
 
-    fn table_config(
-        &self,
+    /// Program a table over `threads` threads into `bank` and record its
+    /// configuration in `tables`, the barrier's [`ProtocolSpec::tables`].
+    fn program_table(
+        &mut self,
+        tables: &mut Vec<FilterTableConfig>,
+        bank: usize,
         arrival_base: u64,
-        exit_base: Option<u64>,
+        exit_base: u64,
         threads: usize,
         initial_state: ThreadState,
-    ) -> FilterTableConfig {
-        FilterTableConfig {
+    ) {
+        let cfg = FilterTableConfig {
             arrival_base,
-            exit_base,
+            exit_base: Some(exit_base),
             num_threads: threads,
             initial_state,
             timeout: self.timeout,
-        }
+        };
+        self.per_bank[bank].push(cfg.clone());
+        tables.push(cfg);
     }
 
     /// Register a new barrier over threads `0..threads` using `mechanism`,
@@ -374,6 +380,7 @@ impl BarrierSystem {
         let granule = self.config.bank_granule();
         let mut arrival_base = None;
         let mut regions = Vec::new();
+        let mut tables = Vec::new();
         let mut tls_offset = None;
         let mut hw_group = None;
         let mut episode_counter = None;
@@ -438,8 +445,7 @@ impl BarrierSystem {
                     e_base,
                     threads,
                 ));
-                let cfg = self.table_config(a_base, Some(e_base), threads, ThreadState::Waiting);
-                self.per_bank[bank].push(cfg);
+                self.program_table(&mut tables, bank, a_base, e_base, threads, Waiting);
                 emit::filter_d(asm, id, a_base, e_base)?
             }
             FilterDPingPong => {
@@ -457,10 +463,8 @@ impl BarrierSystem {
                     threads,
                 ));
                 tls_offset = Some(tls);
-                let cfg = self.table_config(a0, Some(a1), threads, ThreadState::Waiting);
-                self.per_bank[bank].push(cfg);
-                let cfg = self.table_config(a1, Some(a0), threads, ThreadState::Servicing);
-                self.per_bank[bank].push(cfg);
+                self.program_table(&mut tables, bank, a0, a1, threads, Waiting);
+                self.program_table(&mut tables, bank, a1, a0, threads, Servicing);
                 emit::filter_d_ping_pong(asm, id, a0, a1, tls)?
             }
             FilterI => {
@@ -481,8 +485,7 @@ impl BarrierSystem {
                     e_base,
                     threads,
                 ));
-                let cfg = self.table_config(a_base, Some(e_base), threads, ThreadState::Waiting);
-                self.per_bank[bank].push(cfg);
+                self.program_table(&mut tables, bank, a_base, e_base, threads, Waiting);
                 emit::filter_i(asm, id, a_base, e_base)?
             }
             FilterIPingPong => {
@@ -501,10 +504,8 @@ impl BarrierSystem {
                     threads,
                 ));
                 tls_offset = Some(tls);
-                let cfg = self.table_config(a0, Some(a1), threads, ThreadState::Waiting);
-                self.per_bank[bank].push(cfg);
-                let cfg = self.table_config(a1, Some(a0), threads, ThreadState::Servicing);
-                self.per_bank[bank].push(cfg);
+                self.program_table(&mut tables, bank, a0, a1, threads, Waiting);
+                self.program_table(&mut tables, bank, a1, a0, threads, Servicing);
                 emit::filter_i_ping_pong(asm, id, a0, a1, tls)?
             }
             HwDedicated => {
@@ -576,12 +577,9 @@ impl BarrierSystem {
                     let ge = space.alloc_bank_lines(bank, 1)?;
                     let a2 = space.alloc_bank_lines(bank, threads as u64)?;
                     let e2 = space.alloc_bank_lines(bank, threads as u64)?;
-                    let cfg = self.table_config(a1, Some(e1), threads, ThreadState::Waiting);
-                    self.per_bank[bank].push(cfg);
-                    let cfg = self.table_config(ga, Some(ge), 1, ThreadState::Waiting);
-                    self.per_bank[bank].push(cfg);
-                    let cfg = self.table_config(a2, Some(e2), threads, ThreadState::Waiting);
-                    self.per_bank[bank].push(cfg);
+                    self.program_table(&mut tables, bank, a1, e1, threads, Waiting);
+                    self.program_table(&mut tables, bank, ga, ge, 1, Waiting);
+                    self.program_table(&mut tables, bank, a2, e2, threads, Waiting);
                     (a1, e1, ga, ge, a2, e2)
                 } else {
                     // Each cluster's slice of an arrival run must cover
@@ -615,17 +613,12 @@ impl BarrierSystem {
                     let ge = space.alloc_bank_lines(0, nclusters as u64)?;
                     for k in 0..nclusters {
                         let off = k as u64 * granule;
-                        let cfg =
-                            self.table_config(a1 + off, Some(e1 + off), cpc, ThreadState::Waiting);
-                        self.per_bank[k].push(cfg);
+                        self.program_table(&mut tables, k, a1 + off, e1 + off, cpc, Waiting);
                     }
-                    let cfg = self.table_config(ga, Some(ge), nclusters, ThreadState::Waiting);
-                    self.per_bank[0].push(cfg);
+                    self.program_table(&mut tables, 0, ga, ge, nclusters, Waiting);
                     for k in 0..nclusters {
                         let off = k as u64 * granule;
-                        let cfg =
-                            self.table_config(a2 + off, Some(e2 + off), cpc, ThreadState::Waiting);
-                        self.per_bank[k].push(cfg);
+                        self.program_table(&mut tables, k, a2 + off, e2 + off, cpc, Waiting);
                     }
                     (a1, e1, ga, ge, a2, e2)
                 };
@@ -652,6 +645,7 @@ impl BarrierSystem {
             entry: label.clone(),
             threads,
             regions,
+            tables,
             tls_offset,
             hw_id: hw_group,
             episode_counter,
@@ -699,8 +693,8 @@ impl BarrierSystem {
         self.next_id += 1;
         let a_base = space.alloc_bank_lines(bank, threads as u64)?;
         let e_base = space.alloc_bank_lines(bank, threads as u64)?;
-        let cfg = self.table_config(a_base, Some(e_base), threads, ThreadState::Waiting);
-        self.per_bank[bank].push(cfg);
+        let mut tables = Vec::new();
+        self.program_table(&mut tables, bank, a_base, e_base, threads, Waiting);
         let label = emit::filter_d_checked(asm, id, a_base, e_base)?;
         let protocol = ProtocolSpec {
             mechanism: BarrierMechanism::FilterD,
@@ -710,6 +704,7 @@ impl BarrierSystem {
                 ProtocolSpec::thread_lines(RegionKind::Arrival, a_base, threads),
                 ProtocolSpec::thread_lines(RegionKind::Exit, e_base, threads),
             ],
+            tables,
             tls_offset: None,
             hw_id: None,
             episode_counter: None,
@@ -923,6 +918,39 @@ mod tests {
         assert!(b.is_fallback());
         assert_eq!(b.mechanism(), BarrierMechanism::SwHier);
         assert_eq!(b.requested(), BarrierMechanism::FilterDHier);
+    }
+
+    #[test]
+    fn specs_name_the_tables_the_system_programs() {
+        // Every mechanism (the hierarchical pair degenerate) on the flat
+        // machine, then the hierarchical pair on 4 clusters, each with a
+        // 4-thread checked filter: each bank holds, in order, the tables the
+        // specs name whose arrival lines it homes.
+        let hier = [BarrierMechanism::SwHier, BarrierMechanism::FilterDHier];
+        for (config, mechanisms) in [
+            (SimConfig::with_cores(4), &BarrierMechanism::EXTENDED[..]),
+            (SimConfig::clustered(64, 4), &hier[..]),
+        ] {
+            let threads = config.num_cores;
+            let mut space = AddressSpace::new(&config);
+            let mut asm = Asm::new();
+            let mut sys = BarrierSystem::new(&config, threads, &mut space).unwrap();
+            let mut barriers: Vec<Barrier> = mechanisms
+                .iter()
+                .map(|&m| sys.create_barrier(&mut asm, &mut space, m, threads))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            barriers.push(
+                sys.create_checked_filter_d(&mut asm, &mut space, 4)
+                    .unwrap(),
+            );
+            assert!(barriers.iter().all(|b| !b.is_fallback()));
+            let mut named = vec![Vec::new(); sys.per_bank.len()];
+            for cfg in barriers.iter().flat_map(|b| &b.protocol().tables) {
+                named[config.bank_of(cfg.arrival_base)].push(cfg.clone());
+            }
+            assert_eq!(named, sys.per_bank, "{threads} cores");
+        }
     }
 
     #[test]

@@ -183,6 +183,31 @@ impl FilterTable {
         self.arrived
     }
 
+    /// Each thread's FSM state and parked token, in thread order.
+    pub fn entries(&self) -> impl Iterator<Item = (ThreadState, Option<ParkToken>)> + '_ {
+        self.entries
+            .iter()
+            .map(|e| (e.state, e.pending.map(|(token, _)| token)))
+    }
+
+    /// The inverse of [`entries`](FilterTable::entries): a fully
+    /// registered table whose threads hold `entries`, one per thread, each
+    /// token parked at cycle 0. The arrived counter is the number of
+    /// `Blocking` threads, as [`on_invalidate`](FilterTable::on_invalidate)
+    /// keeps it between openings; the counters start at zero.
+    pub fn with_entries(
+        config: FilterTableConfig,
+        entries: impl IntoIterator<Item = (ThreadState, Option<ParkToken>)>,
+    ) -> FilterTable {
+        let mut t = FilterTable::new(config);
+        for (e, (state, token)) in t.entries.iter_mut().zip(entries) {
+            e.state = state;
+            e.pending = token.map(|token| (token, 0));
+        }
+        t.arrived = t.entries().filter(|e| e.0 == ThreadState::Blocking).count();
+        t
+    }
+
     fn index_in(&self, base: u64, line: u64) -> Option<usize> {
         let end = base + self.config.num_threads as u64 * LINE_BYTES;
         if (base..end).contains(&line) {
