@@ -2,29 +2,31 @@
 //! exploration of the *actual emitted* MiniRISC barrier routine.
 //!
 //! The checker runs a small instance (2–4 cores, 2 consecutive episodes)
-//! of one barrier on an abstract sync-memory machine. Only the state the
-//! protocol can observe is tracked: the 64-bit words of the registered
-//! [`ProtocolSpec::regions`], the per-core TLS sense slots, LL/SC
+//! of one barrier on an abstract machine. Its state is the cores' tracked
+//! registers, one word memory holding every 64-bit word the routine has
+//! stored with `st` or `sc` (sync-region words and TLS words alike; any
+//! other word reads 0, as the engine's zeroed memory does), LL/SC
 //! reservations (broken, as in the engine, by any store or `dcbi` to the
 //! line, and by nothing else), the barrier's own filter tables
 //! ([`ProtocolSpec::tables`], each a [`barrier_filter::FilterTable`] whose
 //! parked fills are the sleep/wake transitions of §3.2), and the
-//! dedicated-network arrival set. Everything else a routine does is
-//! core-local and deterministic, so cores only interleave at *visible*
-//! operations: sync-region accesses, arrival-line invalidates and fills,
-//! and `hwbar`.
+//! dedicated-network arrival set.
 //!
-//! That local-determinism collapse is the partial-order reduction: a
-//! core's straight-line segment between two visible operations touches no
-//! location another core can observe (per the `SyncRegion` metadata), so
-//! it forms a singleton persistent set and is executed atomically with
-//! the preceding visible operation. The remaining interleavings are
-//! deduplicated by hashing visited states, which merges schedules that
-//! commute to the same abstract state. Exploration is breadth-first, so
-//! the first counterexample per rule is depth-minimal.
+//! One executor, `Machine::exec`, runs every instruction a core executes,
+//! so each load, store, `ll`, `sc`, invalidate and `hwbar` has one
+//! meaning. Cores only interleave at *visible* operations: sync-region
+//! accesses, sync-line invalidates, arrival-line fills and `hwbar`. That
+//! is the partial-order reduction: a core's straight-line segment between
+//! two visible operations touches no word another core reads (per the
+//! `SyncRegion` metadata), so it forms a singleton persistent set and is
+//! executed atomically with the preceding visible operation. The
+//! remaining interleavings are deduplicated by hashing visited states,
+//! which merges schedules that commute to the same abstract state.
+//! Exploration is breadth-first, so the first counterexample per rule is
+//! depth-minimal.
 //!
 //! Each visited state is stored once, as a canonical packed key (fields
-//! in a fixed order, words as varints, sync words in address order, two
+//! in a fixed order, words as varints, memory words in address order, two
 //! bytes per filter-table entry) in a node-indexed `StateStore` behind an
 //! Fx-hashed open-addressing index. Two keys are equal exactly when their
 //! states are, so packing changes no node number, schedule or count. The
@@ -67,9 +69,6 @@ const SENTINEL: u64 = 0xdead_0000;
 
 /// Synthetic per-core TLS base (the checker, not the loader, places TLS).
 const TLS_BASE: u64 = 0x7f00_0000;
-
-/// Modeled TLS bytes per core (the sense slots live at small offsets).
-const TLS_BYTES: u64 = 64;
 
 /// Per-core TLS block stride (matches the runtime's 4-line blocks).
 const TLS_STRIDE: u64 = 256;
@@ -155,7 +154,6 @@ enum Status {
 struct Core {
     pc: u64,
     regs: [u64; TRACKED.len()],
-    tls: [u64; (TLS_BYTES / 8) as usize],
     status: Status,
     /// Episodes begun (1 at init: every core starts inside episode 1).
     entered: u32,
@@ -192,7 +190,8 @@ impl Hash for Filter {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct McState {
     cores: Vec<Core>,
-    /// Sync-region words (8-byte aligned; absent means 0).
+    /// Every word the routine has stored, sync-region and TLS words alike
+    /// (8-byte aligned; absent means 0).
     mem: BTreeMap<u64, u64>,
     /// One table per [`ProtocolSpec::tables`] entry, in that order.
     tables: Vec<Filter>,
@@ -220,10 +219,16 @@ impl McState {
         }
     }
 
-    /// Write `val` to a sync word, normalizing zeros away (so states
-    /// compare equal regardless of write history) and breaking every LL
-    /// reservation on the line, the writer's own included.
+    /// The word holding `addr`.
+    fn word(&self, addr: u64) -> u64 {
+        self.mem.get(&word_of(addr)).copied().unwrap_or(0)
+    }
+
+    /// Write `val` to the word holding `addr`, normalizing zeros away (so
+    /// states compare equal regardless of write history) and breaking
+    /// every LL reservation on the line, the writer's own included.
     fn write_word(&mut self, addr: u64, val: u64) {
+        let addr = word_of(addr);
         if val == 0 {
             self.mem.remove(&addr);
         } else {
@@ -261,9 +266,9 @@ impl McState {
     }
 
     /// Write this state's canonical packed key into `out` (cleared
-    /// first): per core its pc, tracked registers, TLS words, stale and
-    /// link lines and episode counts as varints, then its status and
-    /// option flags; then the sync-word count and words in address order;
+    /// first): per core its pc, tracked registers, stale and link lines
+    /// and episode counts as varints, then its status and option flags;
+    /// then the memory's word count and words in address order;
     /// then each table entry's state byte and parked-core byte (`0xff` for
     /// none); then the arrival and fault bytes. Within one exploration the
     /// core count and table sizes are fixed, so [`Machine::decode`]
@@ -272,7 +277,7 @@ impl McState {
         out.clear();
         for core in &self.cores {
             put_varint(out, core.pc);
-            for &w in core.regs.iter().chain(&core.tls) {
+            for &w in &core.regs {
                 put_varint(out, w);
             }
             put_varint(out, core.stale.unwrap_or(0));
@@ -342,25 +347,29 @@ impl KeyReader<'_> {
     }
 }
 
-/// A visible operation a core is stopped at.
+/// A visible operation a core is stopped at: where the scheduler may
+/// interleave another core.
 enum Visible {
     /// Fetch of an arrival line (instruction fetch when the pc itself is
-    /// in the range, data load otherwise).
+    /// in the range, `ld` or `ll` otherwise), which the filter may park.
     Fill { line: u64 },
-    /// Plain read of a sync word (`ll` also takes a reservation).
-    Read { addr: u64, rd: Reg, ll: bool },
-    /// Plain write of a sync word.
-    Write { addr: u64, src: Reg },
-    /// Store-conditional to a sync word.
-    Sc { addr: u64, rd: Reg, src: Reg },
-    /// `dcbi` (`icache` false) or `icbi` of a line inside a sync region.
-    Inval { line: u64, icache: bool },
-    /// Dedicated-network barrier.
-    Hw { id: u16 },
+    /// Any other operation another core can observe: a load, store, `ll`
+    /// or `sc` of a sync word, an invalidate of a sync line, or `hwbar`.
+    Op,
 }
 
 fn word_of(addr: u64) -> u64 {
     addr & !7
+}
+
+/// The effective address `off(base)` on `core`.
+fn ea(core: &Core, base: Reg, off: i64) -> u64 {
+    get(core, base).wrapping_add(off as u64)
+}
+
+/// Core `c`'s TLS block, where its `tls` register points.
+fn tls_addr(c: usize) -> u64 {
+    TLS_BASE + c as u64 * TLS_STRIDE
 }
 
 fn slot_of(r: Reg) -> Option<usize> {
@@ -396,15 +405,12 @@ impl<'a> Machine<'a> {
                 let pc = r.varint();
                 let mut regs = [0; TRACKED.len()];
                 regs.iter_mut().for_each(|w| *w = r.varint());
-                let mut tls = [0; (TLS_BYTES / 8) as usize];
-                tls.iter_mut().for_each(|w| *w = r.varint());
                 let (stale, link) = (r.varint(), r.varint());
                 let (entered, completed) = (r.varint() as u32, r.varint() as u32);
                 let [tag, table, some] = r.take();
                 Core {
                     pc,
                     regs,
-                    tls,
                     status: match tag {
                         0 => Status::Running,
                         1 => Status::Parked { table },
@@ -454,7 +460,6 @@ impl<'a> Machine<'a> {
                 let mut core = Core {
                     pc: self.entry,
                     regs: [0; TRACKED.len()],
-                    tls: [0; (TLS_BYTES / 8) as usize],
                     status: Status::Running,
                     entered: 1,
                     completed: 0,
@@ -462,7 +467,7 @@ impl<'a> Machine<'a> {
                     link: None,
                 };
                 set(&mut core, Reg::RA, SENTINEL);
-                set(&mut core, Reg::TLS, TLS_BASE + c as u64 * TLS_STRIDE);
+                set(&mut core, Reg::TLS, tls_addr(c));
                 set(&mut core, Reg::TID, c as u64);
                 set(&mut core, Reg::NTID, self.ncores as u64);
                 core
@@ -482,99 +487,54 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn is_tls(&self, c: usize, ea: u64) -> bool {
-        let base = TLS_BASE + c as u64 * TLS_STRIDE;
-        ea >= base && ea < base + TLS_STRIDE
-    }
-
-    fn tls_slot(&self, c: usize, ea: u64) -> Option<usize> {
-        let base = TLS_BASE + c as u64 * TLS_STRIDE;
-        if ea >= base && ea < base + TLS_BYTES {
-            Some(((ea - base) / 8) as usize)
-        } else {
-            None
-        }
+    /// The instruction at core `c`'s pc.
+    fn fetch(&self, st: &McState, c: usize) -> Result<Instr, Viol> {
+        let pc = st.cores[c].pc;
+        self.program.fetch(pc).ok_or_else(|| {
+            Viol::new(
+                rules::MC_DEADLOCK,
+                Some(pc),
+                format!("t{c}: pc {pc:#x} is outside the code image"),
+            )
+        })
     }
 
     /// Classify the operation core `c` is stopped at; `None` means the
     /// current instruction is core-local.
     fn visible_at(&self, st: &McState, c: usize) -> Result<Option<Visible>, Viol> {
         let core = &st.cores[c];
-        let pc = core.pc;
-        if st.arrival_table(pc).is_some() {
-            return Ok(Some(Visible::Fill { line: line_of(pc) }));
+        if st.arrival_table(core.pc).is_some() {
+            return Ok(Some(Visible::Fill {
+                line: line_of(core.pc),
+            }));
         }
-        let Some(i) = self.program.fetch(pc) else {
-            return Err(Viol::new(
-                rules::MC_DEADLOCK,
-                Some(pc),
-                format!("t{c}: pc {pc:#x} is outside the code image"),
-            ));
-        };
-        let ea = |base: Reg, off: i64| get(core, base).wrapping_add(off as u64);
-        Ok(match i {
-            Instr::Ld(rd, base, off, _) => {
-                let ea = ea(base, off);
-                if self.is_tls(c, ea) {
-                    None
-                } else if st.arrival_table(ea).is_some() {
-                    Some(Visible::Fill { line: line_of(ea) })
-                } else if self.spec.is_sync_addr(ea) {
-                    Some(Visible::Read {
-                        addr: word_of(ea),
-                        rd,
-                        ll: false,
-                    })
-                } else {
-                    None
-                }
-            }
-            Instr::Ll(rd, base, off) => {
-                let ea = ea(base, off);
-                (!self.is_tls(c, ea) && self.spec.is_sync_addr(ea)).then_some(Visible::Read {
-                    addr: word_of(ea),
-                    rd,
-                    ll: true,
+        Ok(match self.fetch(st, c)? {
+            Instr::Ld(_, base, off, _) | Instr::Ll(_, base, off)
+                if st.arrival_table(ea(core, base, off)).is_some() =>
+            {
+                Some(Visible::Fill {
+                    line: line_of(ea(core, base, off)),
                 })
             }
-            Instr::St(src, base, off, _) => {
-                let ea = ea(base, off);
-                (!self.is_tls(c, ea) && self.spec.is_sync_addr(ea)).then_some(Visible::Write {
-                    addr: word_of(ea),
-                    src,
-                })
-            }
-            Instr::Sc(rd, src, base, off) => {
-                let ea = ea(base, off);
-                (!self.is_tls(c, ea) && self.spec.is_sync_addr(ea)).then_some(Visible::Sc {
-                    addr: word_of(ea),
-                    rd,
-                    src,
-                })
-            }
-            Instr::Dcbi(base, off) | Instr::Icbi(base, off) => {
-                let line = line_of(ea(base, off));
-                let icache = matches!(i, Instr::Icbi(..));
-                self.spec
-                    .is_sync_addr(line)
-                    .then_some(Visible::Inval { line, icache })
-            }
-            Instr::HwBar(id) => Some(Visible::Hw { id }),
+            Instr::Ld(_, base, off, _)
+            | Instr::Ll(_, base, off)
+            | Instr::St(_, base, off, _)
+            | Instr::Sc(_, _, base, off)
+            | Instr::Dcbi(base, off)
+            | Instr::Icbi(base, off) => self
+                .spec
+                .is_sync_addr(ea(core, base, off))
+                .then_some(Visible::Op),
+            Instr::HwBar(_) => Some(Visible::Op),
             _ => None,
         })
     }
 
-    /// Execute the (core-local) instruction at `c`'s pc.
-    fn exec_local(&self, st: &mut McState, c: usize) -> Result<(), Viol> {
-        let pc = st.cores[c].pc;
-        let Some(i) = self.program.fetch(pc) else {
-            return Err(Viol::new(
-                rules::MC_DEADLOCK,
-                Some(pc),
-                format!("t{c}: pc {pc:#x} is outside the code image"),
-            ));
-        };
+    /// Execute the instruction at core `c`'s pc, visible or core-local.
+    fn exec(&self, st: &mut McState, c: usize) -> Result<(), Viol> {
+        let i = self.fetch(st, c)?;
         let core = &mut st.cores[c];
+        let pc = core.pc;
         let mut next = pc + INSTR_BYTES;
         let sdiv = |a: u64, b: u64, rem: bool| -> u64 {
             let (a, b) = (a as i64, b as i64);
@@ -636,31 +596,43 @@ impl<'a> Machine<'a> {
             Instr::Slti(rd, a, imm) => set(core, rd, u64::from((get(core, a) as i64) < imm)),
             Instr::Li(rd, imm) => set(core, rd, imm as u64),
             Instr::Ld(rd, base, off, _) => {
-                let ea = get(core, base).wrapping_add(off as u64);
-                let v = self.tls_slot(c, ea).map_or(0, |s| st.cores[c].tls[s]);
+                let addr = ea(core, base, off);
+                let v = st.word(addr);
                 set(&mut st.cores[c], rd, v);
             }
-            Instr::St(src, base, off, _) => {
-                let ea = get(core, base).wrapping_add(off as u64);
-                let v = get(core, src);
-                if let Some(s) = self.tls_slot(c, ea) {
-                    st.cores[c].tls[s] = v;
-                }
-                st.clear_links(line_of(ea));
-            }
             Instr::Ll(rd, base, off) => {
-                let ea = get(core, base).wrapping_add(off as u64);
-                core.link = Some(line_of(ea));
-                set(&mut st.cores[c], rd, 0);
+                let addr = ea(core, base, off);
+                let v = st.word(addr);
+                let core = &mut st.cores[c];
+                core.link = Some(line_of(addr));
+                set(core, rd, v);
             }
-            Instr::Sc(rd, _, base, off) => {
-                let line = line_of(get(core, base).wrapping_add(off as u64));
-                let ok = core.link == Some(line);
-                set(core, rd, u64::from(ok));
+            Instr::St(src, base, off, _) => {
+                let (addr, v) = (ea(core, base, off), get(core, src));
+                st.write_word(addr, v);
+            }
+            Instr::Sc(rd, src, base, off) => {
+                // A failed `sc` leaves the reservation as it was.
+                let (addr, v) = (ea(core, base, off), get(core, src));
+                let ok = core.link == Some(line_of(addr));
                 if ok {
+                    st.write_word(addr, v);
+                }
+                set(&mut st.cores[c], rd, u64::from(ok));
+            }
+            Instr::Dcbi(base, off) | Instr::Icbi(base, off) => {
+                let line = line_of(ea(core, base, off));
+                if st.arrival_table(line).is_some() {
+                    st.cores[c].stale = Some(line);
+                }
+                // A `dcbi` drops the line's data copies everywhere, breaking
+                // reservations on it; an `icbi` drops no data copy.
+                if matches!(i, Instr::Dcbi(..)) {
                     st.clear_links(line);
                 }
+                self.dispatch_inval(st, c, line, pc)?;
             }
+            Instr::HwBar(id) => return self.hw_arrive(st, c, id),
             Instr::Beq(a, b, t) if get(core, a) == get(core, b) => {
                 next = t.0;
             }
@@ -684,14 +656,13 @@ impl<'a> Machine<'a> {
                 next = t.0;
             }
             Instr::Jalr(rd, base, off) => {
-                next = get(core, base).wrapping_add(off as u64);
+                next = ea(core, base, off);
                 set(core, rd, pc + INSTR_BYTES);
             }
-            Instr::Isync => st.cores[c].stale = None,
-            Instr::Halt => st.cores[c].status = Status::Done,
-            // Floating point never carries protocol state; fences order
-            // data memory, which is not modeled; non-sync invalidates are
-            // no-ops on the abstract machine.
+            Instr::Isync => core.stale = None,
+            Instr::Halt => core.status = Status::Done,
+            // Floating point never carries protocol state, and fences
+            // order data memory, which is not modeled.
             _ => {}
         }
         if st.cores[c].status == Status::Running {
@@ -700,17 +671,40 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Complete a (serviced or bypassed) fill: a data fill delivers the
-    /// line's word, an instruction fill executes the arrival stub until
+    /// Core `c` arrives at dedicated-network barrier `id`: check that `id`
+    /// is the barrier's armed group, then wait, or, as the last arrival,
+    /// release every waiting core (`c` included) at once.
+    fn hw_arrive(&self, st: &mut McState, c: usize, id: u16) -> Result<(), Viol> {
+        if self.spec.hw_id != Some(id) {
+            let msg = match self.spec.hw_id {
+                Some(armed) => {
+                    format!("t{c}: hwbar {id} fired but the barrier armed dedicated group {armed}")
+                }
+                None => format!("t{c}: hwbar {id} fired but the barrier has no dedicated group"),
+            };
+            return Err(Viol::new(rules::MC_HW_PAIRING, Some(st.cores[c].pc), msg));
+        }
+        st.hw_arrived |= 1 << c;
+        st.cores[c].status = Status::HwWait;
+        if st.hw_arrived.count_ones() as usize == self.ncores {
+            st.hw_arrived = 0;
+            for j in 0..self.ncores {
+                if st.cores[j].status == Status::HwWait {
+                    st.cores[j].status = Status::Running;
+                    st.cores[j].pc += INSTR_BYTES;
+                    self.run_local(st, j)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Complete a (serviced or bypassed) fill: a data fill executes its
+    /// `ld` or `ll`, an instruction fill executes the arrival stub until
     /// control leaves the arrival range.
     fn complete_fill(&self, st: &mut McState, c: usize) -> Result<(), Viol> {
-        let pc = st.cores[c].pc;
-        if st.arrival_table(pc).is_none() {
-            if let Some(Instr::Ld(rd, ..)) = self.program.fetch(pc) {
-                set(&mut st.cores[c], rd, 0);
-            }
-            st.cores[c].pc = pc + INSTR_BYTES;
-            return Ok(());
+        if st.arrival_table(st.cores[c].pc).is_none() {
+            return self.exec(st, c);
         }
         let mut steps = 0;
         while st.cores[c].status == Status::Running && st.arrival_table(st.cores[c].pc).is_some() {
@@ -722,7 +716,7 @@ impl<'a> Machine<'a> {
                     format!("t{c}: arrival stub never leaves its line"),
                 ));
             }
-            self.exec_local(st, c)?;
+            self.exec(st, c)?;
         }
         Ok(())
     }
@@ -735,7 +729,7 @@ impl<'a> Machine<'a> {
         let sense = self
             .spec
             .tls_offset
-            .and_then(|off| st.cores[c].tls.get(off as usize / 8).copied());
+            .map(|off| st.word(tls_addr(c).wrapping_add(off as u64)));
         let entered: Vec<(usize, u32)> = st
             .cores
             .iter()
@@ -781,7 +775,7 @@ impl<'a> Machine<'a> {
                     ),
                 ));
             }
-            self.exec_local(st, c)?;
+            self.exec(st, c)?;
         }
     }
 
@@ -814,139 +808,42 @@ impl<'a> Machine<'a> {
             pc,
             tag,
         };
-        let op = match self.visible_at(st, c) {
-            Ok(Some(op)) => op,
-            Ok(None) => {
-                // Defensive: re-settle the core (cannot happen while the
-                // every-running-core-is-at-a-visible-op invariant holds).
+        let line = match self.visible_at(st, c) {
+            Ok(Some(Visible::Fill { line })) => line,
+            Ok(_) => {
                 let mut s2 = st.clone();
-                let r = self.run_local(&mut s2, c).map(|()| s2);
+                let r = self
+                    .exec(&mut s2, c)
+                    .and_then(|()| self.run_local(&mut s2, c))
+                    .map(|()| s2);
                 return vec![(act(ActTag::Op), r)];
             }
             Err(v) => return vec![(act(ActTag::Op), Err(v))],
         };
+        let fill = |mut s2: McState| {
+            self.complete_fill(&mut s2, c)
+                .and_then(|()| self.run_local(&mut s2, c))
+                .map(|()| s2)
+        };
         let mut out = Vec::new();
-        match op {
-            Visible::Fill { line } => {
-                if st.cores[c].stale == Some(line) {
-                    // The prefetched copy from before the invalidate may
-                    // satisfy the fetch: the core sails through without the
-                    // filter ever seeing the fill.
-                    let mut s2 = st.clone();
-                    s2.cores[c].stale = None;
-                    let r = self
-                        .complete_fill(&mut s2, c)
-                        .and_then(|()| self.run_local(&mut s2, c))
-                        .map(|()| s2);
-                    out.push((act(ActTag::StaleBypass), r));
-                }
-                let mut s2 = st.clone();
-                s2.cores[c].stale = None;
-                let table = s2.arrival_table(line).expect("fills are of arrival lines");
-                let r = match s2.tables[table].0.on_fill(line, ParkToken(c as u64), 0) {
-                    Ok(TableFill::Park) => {
-                        s2.cores[c].status = Status::Parked { table: table as u8 };
-                        Ok(s2)
-                    }
-                    Ok(_) => self
-                        .complete_fill(&mut s2, c)
-                        .and_then(|()| self.run_local(&mut s2, c))
-                        .map(|()| s2),
-                    Err(v) => Err(props::fsm_violation(&v, c, pc)),
-                };
-                out.push((act(ActTag::Op), r));
-            }
-            Visible::Read { addr, rd, ll } => {
-                let mut s2 = st.clone();
-                let v = s2.mem.get(&addr).copied().unwrap_or(0);
-                set(&mut s2.cores[c], rd, v);
-                if ll {
-                    s2.cores[c].link = Some(line_of(addr));
-                }
-                s2.cores[c].pc = pc + INSTR_BYTES;
-                let r = self.run_local(&mut s2, c).map(|()| s2);
-                out.push((act(ActTag::Op), r));
-            }
-            Visible::Write { addr, src } => {
-                let mut s2 = st.clone();
-                let v = get(&s2.cores[c], src);
-                s2.write_word(addr, v);
-                s2.cores[c].pc = pc + INSTR_BYTES;
-                let r = self.run_local(&mut s2, c).map(|()| s2);
-                out.push((act(ActTag::Op), r));
-            }
-            Visible::Sc { addr, rd, src } => {
-                // A failed `sc` leaves the reservation as it was.
-                let mut s2 = st.clone();
-                let ok = s2.cores[c].link == Some(line_of(addr));
-                if ok {
-                    let v = get(&s2.cores[c], src);
-                    s2.write_word(addr, v);
-                }
-                set(&mut s2.cores[c], rd, u64::from(ok));
-                s2.cores[c].pc = pc + INSTR_BYTES;
-                let r = self.run_local(&mut s2, c).map(|()| s2);
-                out.push((act(ActTag::Op), r));
-            }
-            Visible::Inval { line, icache } => {
-                let mut s2 = st.clone();
-                if s2.arrival_table(line).is_some() {
-                    s2.cores[c].stale = Some(line);
-                }
-                // A `dcbi` drops the line's data copies everywhere, breaking
-                // reservations on it; an `icbi` drops no data copy.
-                if !icache {
-                    s2.clear_links(line);
-                }
-                let r = self.dispatch_inval(&mut s2, c, line, pc).and_then(|()| {
-                    s2.cores[c].pc = pc + INSTR_BYTES;
-                    self.run_local(&mut s2, c)
-                });
-                out.push((act(ActTag::Op), r.map(|()| s2)));
-            }
-            Visible::Hw { id } => {
-                if self.spec.hw_id != Some(id) {
-                    let msg = match self.spec.hw_id {
-                        Some(armed) => format!(
-                            "t{c}: hwbar {id} fired but the barrier armed dedicated group {armed}"
-                        ),
-                        None => {
-                            format!("t{c}: hwbar {id} fired but the barrier has no dedicated group")
-                        }
-                    };
-                    out.push((
-                        act(ActTag::Op),
-                        Err(Viol::new(rules::MC_HW_PAIRING, Some(pc), msg)),
-                    ));
-                    return out;
-                }
-                let mut s2 = st.clone();
-                s2.hw_arrived |= 1 << c;
-                let all = (0..self.ncores).fold(0u8, |m, i| m | (1 << i));
-                let r = if s2.hw_arrived == all {
-                    // Fire: release every waiter (and the last arriver)
-                    // simultaneously.
-                    s2.hw_arrived = 0;
-                    let mut r = Ok(());
-                    for j in 0..self.ncores {
-                        let release = j == c || s2.cores[j].status == Status::HwWait;
-                        if release {
-                            s2.cores[j].status = Status::Running;
-                            s2.cores[j].pc += INSTR_BYTES;
-                            r = r.and_then(|()| self.run_local(&mut s2, j));
-                            if r.is_err() {
-                                break;
-                            }
-                        }
-                    }
-                    r
-                } else {
-                    s2.cores[c].status = Status::HwWait;
-                    Ok(())
-                };
-                out.push((act(ActTag::Op), r.map(|()| s2)));
-            }
+        let mut s2 = st.clone();
+        s2.cores[c].stale = None;
+        if st.cores[c].stale == Some(line) {
+            // The prefetched copy from before the invalidate may satisfy
+            // the fetch: the core sails through without the filter ever
+            // seeing the fill.
+            out.push((act(ActTag::StaleBypass), fill(s2.clone())));
         }
+        let table = s2.arrival_table(line).expect("fills are of arrival lines");
+        let r = match s2.tables[table].0.on_fill(line, ParkToken(c as u64), 0) {
+            Ok(TableFill::Park) => {
+                s2.cores[c].status = Status::Parked { table: table as u8 };
+                Ok(s2)
+            }
+            Ok(_) => fill(s2),
+            Err(v) => Err(props::fsm_violation(&v, c, pc)),
+        };
+        out.push((act(ActTag::Op), r));
         out
     }
 
@@ -995,11 +892,11 @@ impl<'a> Machine<'a> {
         }
         let mut msg = format!("{what}: {}", parts.join(", "));
         if let Some(addr) = self.spec.episode_counter {
-            let v = st.mem.get(&addr).copied().unwrap_or(0);
+            let v = st.word(addr);
             msg.push_str(&format!("; arrival counter @{addr:#x} = {v}"));
         }
         for &w in self.spec.wake_addrs.iter().take(4) {
-            let v = st.mem.get(&w).copied().unwrap_or(0);
+            let v = st.word(w);
             msg.push_str(&format!("; release word @{w:#x} = {v}"));
         }
         msg

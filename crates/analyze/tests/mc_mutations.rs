@@ -84,6 +84,26 @@ fn per_thread_line(a: &mut Asm, base: u64) {
     a.add(Reg::K0, Reg::K0, Reg::K1);
 }
 
+/// The correct D-cache filter barrier: invalidate the thread's arrival
+/// line, `isync`, fetch the line (with `ll` when `ll_fetch`, else `ldd`),
+/// then invalidate its exit line.
+fn filter_d(a: &mut Asm, ll_fetch: bool) {
+    a.label("bar").unwrap();
+    a.sync();
+    per_thread_line(a, A_BASE);
+    a.dcbi(Reg::K0, 0);
+    a.isync();
+    if ll_fetch {
+        a.ll(Reg::K1, Reg::K0, 0);
+    } else {
+        a.ldd(Reg::K1, Reg::K0, 0);
+    }
+    a.sync();
+    per_thread_line(a, E_BASE);
+    a.dcbi(Reg::K0, 0);
+    a.ret();
+}
+
 fn check(spec: &ProtocolSpec, cfg: &McConfig, build: impl FnOnce(&mut Asm)) -> McReport {
     let mut a = Asm::new();
     build(&mut a);
@@ -153,6 +173,10 @@ struct SwCentral {
     /// One instruction between the counter's `ll` and its `sc` (`k0`
     /// holds the counter address there).
     after_ll: Option<fn(&mut Asm)>,
+    /// Read the TLS sense word with `ll` instead of `ldd`.
+    ll_sense_read: bool,
+    /// Write the TLS sense word with `ll`, then `sc`, instead of `std`.
+    llsc_sense_write: bool,
     toggle_sense: bool,
     retry_on_sc_failure: bool,
     reset_counter: bool,
@@ -164,6 +188,8 @@ impl Default for SwCentral {
     fn default() -> SwCentral {
         SwCentral {
             after_ll: None,
+            ll_sense_read: false,
+            llsc_sense_write: false,
             toggle_sense: true,
             retry_on_sc_failure: true,
             reset_counter: true,
@@ -176,10 +202,19 @@ impl Default for SwCentral {
 impl SwCentral {
     fn build(&self, a: &mut Asm) {
         a.label("bar").unwrap();
-        a.ldd(Reg::T8, Reg::TLS, 0);
+        if self.ll_sense_read {
+            a.ll(Reg::T8, Reg::TLS, 0);
+        } else {
+            a.ldd(Reg::T8, Reg::TLS, 0);
+        }
         if self.toggle_sense {
             a.xori(Reg::T8, Reg::T8, 1);
-            a.std(Reg::T8, Reg::TLS, 0);
+            if self.llsc_sense_write {
+                a.ll(Reg::K1, Reg::TLS, 0);
+                a.sc(Reg::K1, Reg::T8, Reg::TLS, 0);
+            } else {
+                a.std(Reg::T8, Reg::TLS, 0);
+            }
         }
         a.li(Reg::K0, CTR as i64);
         a.label("retry").unwrap();
@@ -225,18 +260,7 @@ fn unmutated_fixtures_pass() {
     assert!(report.clean(), "{:#?}", report.diagnostics);
     assert_golden("unmutated_sw_central", &report);
 
-    let report = check(&filter_spec(), &McConfig::default(), |a| {
-        a.label("bar").unwrap();
-        a.sync();
-        per_thread_line(a, A_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.isync();
-        a.ldd(Reg::K1, Reg::K0, 0);
-        a.sync();
-        per_thread_line(a, E_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.ret();
-    });
+    let report = check(&filter_spec(), &McConfig::default(), |a| filter_d(a, false));
     assert!(report.clean(), "{:#?}", report.diagnostics);
     assert_golden("unmutated_filter_d", &report);
 }
@@ -335,6 +359,42 @@ fn failed_sc_keeps_the_reservation() {
     };
     let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
     assert!(report.clean(), "{:#?}", report.diagnostics);
+}
+
+// LL/SC values and arrival fetches follow the engine too: an `ll` loads
+// the word and a successful `sc` stores it, TLS words included, and an
+// `ll` of an arrival line is a fill the filter parks, as a `ldd` of it
+// is. Each fixture is a clean routine with one access done by `ll`/`sc`.
+
+#[test]
+fn ll_of_the_tls_sense_word_loads_it() {
+    let routine = SwCentral {
+        ll_sense_read: true,
+        ..SwCentral::default()
+    };
+    let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
+    assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("ll_sense_read", &report);
+}
+
+#[test]
+fn sc_of_the_tls_sense_word_stores_it() {
+    let routine = SwCentral {
+        llsc_sense_write: true,
+        ..SwCentral::default()
+    };
+    let report = check(&sw_spec(), &McConfig::default(), |a| routine.build(a));
+    assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("llsc_sense_write", &report);
+}
+
+#[test]
+fn ll_of_the_arrival_line_parks_at_the_filter() {
+    // The fetch starves at the filter until every thread has arrived, so
+    // no thread reaches its exit invalidate while the episode is open.
+    let report = check(&filter_spec(), &McConfig::default(), |a| filter_d(a, true));
+    assert!(report.clean(), "{:#?}", report.diagnostics);
+    assert_golden("filter_d_ll_fetch", &report);
 }
 
 #[test]
@@ -558,33 +618,11 @@ fn fault_injection_unparks_and_recovers_a_correct_filter() {
         fault: true,
         ..McConfig::default()
     };
-    let report = check(&filter_spec(), &cfg, |a| {
-        a.label("bar").unwrap();
-        a.sync();
-        per_thread_line(a, A_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.isync();
-        a.ldd(Reg::K1, Reg::K0, 0);
-        a.sync();
-        per_thread_line(a, E_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.ret();
-    });
+    let report = check(&filter_spec(), &cfg, |a| filter_d(a, false));
     assert!(report.clean(), "{:#?}", report.diagnostics);
     assert_golden("fault_injection_filter_d", &report);
 
     // ...and the fault dimension must add schedules, not replace them.
-    let base = check(&filter_spec(), &McConfig::default(), |a| {
-        a.label("bar").unwrap();
-        a.sync();
-        per_thread_line(a, A_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.isync();
-        a.ldd(Reg::K1, Reg::K0, 0);
-        a.sync();
-        per_thread_line(a, E_BASE);
-        a.dcbi(Reg::K0, 0);
-        a.ret();
-    });
+    let base = check(&filter_spec(), &McConfig::default(), |a| filter_d(a, false));
     assert!(report.states > base.states);
 }

@@ -122,12 +122,7 @@ impl From<BuildError> for BarrierError {
 /// A registered barrier: the handle user code synchronizes through.
 #[derive(Debug, Clone)]
 pub struct Barrier {
-    id: usize,
-    mechanism: BarrierMechanism,
     requested: BarrierMechanism,
-    label: String,
-    threads: usize,
-    arrival_base: Option<u64>,
     protocol: ProtocolSpec,
 }
 
@@ -135,12 +130,12 @@ impl Barrier {
     /// Emit a call to this barrier at the current assembly position.
     /// The routine clobbers `ra`, `k0`, `k1` and `t6`–`t9` only.
     pub fn emit_call(&self, a: &mut Asm) {
-        a.jal(Reg::RA, self.label.as_str());
+        a.jal(Reg::RA, self.label());
     }
 
     /// The mechanism actually backing this barrier (after any fallback).
     pub fn mechanism(&self) -> BarrierMechanism {
-        self.mechanism
+        self.protocol.mechanism
     }
 
     /// The mechanism originally requested.
@@ -151,29 +146,27 @@ impl Barrier {
     /// Whether the OS fell back to a software barrier because the filter
     /// hardware was exhausted.
     pub fn is_fallback(&self) -> bool {
-        self.mechanism != self.requested
+        self.mechanism() != self.requested
     }
 
     /// Number of participating threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.protocol.threads
     }
 
     /// The routine's entry label (for direct jumps).
     pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// This barrier's registration id.
-    pub fn id(&self) -> usize {
-        self.id
+        &self.protocol.entry
     }
 
     /// Base address of the (first) arrival-line range, for filter-backed
     /// barriers: thread `t` signals through line `base + 64 * t`. `None`
     /// for software and dedicated-network barriers.
     pub fn arrival_base(&self) -> Option<u64> {
-        self.arrival_base
+        self.protocol
+            .regions_of_kind(RegionKind::Arrival)
+            .next()
+            .map(|r| r.base)
     }
 
     /// The machine-readable protocol description: which address ranges
@@ -378,7 +371,6 @@ impl BarrierSystem {
         let id = self.next_id;
         self.next_id += 1;
         let granule = self.config.bank_granule();
-        let mut arrival_base = None;
         let mut regions = Vec::new();
         let mut tables = Vec::new();
         let mut tls_offset = None;
@@ -434,7 +426,6 @@ impl BarrierSystem {
                 };
                 let a_base = space.alloc_bank_lines(bank, threads as u64)?;
                 let e_base = space.alloc_bank_lines(bank, threads as u64)?;
-                arrival_base = Some(a_base);
                 regions.push(ProtocolSpec::thread_lines(
                     RegionKind::Arrival,
                     a_base,
@@ -454,7 +445,6 @@ impl BarrierSystem {
                 };
                 let a0 = space.alloc_bank_lines(bank, threads as u64)?;
                 let a1 = space.alloc_bank_lines(bank, threads as u64)?;
-                arrival_base = Some(a0);
                 let tls = self.alloc_tls_slot()?;
                 regions.push(ProtocolSpec::thread_lines(RegionKind::Arrival, a0, threads));
                 regions.push(ProtocolSpec::thread_lines(
@@ -474,7 +464,6 @@ impl BarrierSystem {
                     return self.create_inner(asm, space, SwCentral, requested, threads);
                 }
                 let e_base = space.alloc_bank_lines(bank, threads as u64)?;
-                arrival_base = Some(a_base);
                 regions.push(ProtocolSpec::thread_lines(
                     RegionKind::Arrival,
                     a_base,
@@ -495,7 +484,6 @@ impl BarrierSystem {
                 if self.free_tables(bank) < 2 {
                     return self.create_inner(asm, space, SwCentral, requested, threads);
                 }
-                arrival_base = Some(a0);
                 let tls = self.alloc_tls_slot()?;
                 regions.push(ProtocolSpec::thread_lines(RegionKind::Arrival, a0, threads));
                 regions.push(ProtocolSpec::thread_lines(
@@ -622,7 +610,6 @@ impl BarrierSystem {
                     }
                     (a1, e1, ga, ge, a2, e2)
                 };
-                arrival_base = Some(a1);
                 regions.push(ProtocolSpec::thread_lines(RegionKind::Arrival, a1, threads));
                 regions.push(ProtocolSpec::thread_lines(RegionKind::Exit, e1, threads));
                 regions.push(SyncRegion {
@@ -642,7 +629,7 @@ impl BarrierSystem {
         };
         let protocol = ProtocolSpec {
             mechanism: actual,
-            entry: label.clone(),
+            entry: label,
             threads,
             regions,
             tables,
@@ -652,12 +639,7 @@ impl BarrierSystem {
             wake_addrs,
         };
         Ok(Barrier {
-            id,
-            mechanism: actual,
             requested,
-            label,
-            threads,
-            arrival_base,
             protocol,
         })
     }
@@ -695,10 +677,9 @@ impl BarrierSystem {
         let e_base = space.alloc_bank_lines(bank, threads as u64)?;
         let mut tables = Vec::new();
         self.program_table(&mut tables, bank, a_base, e_base, threads, Waiting);
-        let label = emit::filter_d_checked(asm, id, a_base, e_base)?;
         let protocol = ProtocolSpec {
             mechanism: BarrierMechanism::FilterD,
-            entry: label.clone(),
+            entry: emit::filter_d_checked(asm, id, a_base, e_base)?,
             threads,
             regions: vec![
                 ProtocolSpec::thread_lines(RegionKind::Arrival, a_base, threads),
@@ -711,12 +692,7 @@ impl BarrierSystem {
             wake_addrs: Vec::new(),
         };
         Ok(Barrier {
-            id,
-            mechanism: BarrierMechanism::FilterD,
             requested: BarrierMechanism::FilterD,
-            label,
-            threads,
-            arrival_base: Some(a_base),
             protocol,
         })
     }

@@ -20,6 +20,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> examples run (each asserts its own results)"
+# clippy --all-targets above only compiles them; README quotes
+# quickstart's output.
+cargo run --release --offline -q --example quickstart
+cargo run --release --offline -q --example custom_kernel
+
 echo "==> cargo test (release optimisation, debug assertions and overflow checks on)"
 cargo test --workspace --profile ci --offline -q
 
